@@ -38,6 +38,7 @@ from .errors import (
     ApiError,
     ConfigError,
     DegenerateInput,
+    DeltaOverflow,
     DuplicateRepoId,
     EmptyEventSet,
     EventBeforeCreation,
@@ -47,6 +48,7 @@ from .errors import (
 )
 from .graph import (
     CoefficientKind,
+    FollowerGraph,
     build_graph,
     deletion_experiment,
     format_edge_list,
@@ -56,6 +58,7 @@ from .model import Corpus, bin_events
 from .scoring import (
     GrowthThresholds,
     Indicator,
+    WeightTable,
     classify_growth,
     compute_weights,
     rank,
@@ -77,7 +80,7 @@ from .stats import (
     DEFAULT_SWEEP_DAYS,
     interval_sweep,
     ols_line,
-    repo_age_days,
+    repo_features,
     summarize,
 )
 
@@ -91,6 +94,7 @@ EXIT_IO = 6
 
 _DATA_ERRORS = (
     ParseError,
+    DeltaOverflow,
     DuplicateRepoId,
     EventBeforeCreation,
     EventOutsideGrid,
@@ -219,22 +223,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_input(path_text: str) -> Path:
-    path = Path(path_text)
+def _load(args) -> Corpus:
+    path = Path(args.input)
     if not path.is_file():
         raise ConfigError(f"input path does not exist: {path}")
-    return path
-
-
-def _load(args) -> Corpus:
-    path = _require_input(args.input)
+    output = Path(args.output)
+    for target in (output, _sidecar_path(output)):
+        if target.exists() and target.samefile(path):
+            raise ConfigError(f"output {target} would overwrite the input {path}")
     if args.interval_days <= 0:
         raise ConfigError("--interval-days must be positive")
     return load_corpus(path, interval_days=args.interval_days)
 
 
-def _sample_corpus(corpus: Corpus, sample_repos: int | None, seed: int,
-                   interval_days: int) -> Corpus:
+def _sample_corpus(corpus: Corpus, sample_repos: int | None, seed: int) -> Corpus:
     """Uniform repository sample (without replacement), keeping their events."""
     if sample_repos is None or sample_repos >= len(corpus.repos):
         return corpus
@@ -244,13 +246,7 @@ def _sample_corpus(corpus: Corpus, sample_repos: int | None, seed: int,
     keep = set(rng.sample(sorted(corpus.repo_ids), sample_repos))
     repos = tuple(r for r in corpus.repos if r.repo_id in keep)
     events = tuple(e for e in corpus.events if e.repo_id in keep)
-    return Corpus.build(repos, events, interval_days=interval_days,
-                        captured_at=corpus.captured_at)
-
-
-def _resolved_config(args) -> dict:
-    config = {k: v for k, v in vars(args).items() if k != "command"}
-    return {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()}
+    return Corpus.build(repos, events, corpus.grid.interval_days, corpus.captured_at)
 
 
 def _provenance(corpus: Corpus, input_path: str | None) -> dict:
@@ -267,10 +263,13 @@ def _provenance(corpus: Corpus, input_path: str | None) -> dict:
     }
 
 
+def _sidecar_path(output: Path) -> Path:
+    return output.with_name(output.name + ".meta.json")
+
+
 def _write_sidecar(output: Path, sidecar: dict) -> None:
-    sidecar_path = output.with_name(output.name + ".meta.json")
     text = json.dumps(sidecar, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    sidecar_path.write_text(text, encoding="utf-8", newline="")
+    _sidecar_path(output).write_text(text, encoding="utf-8", newline="")
 
 
 def _write_outputs(args, data_text: str, sidecar: dict) -> None:
@@ -289,7 +288,7 @@ def _sidecar(args, command: str, corpus: Corpus, extra: dict | None = None) -> d
     sidecar = {
         "schema_version": 1,
         "command": command,
-        "config": _resolved_config(args),
+        "config": {k: v for k, v in vars(args).items() if k != "command"},
         "provenance": _provenance(corpus, getattr(args, "input", None)),
     }
     if extra:
@@ -297,21 +296,27 @@ def _sidecar(args, command: str, corpus: Corpus, extra: dict | None = None) -> d
     return sidecar
 
 
-def _weights_for(args, binned):
-    if getattr(args, "weights_one", False):
-        return unit_weights(binned.interval_count)
-    return compute_weights(binned)
+def _unit_weights(args, corpus: Corpus, indicator: Indicator) -> WeightTable | None:
+    """Unit weights under ``--weights-one``; None leaves community weights."""
+    if not args.weights_one:
+        return None
+    if indicator is not Indicator.WTPS:
+        raise ConfigError(f"--weights-one applies to wtps only, not {indicator.value}")
+    return unit_weights(corpus.grid.interval_count)
+
+
+def _graph_block(graph: FollowerGraph) -> dict:
+    return {
+        "repo_nodes": len(graph.repo_nodes),
+        "follower_nodes": len(graph.follower_nodes),
+        "edges": graph.edge_count,
+    }
 
 
 def _cmd_ingest(args) -> int:
     corpus = _load(args)
     manifest = save_corpus(corpus, Path(args.output), source=DatasetSource.FILE)
-    sidecar = _sidecar(args, "ingest", corpus, {"manifest": {
-        "schema_version": manifest.schema_version,
-        "captured_at": format_timestamp(manifest.captured_at),
-        "repo_count": manifest.repo_count,
-        "source": manifest.source.value,
-    }})
+    sidecar = _sidecar(args, "ingest", corpus, {"manifest": manifest.to_json_dict()})
     _write_sidecar(Path(args.output), sidecar)
     return EXIT_OK
 
@@ -347,7 +352,7 @@ def _cmd_fetch(args) -> int:
 def _cmd_score(args) -> int:
     corpus = _load(args)
     binned = bin_events(corpus)
-    weights = _weights_for(args, binned)
+    weights = _unit_weights(args, corpus, Indicator.WTPS) or compute_weights(binned)
     cards = score_all(binned, weights)
     header, rows = score_table(cards)
     sidecar = _sidecar(args, "score", corpus, {
@@ -363,10 +368,7 @@ def _cmd_score(args) -> int:
 def _cmd_rank(args) -> int:
     corpus = _load(args)
     indicator = Indicator(args.indicator)
-    weights = None
-    if args.weights_one and indicator is Indicator.WTPS:
-        weights = unit_weights(corpus.grid.interval_count)
-    entries = rank(corpus, indicator, weights=weights)
+    entries = rank(corpus, indicator, weights=_unit_weights(args, corpus, indicator))
     header, rows = rank_table(entries, indicator.value)
     _write_outputs(args, _render(args, header, rows), _sidecar(args, "rank", corpus))
     return EXIT_OK
@@ -377,15 +379,7 @@ def _cmd_correlate(args) -> int:
     binned = bin_events(corpus)
     weights = compute_weights(binned)
     scores = [card.overall for card in score_all(binned, weights)]
-    ages = repo_age_days(corpus)
-    columns: dict[str, list[float]] = {
-        "forks_total": [float(r.forks_total) for r in corpus.repos],
-        "stars_total": [float(r.stars_total) for r in corpus.repos],
-        "watchers_total": [float(r.watchers_total) for r in corpus.repos],
-        "age_days": [ages[r.repo_id] for r in corpus.repos],
-        "owner_followers": [float(r.owner_followers) for r in corpus.repos],
-        "size_kb": [float(r.size_kb) for r in corpus.repos],
-    }
+    columns = repo_features(corpus)
     rows_in = []
     skipped = []
     for prop in _PROPERTY_FIELDS:
@@ -447,27 +441,19 @@ def _cmd_classify(args) -> int:
 
 def _cmd_graph_build(args) -> int:
     corpus = _load(args)
-    corpus = _sample_corpus(corpus, args.sample_repos, args.seed, args.interval_days)
+    corpus = _sample_corpus(corpus, args.sample_repos, args.seed)
     graph = build_graph(corpus)
-    sidecar = _sidecar(args, "graph-build", corpus, {
-        "graph": {
-            "repo_nodes": len(graph.repo_nodes),
-            "follower_nodes": len(graph.follower_nodes),
-            "edges": graph.edge_count,
-        },
-    })
+    sidecar = _sidecar(args, "graph-build", corpus, {"graph": _graph_block(graph)})
     _write_outputs(args, format_edge_list(graph), sidecar)
     return EXIT_OK
 
 
 def _cmd_graph_deletion(args) -> int:
     corpus = _load(args)
-    corpus = _sample_corpus(corpus, args.sample_repos, args.seed, args.interval_days)
+    corpus = _sample_corpus(corpus, args.sample_repos, args.seed)
     measure = Indicator(args.measure)
     kind = CoefficientKind(args.coefficient)
-    weights = None
-    if args.weights_one and measure is Indicator.WTPS:
-        weights = unit_weights(corpus.grid.interval_count)
+    weights = _unit_weights(args, corpus, measure)
     scores = scores_for_measure(corpus, measure, weights=weights)
     steps = args.steps if args.steps is not None else min(100, len(corpus.repos))
     if steps > len(corpus.repos):
@@ -479,11 +465,7 @@ def _cmd_graph_deletion(args) -> int:
     header, rows = deletion_table(series)
     sidecar = _sidecar(args, "graph-deletion", corpus, {
         "series": series.to_json_dict(),
-        "graph": {
-            "repo_nodes": len(graph.repo_nodes),
-            "follower_nodes": len(graph.follower_nodes),
-            "edges": graph.edge_count,
-        },
+        "graph": _graph_block(graph),
     })
     _write_outputs(args, _render(args, header, rows), sidecar)
     return EXIT_OK
@@ -491,16 +473,9 @@ def _cmd_graph_deletion(args) -> int:
 
 def _cmd_summarize(args) -> int:
     corpus = _load(args)
-    ages = repo_age_days(corpus)
-    features = {
-        "forks_total": [float(r.forks_total) for r in corpus.repos],
-        "stars_total": [float(r.stars_total) for r in corpus.repos],
-        "watchers_total": [float(r.watchers_total) for r in corpus.repos],
-        "age_days": [ages[r.repo_id] for r in corpus.repos],
-        "size_kb": [float(r.size_kb) for r in corpus.repos],
-        "owner_followers": [float(r.owner_followers) for r in corpus.repos],
+    summaries = {
+        name: summarize(values) for name, values in repo_features(corpus).items()
     }
-    summaries = {name: summarize(values) for name, values in features.items()}
     header, rows = summary_table(summaries)
     _write_outputs(args, _render(args, header, rows), _sidecar(args, "summarize", corpus))
     return EXIT_OK

@@ -26,8 +26,8 @@ from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from .errors import DuplicateRepoId, EventBeforeCreation, ParseError
-from .model import Corpus, EventKind, PopularityEvent, RepoRecord, grid_for_times
+from .errors import EventBeforeCreation, ParseError
+from .model import Corpus, EventKind, PopularityEvent, RepoRecord
 
 SCHEMA_VERSION = 1
 
@@ -53,6 +53,15 @@ class DatasetManifest:
     captured_at: int
     repo_count: int
     source: DatasetSource
+
+    def to_json_dict(self) -> dict:
+        """The manifest line as written to a dataset file, in key order."""
+        return {
+            "schema_version": self.schema_version,
+            "captured_at": format_timestamp(self.captured_at),
+            "repo_count": self.repo_count,
+            "source": self.source.value,
+        }
 
 
 def parse_timestamp(text: str) -> int:
@@ -211,11 +220,7 @@ def load_corpus(path: str | Path, interval_days: int = 30) -> Corpus:
     if not repos:
         raise ParseError(seen_lines, "dataset contains no repository lines")
 
-    by_id = {}
-    for record in repos:
-        if record.repo_id in by_id:
-            raise DuplicateRepoId(f"duplicate repo_id {record.repo_id!r}")
-        by_id[record.repo_id] = record
+    by_id = {record.repo_id: record for record in repos}
     for line_no, event in events:
         record = by_id.get(event.repo_id)
         if record is None:
@@ -230,15 +235,10 @@ def load_corpus(path: str | Path, interval_days: int = 30) -> Corpus:
             1, f"manifest repo_count {manifest.repo_count} != {len(repos)} repository lines"
         )
 
-    event_list = [e for _, e in events]
-    times = [e.occurred_at for e in event_list]
-    if not times:
-        times = [r.created_at for r in repos]
-    grid = grid_for_times(times, interval_days)
-    return Corpus(
-        repos=tuple(repos),
-        events=tuple(event_list),
-        grid=grid,
+    return Corpus.build(
+        repos,
+        (e for _, e in events),
+        interval_days,
         captured_at=manifest.captured_at if manifest else None,
     )
 
@@ -265,16 +265,7 @@ def save_corpus(
         repo_count=len(corpus.repos),
         source=source,
     )
-    lines = [
-        _dump(
-            {
-                "schema_version": manifest.schema_version,
-                "captured_at": format_timestamp(manifest.captured_at),
-                "repo_count": manifest.repo_count,
-                "source": manifest.source.value,
-            }
-        )
-    ]
+    lines = [_dump(manifest.to_json_dict())]
     for r in corpus.repos:
         lines.append(
             _dump(

@@ -30,6 +30,10 @@ class EventBeforeCreation(WtpsError):
     """An event predates the creation time of its repository."""
 
 
+class DeltaOverflow(WtpsError):
+    """Event delta magnitudes sum past what a 64-bit count can hold."""
+
+
 class UnknownRepo(WtpsError):
     """A repo_id does not resolve to any repository in the corpus."""
 

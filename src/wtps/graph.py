@@ -3,10 +3,10 @@ popularity-ordered node-deletion experiment.
 
 The graph links each repository to its owner's followers and nothing else,
 so it is strictly bipartite: triangle-based clustering coefficients are
-identically zero on it. They are still computed honestly (and asserted zero
-by the test suite); the pairwise neighbor-overlap coefficient is the nonzero
-notion of clustering for two-mode graphs and is the default for deletion
-experiments.
+identically zero on it and are returned as 0.0 without counting (the test
+suite checks that against networkx on randomized graphs). The pairwise
+neighbor-overlap coefficient is the nonzero notion of clustering for
+two-mode graphs and is the default for deletion experiments.
 """
 
 from __future__ import annotations
@@ -110,65 +110,16 @@ def build_graph(corpus: Corpus) -> FollowerGraph:
 def clustering_coefficient(g: FollowerGraph, kind: CoefficientKind) -> float:
     """Compute the requested clustering coefficient of the whole graph.
 
+    The triangle-based kinds are 0.0: a FollowerGraph has no triangles.
+
     Raises:
         EmptyGraph: the graph has no nodes at all.
     """
     if g.node_count == 0:
         raise EmptyGraph("coefficient undefined on a graph with no nodes")
-    if kind is CoefficientKind.GLOBAL_TRANSITIVITY:
-        return _global_transitivity(g)
-    if kind is CoefficientKind.AVERAGE_LOCAL:
-        return _average_local(g)
-    return _bipartite_overlap(g)
-
-
-def _combined_adjacency(g: FollowerGraph) -> dict[tuple[str, str], set]:
-    # Namespace node keys by side so a repo id never collides with a follower id.
-    adjacency: dict[tuple[str, str], set] = {("r", r): set() for r in g.repo_nodes}
-    adjacency.update({("f", f): set() for f in g.follower_nodes})
-    for repo, follower in g.edges:
-        adjacency[("r", repo)].add(("f", follower))
-        adjacency[("f", follower)].add(("r", repo))
-    return adjacency
-
-
-def _closed_pair_count(adjacency: Mapping, node) -> int:
-    """Number of adjacent pairs among a node's neighbors."""
-    neighbors = sorted(adjacency[node])
-    closed = 0
-    for i, a in enumerate(neighbors):
-        for b in neighbors[i + 1:]:
-            if b in adjacency[a]:
-                closed += 1
-    return closed
-
-
-def _global_transitivity(g: FollowerGraph) -> float:
-    """Closed triples over connected triples; 0 when no triples exist."""
-    adjacency = _combined_adjacency(g)
-    closed = 0
-    triples = 0
-    for node, neighbors in adjacency.items():
-        degree = len(neighbors)
-        triples += degree * (degree - 1) // 2
-        closed += _closed_pair_count(adjacency, node)
-    if triples == 0:
-        return 0.0
-    return closed / triples
-
-
-def _average_local(g: FollowerGraph) -> float:
-    """Mean local coefficient over all nodes; degree < 2 contributes 0."""
-    adjacency = _combined_adjacency(g)
-    values = []
-    for node, neighbors in adjacency.items():
-        degree = len(neighbors)
-        if degree < 2:
-            values.append(0.0)
-            continue
-        possible = degree * (degree - 1) // 2
-        values.append(_closed_pair_count(adjacency, node) / possible)
-    return math.fsum(values) / len(values)
+    if kind is CoefficientKind.BIPARTITE_LATAPY:
+        return _bipartite_overlap(g)
+    return 0.0
 
 
 def _bipartite_overlap(g: FollowerGraph) -> float:

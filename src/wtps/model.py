@@ -8,13 +8,14 @@ binning is deliberately not implemented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    DeltaOverflow,
     DuplicateRepoId,
     EmptyEventSet,
     EventBeforeCreation,
@@ -182,6 +183,7 @@ class Corpus:
             index[record.repo_id] = record
         object.__setattr__(self, "_repo_index", index)
 
+        activity = 0
         for event in events:
             record = index.get(event.repo_id)
             if record is None:
@@ -194,6 +196,11 @@ class Corpus:
                     f"{event.repo_id!r} at {record.created_at}"
                 )
             self.grid.index_of(event.occurred_at)
+            activity += abs(event.delta)
+        # Binned cells and interval totals are int64; bounding the summed
+        # magnitudes bounds every one of them, so none can wrap around.
+        if activity >= 2**63:
+            raise DeltaOverflow(f"event deltas sum to magnitude {activity} >= 2**63")
 
         if self.captured_at is None:
             object.__setattr__(self, "captured_at", self._default_capture_time())
@@ -228,11 +235,7 @@ class Corpus:
 
     def regrid(self, interval_days: int) -> "Corpus":
         """Return a copy of this corpus re-binned onto a new interval width."""
-        times: Sequence[int] = [e.occurred_at for e in self.events]
-        if not times:
-            times = [r.created_at for r in self.repos]
-        grid = grid_for_times(times, interval_days)
-        return replace(self, grid=grid)
+        return self.build(self.repos, self.events, interval_days, self.captured_at)
 
     @property
     def repo_ids(self) -> tuple[str, ...]:
@@ -249,9 +252,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.repos)
-
-    def events_for(self, repo_id: str) -> Iterator[PopularityEvent]:
-        return (e for e in self.events if e.repo_id == repo_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,9 +297,6 @@ class BinnedCounts:
     def interval_totals(self, kind: EventKind) -> np.ndarray:
         """Community-wide per-interval delta totals (column sums)."""
         return self.matrix(kind).sum(axis=0)
-
-    def repo_total(self, repo_id: str, kind: EventKind) -> int:
-        return int(self.deltas(repo_id, kind).sum())
 
 
 def bin_events(corpus: Corpus) -> BinnedCounts:

@@ -98,39 +98,39 @@ class ScoreCard:
     overall: float
 
 
-def _check_table(binned: BinnedCounts, weights: WeightTable) -> None:
+def _score_matrix(
+    binned: BinnedCounts, weights: WeightTable, repo_id: str | None = None
+) -> np.ndarray:
+    """Weighted scores per interval: one row per repository, or the single
+    row of ``repo_id`` when given."""
     if weights.interval_count != binned.interval_count:
         raise ValueError(
             f"weight table covers {weights.interval_count} intervals, "
             f"binned counts cover {binned.interval_count}"
         )
+    rows = slice(None) if repo_id is None else binned.row_index(repo_id)
+    wf = np.asarray(weights.fork_weights, dtype=np.float64)
+    ws = np.asarray(weights.star_weights, dtype=np.float64)
+    return binned.forks[rows] * wf + binned.stars[rows] * ws
 
 
 def wtps_interval(
     binned: BinnedCounts, weights: WeightTable, repo_id: str, t: int
 ) -> float:
     """Weighted score of one repository in one interval."""
-    _check_table(binned, weights)
+    scores = _score_matrix(binned, weights, repo_id)
     if not 0 <= t < binned.interval_count:
         raise IntervalOutOfRange(
             f"interval {t} outside [0, {binned.interval_count})"
         )
-    row = binned.row_index(repo_id)
-    return (
-        weights.fork_weights[t] * int(binned.forks[row, t])
-        + weights.star_weights[t] * int(binned.stars[row, t])
-    )
+    return float(scores[t])
 
 
 def wtps_overall(
     binned: BinnedCounts, weights: WeightTable, repo_id: str
 ) -> ScoreCard:
     """Overall weighted score: the sum of all interval scores."""
-    _check_table(binned, weights)
-    row = binned.row_index(repo_id)
-    wf = np.asarray(weights.fork_weights, dtype=np.float64)
-    ws = np.asarray(weights.star_weights, dtype=np.float64)
-    scores = binned.forks[row] * wf + binned.stars[row] * ws
+    scores = _score_matrix(binned, weights, repo_id)
     return ScoreCard(
         repo_id=repo_id,
         interval_scores=tuple(float(v) for v in scores),
@@ -140,7 +140,6 @@ def wtps_overall(
 
 def score_all(binned: BinnedCounts, weights: WeightTable) -> list[ScoreCard]:
     """Score every repository; output ordered by repo_id."""
-    _check_table(binned, weights)
     scores = _score_matrix(binned, weights)
     overall = scores.sum(axis=1)
     return [
@@ -151,12 +150,6 @@ def score_all(binned: BinnedCounts, weights: WeightTable) -> list[ScoreCard]:
         )
         for i, rid in enumerate(binned.repo_ids)
     ]
-
-
-def _score_matrix(binned: BinnedCounts, weights: WeightTable) -> np.ndarray:
-    wf = np.asarray(weights.fork_weights, dtype=np.float64)
-    ws = np.asarray(weights.star_weights, dtype=np.float64)
-    return binned.forks * wf + binned.stars * ws
 
 
 @dataclass(frozen=True, slots=True)

@@ -97,19 +97,16 @@ def interval_sweep(
     is constant (e.g. a corpus with no watcher variation) are omitted rather
     than poisoning the whole sweep.
     """
-    snapshots = {
-        ind: [float(getattr(r, attr)) for r in corpus.repos]
-        for ind, attr in SNAPSHOT_FIELDS.items()
-    }
+    features = repo_features(corpus)
     entries: list[SweepEntry] = []
     for days in interval_days_list:
         regridded = corpus.regrid(days)
         binned = bin_events(regridded)
         weights = compute_weights(binned)
         scores = [card.overall for card in score_all(binned, weights)]
-        for indicator in (Indicator.FORKS, Indicator.STARS, Indicator.WATCHERS):
+        for indicator, column in SNAPSHOT_FIELDS.items():
             try:
-                result = ols_line(scores, snapshots[indicator])
+                result = ols_line(scores, features[column])
             except DegenerateInput:
                 continue
             entries.append(
@@ -175,4 +172,18 @@ def repo_age_days(corpus: Corpus) -> dict[str, float]:
     assert captured is not None  # resolved at construction
     return {
         r.repo_id: (captured - r.created_at) / 86_400.0 for r in corpus.repos
+    }
+
+
+def repo_features(corpus: Corpus) -> dict[str, list[float]]:
+    """The six per-repository float feature columns, in ``corpus.repos`` order."""
+    ages = repo_age_days(corpus)
+    repos = corpus.repos
+    return {
+        "forks_total": [float(r.forks_total) for r in repos],
+        "stars_total": [float(r.stars_total) for r in repos],
+        "watchers_total": [float(r.watchers_total) for r in repos],
+        "age_days": [ages[r.repo_id] for r in repos],
+        "size_kb": [float(r.size_kb) for r in repos],
+        "owner_followers": [float(r.owner_followers) for r in repos],
     }

@@ -201,6 +201,65 @@ class TestAnalysisCommands:
         assert float(stars[5]) == 55.0  # maximum
 
 
+class TestRejectedRuns:
+    """Inputs and flag combinations refused before any output is written."""
+
+    @pytest.mark.parametrize("deltas", [[2**62, 2**62], [2**63]],
+                             ids=["two-2e62-in-one-cell", "one-2e63"])
+    def test_delta_overflow_is_data_error(self, tmp_path, capsys, deltas):
+        dataset = tmp_path / "huge.jsonl"
+        repo = {"repo_id": "R1", "full_name": "o/r", "created_at": "2018-01-01T00:00:00Z",
+                "primary_language": None, "size_kb": 1, "owner_followers": 1,
+                "forks_total": 1, "stars_total": 1, "watchers_total": 1,
+                "follower_ids": []}
+        events = [{"repo_id": "R1", "kind": "star", "occurred_at": "2018-01-02T00:00:00Z",
+                   "delta": d} for d in deltas]
+        dataset.write_text("".join(json.dumps(o) + "\n" for o in [repo, *events]),
+                           encoding="utf-8")
+        out = tmp_path / "scores.csv"
+        code = main(["score", "--input", str(dataset), "--output", str(out)])
+        assert code == EXIT_DATA
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "DeltaOverflow"
+        assert list(tmp_path.iterdir()) == [dataset]
+
+    @pytest.mark.parametrize("sidecar", [False, True], ids=["data-file", "sidecar"])
+    def test_output_onto_input_is_config_error(self, tmp_path, capsys, sidecar):
+        dataset = tmp_path / "d.jsonl.meta.json" if sidecar else tmp_path / "d.jsonl"
+        dataset.write_bytes(COMMUNITY_SAMPLE.read_bytes())
+        out = tmp_path / "d.jsonl"
+        for command in (["ingest"], ["score"], ["rank", "--indicator", "wtps"]):
+            code = main([command[0], "--input", str(dataset), "--output", str(out),
+                         *command[1:]])
+            assert code == EXIT_CONFIG
+            assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+            assert dataset.read_bytes() == COMMUNITY_SAMPLE.read_bytes()
+            assert list(tmp_path.iterdir()) == [dataset]
+
+    def test_output_onto_input_through_symlink_is_config_error(self, tmp_path, capsys):
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_bytes(COMMUNITY_SAMPLE.read_bytes())
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(dataset)
+        code = main(["score", "--input", str(dataset), "--output", str(link)])
+        assert code == EXIT_CONFIG
+        capsys.readouterr()
+        assert dataset.read_bytes() == COMMUNITY_SAMPLE.read_bytes()
+
+    @pytest.mark.parametrize("indicator", ["forks", "stars", "watchers"])
+    @pytest.mark.parametrize("command,flag", [("rank", "--indicator"),
+                                              ("graph-deletion", "--measure")])
+    def test_weights_one_with_count_indicator_is_config_error(
+        self, tmp_path, capsys, command, flag, indicator
+    ):
+        out = tmp_path / "out.csv"
+        code = main([command, "--input", str(FOLLOWER_SAMPLE), "--output", str(out),
+                     flag, indicator, "--weights-one"])
+        assert code == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "ConfigError" and "--weights-one" in error["message"]
+        assert not out.exists()
+
+
 class TestGraphCommands:
     def test_graph_build_edge_list(self, tmp_path):
         out = tmp_path / "edges.txt"

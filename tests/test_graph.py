@@ -100,17 +100,37 @@ class TestClusteringCoefficients:
         value = clustering_coefficient(sample_graph, CoefficientKind.GLOBAL_TRANSITIVITY)
         assert value == 0.0
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_triangle_based_kinds_zero_on_random_bipartite(self, seed):
+    @staticmethod
+    def _random_graph(seed: int) -> FollowerGraph:
         rng = random.Random(seed)
-        graph = make_bipartite_graph(
+        return make_bipartite_graph(
             rng,
             n_repos=rng.randint(1, 8),
             n_followers=rng.randint(1, 10),
             edge_prob=rng.uniform(0.1, 0.9),
         )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_triangle_based_kinds_zero_on_random_bipartite(self, seed):
+        graph = self._random_graph(seed)
         assert clustering_coefficient(graph, CoefficientKind.GLOBAL_TRANSITIVITY) == 0.0
         assert clustering_coefficient(graph, CoefficientKind.AVERAGE_LOCAL) == 0.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_triangle_based_kinds_match_networkx(self, seed):
+        nx = pytest.importorskip("networkx")
+        graph = self._random_graph(seed)
+        # Tag nodes by side: a repo id and a follower id may share text.
+        g = nx.Graph()
+        g.add_nodes_from(("r", r) for r in graph.repo_nodes)
+        g.add_nodes_from(("f", f) for f in graph.follower_nodes)
+        g.add_edges_from((("r", r), ("f", f)) for r, f in graph.edges)
+        assert clustering_coefficient(graph, CoefficientKind.GLOBAL_TRANSITIVITY) == (
+            nx.transitivity(g)
+        )
+        assert clustering_coefficient(graph, CoefficientKind.AVERAGE_LOCAL) == (
+            nx.average_clustering(g)
+        )
 
     def test_average_local_zero_on_single_edge(self):
         graph = FollowerGraph(

@@ -5,6 +5,7 @@ import pytest
 
 from wtps import (
     Corpus,
+    DeltaOverflow,
     DuplicateRepoId,
     EmptyEventSet,
     EventBeforeCreation,
@@ -205,6 +206,17 @@ class TestCorpusValidation:
     def test_zero_delta_rejected(self):
         with pytest.raises(ValueError):
             PopularityEvent("R1", EventKind.FORK, BASE_TS, 0)
+
+    def test_delta_magnitudes_must_fit_int64(self):
+        # The bound is on summed magnitudes, wherever the events fall, so
+        # cancelling signs and separate cells do not get round it.
+        fits = [_event(delta=2**62), _event(kind=EventKind.STAR, delta=2**62 - 1)]
+        corpus = Corpus.build([_repo()], fits, interval_days=30)
+        assert int(bin_events(corpus).forks.sum()) == 2**62
+        for deltas in ([2**62, 2**62], [2**62, -(2**62)], [2**63], [-(2**63)]):
+            events = [_event(at=BASE_TS + i * 40 * DAY, delta=d) for i, d in enumerate(deltas)]
+            with pytest.raises(DeltaOverflow):
+                Corpus.build([_repo()], events, interval_days=30)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
