@@ -4,17 +4,13 @@ The package turns timestamped fork/star events into community-weighted
 popularity scores, rankings, growth labels, correlation/regression reports,
 and repository-follower graph experiments. See the README for the file
 format, CLI, and output schemas.
+
+The package exports the quick-start API and the error types. Everything
+else is imported from its own module: ``wtps.model``, ``wtps.dataset``,
+``wtps.scoring``, ``wtps.stats``, ``wtps.graph`` or ``wtps.api``.
 """
 
-from .api import ApiClientConfig, FetchResult, RestClient, fetch_repo
-from .dataset import (
-    DatasetManifest,
-    DatasetSource,
-    format_timestamp,
-    load_corpus,
-    parse_timestamp,
-    save_corpus,
-)
+from .dataset import load_corpus
 from .errors import (
     ApiError,
     AuthFailure,
@@ -36,125 +32,35 @@ from .errors import (
     UnknownRepo,
     WtpsError,
 )
-from .graph import (
-    CoefficientKind,
-    DeletionSeries,
-    FollowerGraph,
-    build_graph,
-    clustering_coefficient,
-    deletion_experiment,
-    format_edge_list,
-    scores_for_measure,
-)
-from .model import (
-    BinnedCounts,
-    Corpus,
-    EventKind,
-    PopularityEvent,
-    RepoRecord,
-    TimeGrid,
-    bin_events,
-    build_grid,
-    grid_for_times,
-)
-from .scoring import (
-    GrowthLabel,
-    GrowthPattern,
-    GrowthThresholds,
-    Indicator,
-    RankEntry,
-    ScoreCard,
-    WeightTable,
-    classify_growth,
-    compute_weights,
-    rank,
-    score_all,
-    unit_weights,
-    wtps_interval,
-    wtps_overall,
-)
-from .stats import (
-    DEFAULT_SWEEP_DAYS,
-    DistributionSummary,
-    RegressionResult,
-    SweepEntry,
-    interval_sweep,
-    ols_line,
-    pearson,
-    repo_age_days,
-    summarize,
-)
+from .model import bin_events
+from .scoring import Indicator, compute_weights, rank, score_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApiClientConfig",
     "ApiError",
     "AuthFailure",
-    "BinnedCounts",
-    "CoefficientKind",
     "ConfigError",
-    "Corpus",
-    "DatasetManifest",
-    "DatasetSource",
     "DegenerateInput",
-    "DeletionSeries",
     "DeltaOverflow",
-    "DistributionSummary",
     "DuplicateRepoId",
     "EmptyEventSet",
     "EmptyGraph",
     "EmptyInput",
     "EventBeforeCreation",
-    "EventKind",
     "EventOutsideGrid",
-    "FetchResult",
-    "FollowerGraph",
-    "GrowthLabel",
-    "GrowthPattern",
-    "GrowthThresholds",
     "Indicator",
     "IntervalOutOfRange",
     "LengthMismatch",
     "NotFound",
     "ParseError",
-    "PopularityEvent",
-    "RankEntry",
     "RateLimited",
-    "RegressionResult",
-    "RepoRecord",
-    "RestClient",
-    "ScoreCard",
     "StepsExceedRepoCount",
-    "SweepEntry",
-    "TimeGrid",
     "UnknownRepo",
-    "WeightTable",
     "WtpsError",
-    "DEFAULT_SWEEP_DAYS",
     "bin_events",
-    "build_graph",
-    "build_grid",
-    "classify_growth",
-    "clustering_coefficient",
     "compute_weights",
-    "deletion_experiment",
-    "fetch_repo",
-    "format_edge_list",
-    "format_timestamp",
-    "grid_for_times",
-    "interval_sweep",
     "load_corpus",
-    "ols_line",
-    "parse_timestamp",
-    "pearson",
     "rank",
-    "repo_age_days",
-    "save_corpus",
     "score_all",
-    "scores_for_measure",
-    "summarize",
-    "unit_weights",
-    "wtps_interval",
-    "wtps_overall",
 ]

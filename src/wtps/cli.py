@@ -24,10 +24,10 @@ import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .api import ApiClientConfig, fetch_repo
 from .dataset import (
     DatasetSource,
     format_timestamp,
@@ -267,15 +267,38 @@ def _sidecar_path(output: Path) -> Path:
     return output.with_name(output.name + ".meta.json")
 
 
-def _write_sidecar(output: Path, sidecar: dict) -> None:
+@contextmanager
+def _staged_outputs(output: Path):
+    """Yield temporary paths for the data file and its sidecar.
+
+    Both live in the output's directory and are moved into place with
+    ``os.replace`` only after the block has written both. On any failure the
+    temporary files are removed, and a data file already moved into place is
+    removed too, so a failed command leaves no partial output.
+    """
+    targets = (output, _sidecar_path(output))
+    staged = tuple(t.with_name(f".{t.name}.{os.getpid()}.tmp") for t in targets)
+    moved: list[Path] = []
+    try:
+        yield staged
+        for temp, target in zip(staged, targets):
+            os.replace(temp, target)
+            moved.append(target)
+    except BaseException:
+        for path in (*staged, *moved):
+            path.unlink(missing_ok=True)
+        raise
+
+
+def _write_sidecar(path: Path, sidecar: dict) -> None:
     text = json.dumps(sidecar, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    _sidecar_path(output).write_text(text, encoding="utf-8", newline="")
+    path.write_text(text, encoding="utf-8", newline="")
 
 
 def _write_outputs(args, data_text: str, sidecar: dict) -> None:
-    output = Path(args.output)
-    output.write_text(data_text, encoding="utf-8", newline="")
-    _write_sidecar(output, sidecar)
+    with _staged_outputs(Path(args.output)) as (data_path, sidecar_path):
+        data_path.write_text(data_text, encoding="utf-8", newline="")
+        _write_sidecar(sidecar_path, sidecar)
 
 
 def _render(args, header, rows) -> str:
@@ -315,25 +338,32 @@ def _graph_block(graph: FollowerGraph) -> dict:
 
 def _cmd_ingest(args) -> int:
     corpus = _load(args)
-    manifest = save_corpus(corpus, Path(args.output), source=DatasetSource.FILE)
-    sidecar = _sidecar(args, "ingest", corpus, {"manifest": manifest.to_json_dict()})
-    _write_sidecar(Path(args.output), sidecar)
+    with _staged_outputs(Path(args.output)) as (data_path, sidecar_path):
+        manifest = save_corpus(corpus, data_path, source=DatasetSource.FILE)
+        sidecar = _sidecar(args, "ingest", corpus, {"manifest": manifest.to_json_dict()})
+        _write_sidecar(sidecar_path, sidecar)
     return EXIT_OK
 
 
 def _cmd_fetch(args) -> int:
+    # Imported here so that only fetch loads the HTTP client library.
+    from .api import ApiClientConfig, fetch_repo
+
     if args.interval_days <= 0:
         raise ConfigError("--interval-days must be positive")
     if "/" not in args.repo:
         raise ConfigError(f"--repo expects OWNER/NAME, got {args.repo!r}")
-    config = ApiClientConfig(
-        base_url=args.base_url,
-        auth_token=os.environ.get(args.token_env),
-        requests_per_hour_cap=args.requests_per_hour,
-        page_size=args.page_size,
-        retry_limit=args.retry_limit,
-        fetch_follower_ids=not args.no_follower_ids,
-    )
+    try:
+        config = ApiClientConfig(
+            base_url=args.base_url,
+            auth_token=os.environ.get(args.token_env),
+            requests_per_hour_cap=args.requests_per_hour,
+            page_size=args.page_size,
+            retry_limit=args.retry_limit,
+            fetch_follower_ids=not args.no_follower_ids,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     result = fetch_repo(config, args.repo)
     if result.truncated_history:
         print(
@@ -342,10 +372,11 @@ def _cmd_fetch(args) -> int:
             file=sys.stderr,
         )
     corpus = Corpus.build([result.repo], result.events, interval_days=args.interval_days)
-    save_corpus(corpus, Path(args.output), source=DatasetSource.LIVE_API)
-    sidecar = _sidecar(args, "fetch", corpus,
-                       {"truncated_history": result.truncated_history})
-    _write_sidecar(Path(args.output), sidecar)
+    with _staged_outputs(Path(args.output)) as (data_path, sidecar_path):
+        save_corpus(corpus, data_path, source=DatasetSource.LIVE_API)
+        sidecar = _sidecar(args, "fetch", corpus,
+                           {"truncated_history": result.truncated_history})
+        _write_sidecar(sidecar_path, sidecar)
     return EXIT_OK
 
 
@@ -456,6 +487,8 @@ def _cmd_graph_deletion(args) -> int:
     weights = _unit_weights(args, corpus, measure)
     scores = scores_for_measure(corpus, measure, weights=weights)
     steps = args.steps if args.steps is not None else min(100, len(corpus.repos))
+    if steps < 0:
+        raise ConfigError(f"--steps must be non-negative, got {steps}")
     if steps > len(corpus.repos):
         raise ConfigError(
             f"--steps {steps} exceeds repository count {len(corpus.repos)}"

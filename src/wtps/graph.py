@@ -127,26 +127,28 @@ def _bipartite_overlap(g: FollowerGraph) -> float:
 
     Per node u, cc(u) averages |N(u) & N(v)| / |N(u) | N(v)| over the
     same-side nodes v at distance 2 from u; nodes with no such neighbors
-    (including isolated ones) contribute 0. fsum keeps the result identical
-    regardless of set iteration order.
+    (including isolated ones) contribute 0. Walking u's 2-paths counts
+    shared[v] = |N(u) & N(v)|; the union is deg(u) + deg(v) - shared[v].
+    fsum keeps the result identical regardless of iteration order.
     """
     repo_adj = g.repo_adjacency()
     follower_adj = g.follower_adjacency()
     values = []
     for side, other in ((repo_adj, follower_adj), (follower_adj, repo_adj)):
         for node, neighborhood in side.items():
-            peers: set[str] = set()
-            for shared in neighborhood:
-                peers |= other[shared]
-            peers.discard(node)
-            if not peers:
+            shared: dict[str, int] = {}
+            for middle in neighborhood:
+                for peer in other[middle]:
+                    shared[peer] = shared.get(peer, 0) + 1
+            shared.pop(node, None)
+            if not shared:
                 values.append(0.0)
                 continue
             overlaps = math.fsum(
-                len(neighborhood & side[peer]) / len(neighborhood | side[peer])
-                for peer in peers
+                count / (len(neighborhood) + len(side[peer]) - count)
+                for peer, count in shared.items()
             )
-            values.append(overlaps / len(peers))
+            values.append(overlaps / len(shared))
     return math.fsum(values) / len(values)
 
 

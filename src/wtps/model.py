@@ -146,11 +146,6 @@ def grid_for_times(times: Iterable[int], interval_days: int) -> TimeGrid:
     return TimeGrid(epoch=epoch, interval_days=interval_days, interval_count=int(count))
 
 
-def build_grid(events: Iterable[PopularityEvent], interval_days: int) -> TimeGrid:
-    """Build the minimal grid covering every event timestamp."""
-    return grid_for_times((e.occurred_at for e in events), interval_days)
-
-
 @dataclass(frozen=True, slots=True)
 class Corpus:
     """An immutable collection of repositories, events, and their grid.
@@ -168,7 +163,6 @@ class Corpus:
     events: tuple[PopularityEvent, ...]
     grid: TimeGrid
     captured_at: int | None = None
-    _repo_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         repos = tuple(sorted(self.repos, key=lambda r: r.repo_id))
@@ -181,7 +175,6 @@ class Corpus:
             if record.repo_id in index:
                 raise DuplicateRepoId(f"duplicate repo_id {record.repo_id!r}")
             index[record.repo_id] = record
-        object.__setattr__(self, "_repo_index", index)
 
         activity = 0
         for event in events:
@@ -240,15 +233,6 @@ class Corpus:
     @property
     def repo_ids(self) -> tuple[str, ...]:
         return tuple(r.repo_id for r in self.repos)
-
-    def repo(self, repo_id: str) -> RepoRecord:
-        try:
-            return self._repo_index[repo_id]
-        except KeyError:
-            raise UnknownRepo(f"unknown repo_id {repo_id!r}") from None
-
-    def __contains__(self, repo_id: str) -> bool:
-        return repo_id in self._repo_index
 
     def __len__(self) -> int:
         return len(self.repos)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import random
 
-from wtps import Corpus, EventKind, FollowerGraph, PopularityEvent, RepoRecord
+from wtps.graph import FollowerGraph
+from wtps.model import Corpus, EventKind, PopularityEvent, RepoRecord
 
 BASE_TS = 1_514_764_800  # 2018-01-01T00:00:00Z
 DAY = 86_400

@@ -15,24 +15,24 @@ import numpy as np
 import pytest
 
 from wtps import (
-    CoefficientKind,
-    EventKind,
     Indicator,
     bin_events,
-    clustering_coefficient,
     compute_weights,
-    deletion_experiment,
     load_corpus,
-    ols_line,
-    pearson,
     rank,
-    save_corpus,
     score_all,
-    scores_for_measure,
-    unit_weights,
-    build_graph,
-    interval_sweep,
 )
+from wtps.dataset import save_corpus
+from wtps.graph import (
+    CoefficientKind,
+    build_graph,
+    clustering_coefficient,
+    deletion_experiment,
+    scores_for_measure,
+)
+from wtps.model import EventKind
+from wtps.scoring import unit_weights
+from wtps.stats import interval_sweep, ols_line, pearson
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE
 from synth import make_bipartite_graph, make_corpus, make_heavy_tailed_corpus, scale_events
 

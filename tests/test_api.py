@@ -6,16 +6,10 @@ from urllib.parse import parse_qs, urlparse
 import pytest
 import requests
 
-from wtps import (
-    ApiClientConfig,
-    AuthFailure,
-    EventKind,
-    NotFound,
-    RateLimited,
-    RestClient,
-    fetch_repo,
-    parse_timestamp,
-)
+from wtps import AuthFailure, NotFound, RateLimited
+from wtps.api import ApiClientConfig, RestClient, fetch_repo
+from wtps.dataset import parse_timestamp
+from wtps.model import EventKind
 
 OWNER = "octo"
 NAME = "widget"

@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from wtps.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DOMAIN,
+    EXIT_IO,
     EXIT_OK,
     main,
 )
@@ -19,6 +22,7 @@ from wtps.serialize import (
     to_csv,
     to_json,
 )
+import wtps
 from wtps import Indicator, bin_events, compute_weights, rank, score_all
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE
 
@@ -258,6 +262,48 @@ class TestRejectedRuns:
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "ConfigError" and "--weights-one" in error["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["score", "ingest"])
+    def test_failed_sidecar_write_leaves_no_output(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        (tmp_path / "out.csv.meta.json").mkdir()
+        code = main([command, "--input", str(COMMUNITY_SAMPLE), "--output", str(out)])
+        assert code == EXIT_IO
+        capsys.readouterr()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv.meta.json"]
+        assert not any((tmp_path / "out.csv.meta.json").iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["graph-deletion", "--input", str(FOLLOWER_SAMPLE), "--measure", "stars",
+         "--steps", "-1"],
+        ["fetch", "--repo", "o/r", "--page-size", "0"],
+        ["fetch", "--repo", "o/r", "--requests-per-hour", "0"],
+        ["fetch", "--repo", "o/r", "--retry-limit", "-1"],
+    ], ids=["steps", "page-size", "requests-per-hour", "retry-limit"])
+    def test_bad_numeric_flag_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = main([*argv, "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestImportSurface:
+    def test_package_exports_quick_start_names_and_error_types(self):
+        errors = {n for n in wtps.__all__ if isinstance(getattr(wtps, n), type)
+                  and issubclass(getattr(wtps, n), wtps.WtpsError)}
+        assert len(errors) == 19
+        assert set(wtps.__all__) - errors == {
+            "load_corpus", "bin_events", "compute_weights", "score_all", "rank", "Indicator",
+        }
+
+    def test_cli_import_does_not_load_requests(self):
+        src = str(Path(wtps.__file__).resolve().parents[1])
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import wtps.cli; "
+                 "print('requests' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", probe, src],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestGraphCommands:

@@ -3,20 +3,14 @@ import random
 
 import pytest
 
-from wtps import (
-    Corpus,
-    DuplicateRepoId,
-    EventBeforeCreation,
-    EventKind,
-    ParseError,
-    PopularityEvent,
-    RepoRecord,
-    load_corpus,
-    parse_timestamp,
+from wtps import DuplicateRepoId, EventBeforeCreation, ParseError, load_corpus
+from wtps.dataset import (
+    DatasetSource,
     format_timestamp,
+    parse_timestamp,
     save_corpus,
 )
-from wtps.dataset import DatasetSource
+from wtps.model import Corpus, EventKind, PopularityEvent, RepoRecord
 from synth import BASE_TS, DAY, make_corpus
 
 

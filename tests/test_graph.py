@@ -3,12 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from wtps import (
+from wtps import EmptyGraph, Indicator, StepsExceedRepoCount
+from wtps.graph import (
     CoefficientKind,
-    EmptyGraph,
     FollowerGraph,
-    Indicator,
-    StepsExceedRepoCount,
     build_graph,
     clustering_coefficient,
     deletion_experiment,
@@ -116,15 +114,20 @@ class TestClusteringCoefficients:
         assert clustering_coefficient(graph, CoefficientKind.GLOBAL_TRANSITIVITY) == 0.0
         assert clustering_coefficient(graph, CoefficientKind.AVERAGE_LOCAL) == 0.0
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_triangle_based_kinds_match_networkx(self, seed):
-        nx = pytest.importorskip("networkx")
-        graph = self._random_graph(seed)
+    @staticmethod
+    def _networkx_graph(nx, graph: FollowerGraph):
         # Tag nodes by side: a repo id and a follower id may share text.
         g = nx.Graph()
         g.add_nodes_from(("r", r) for r in graph.repo_nodes)
         g.add_nodes_from(("f", f) for f in graph.follower_nodes)
         g.add_edges_from((("r", r), ("f", f)) for r, f in graph.edges)
+        return g
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_triangle_based_kinds_match_networkx(self, seed):
+        nx = pytest.importorskip("networkx")
+        graph = self._random_graph(seed)
+        g = self._networkx_graph(nx, graph)
         assert clustering_coefficient(graph, CoefficientKind.GLOBAL_TRANSITIVITY) == (
             nx.transitivity(g)
         )
@@ -157,6 +160,26 @@ class TestClusteringCoefficients:
         got = clustering_coefficient(graph, CoefficientKind.BIPARTITE_LATAPY)
         assert got == pytest.approx(overlap_oracle(graph), abs=1e-12)
         assert 0.0 <= got <= 1.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_overlap_matches_networkx_on_heavy_tailed_graphs(self, seed):
+        # Pareto(1.5) follower degrees reach hub followers and peer counts
+        # far beyond the small dense graphs above.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(seed)
+        repos = [f"r{i}" for i in range(60)]
+        followers = [f"f{i}" for i in range(240)]
+        edges = {
+            (repo, follower)
+            for follower in followers
+            for repo in rng.sample(repos, min(len(repos), int(rng.paretovariate(1.5))))
+        }
+        graph = FollowerGraph(frozenset(repos), frozenset(followers), frozenset(edges))
+        expected = nx.algorithms.bipartite.average_clustering(
+            self._networkx_graph(nx, graph), mode="dot"
+        )
+        got = clustering_coefficient(graph, CoefficientKind.BIPARTITE_LATAPY)
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_empty_graph_rejected(self):
         empty = FollowerGraph(frozenset(), frozenset(), frozenset())

@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from wtps import (
-    Corpus,
     DeltaOverflow,
     DuplicateRepoId,
     EmptyEventSet,
     EventBeforeCreation,
-    EventKind,
     EventOutsideGrid,
+    UnknownRepo,
+    bin_events,
+)
+from wtps.model import (
+    Corpus,
+    EventKind,
     PopularityEvent,
     RepoRecord,
     TimeGrid,
-    UnknownRepo,
-    bin_events,
-    build_grid,
     grid_for_times,
 )
 from synth import BASE_TS, DAY, make_corpus
@@ -34,19 +35,19 @@ def _event(rid="R1", kind=EventKind.FORK, at=BASE_TS, delta=1):
 
 class TestGridConstruction:
     def test_single_event_single_interval(self):
-        grid = build_grid([_event(at=BASE_TS + 5 * 3600)], interval_days=30)
+        grid = grid_for_times([BASE_TS + 5 * 3600], interval_days=30)
         assert grid.interval_count == 1
         assert grid.epoch == BASE_TS
 
     def test_59_day_span_two_intervals(self):
-        events = [_event(at=BASE_TS), _event(at=BASE_TS + 59 * DAY)]
-        assert build_grid(events, 30).interval_count == 2
+        times = [BASE_TS, BASE_TS + 59 * DAY]
+        assert grid_for_times(times, 30).interval_count == 2
 
     def test_exact_60_day_span_three_intervals(self):
         # Half-open upper bound: an event exactly at epoch + 60d needs a
         # third window. Oracle: grow the cover one window at a time.
-        events = [_event(at=BASE_TS), _event(at=BASE_TS + 60 * DAY)]
-        grid = build_grid(events, 30)
+        times = [BASE_TS, BASE_TS + 60 * DAY]
+        grid = grid_for_times(times, 30)
 
         def covering_windows(epoch, latest, width_seconds):
             count = 1
@@ -59,7 +60,7 @@ class TestGridConstruction:
 
     def test_epoch_truncates_to_utc_midnight(self):
         noon = BASE_TS + 3 * DAY + 12 * 3600
-        grid = build_grid([_event(at=noon)], interval_days=7)
+        grid = grid_for_times([noon], interval_days=7)
         assert grid.epoch == BASE_TS + 3 * DAY
 
     def test_grid_deterministic_under_ordering(self):
@@ -71,7 +72,7 @@ class TestGridConstruction:
 
     def test_empty_events_rejected(self):
         with pytest.raises(EmptyEventSet):
-            build_grid([], interval_days=30)
+            grid_for_times([], interval_days=30)
 
     @pytest.mark.parametrize("days", [0, -3])
     def test_nonpositive_interval_rejected(self, days):
@@ -227,7 +228,7 @@ class TestCorpusValidation:
             RepoRecord(repo_id="", full_name="x", created_at=BASE_TS)
 
     def test_binned_shape_mismatch_rejected(self):
-        from wtps import BinnedCounts
+        from wtps.model import BinnedCounts
 
         with pytest.raises(ValueError):
             BinnedCounts(

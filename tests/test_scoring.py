@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 
 from wtps import (
-    BinnedCounts,
-    EventKind,
-    GrowthPattern,
-    GrowthThresholds,
     Indicator,
     IntervalOutOfRange,
     UnknownRepo,
     bin_events,
-    classify_growth,
     compute_weights,
     rank,
     score_all,
+)
+from wtps.model import BinnedCounts, EventKind
+from wtps.scoring import (
+    GrowthPattern,
+    GrowthThresholds,
+    classify_growth,
     unit_weights,
     wtps_interval,
     wtps_overall,
@@ -102,7 +103,7 @@ class TestWeights:
                 assert abs(sum(table.star_weights) - 1.0) < 1e-9
 
     def test_mismatched_weight_rows_rejected(self):
-        from wtps import WeightTable
+        from wtps.scoring import WeightTable
 
         with pytest.raises(ValueError):
             WeightTable(fork_weights=(1.0,), star_weights=(0.5, 0.5))

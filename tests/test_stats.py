@@ -3,15 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from wtps import (
-    Corpus,
-    DegenerateInput,
-    EmptyInput,
-    EventKind,
-    Indicator,
-    LengthMismatch,
-    PopularityEvent,
-    RepoRecord,
+from wtps import DegenerateInput, EmptyInput, Indicator, LengthMismatch
+from wtps.model import Corpus, EventKind, PopularityEvent, RepoRecord
+from wtps.stats import (
     interval_sweep,
     ols_line,
     pearson,
