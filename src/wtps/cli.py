@@ -243,10 +243,7 @@ def _sample_corpus(corpus: Corpus, sample_repos: int | None, seed: int) -> Corpu
     if sample_repos <= 0:
         raise ConfigError("--sample-repos must be positive")
     rng = random.Random(seed)
-    keep = set(rng.sample(sorted(corpus.repo_ids), sample_repos))
-    repos = tuple(r for r in corpus.repos if r.repo_id in keep)
-    events = tuple(e for e in corpus.events if e.repo_id in keep)
-    return Corpus.build(repos, events, corpus.grid.interval_days, corpus.captured_at)
+    return corpus.subset(rng.sample(sorted(corpus.repo_ids), sample_repos))
 
 
 def _provenance(corpus: Corpus, input_path: str | None) -> dict:
@@ -254,7 +251,7 @@ def _provenance(corpus: Corpus, input_path: str | None) -> dict:
         "input": input_path,
         "captured_at": format_timestamp(corpus.captured_at),
         "repo_count": len(corpus.repos),
-        "event_count": len(corpus.events),
+        "event_count": len(corpus.event_time),
         "grid": {
             "epoch": format_timestamp(corpus.grid.epoch),
             "interval_days": corpus.grid.interval_days,

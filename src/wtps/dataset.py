@@ -24,10 +24,14 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
+from typing import Iterator, Sequence
 
-from .errors import EventBeforeCreation, ParseError
-from .model import Corpus, EventKind, PopularityEvent, RepoRecord
+import numpy as np
+
+from .errors import ParseError
+from .model import EVENT_KINDS, Corpus, RepoRecord, format_timestamp
 
 SCHEMA_VERSION = 1
 
@@ -37,6 +41,9 @@ _REPO_KEYS = (
     "follower_ids",
 )
 _EVENT_KEYS = ("repo_id", "kind", "occurred_at", "delta")
+_EVENT_KEY_SETS = (set(_EVENT_KEYS), set(_EVENT_KEYS[:3]))
+_KIND_NAMES = tuple(kind.value for kind in EVENT_KINDS)
+_KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}
 _MANIFEST_KEYS = ("schema_version", "captured_at", "repo_count", "source")
 
 
@@ -81,9 +88,57 @@ def parse_timestamp(text: str) -> int:
     return int(moment.timestamp())
 
 
-def format_timestamp(ts: int) -> str:
-    """Render UTC epoch seconds as canonical ISO-8601 ("...Z")."""
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+# Canonical stamps ("YYYY-MM-DDTHH:MM:SSZ") are parsed as one datetime64
+# batch. numpy also reads text that parse_timestamp rejects, such as years
+# 0000 and 10000, so a batch value counts only if it formats back to exactly
+# its text with a year >= 0001. Every other stamp (an offset, "z", a
+# fraction, a space separator, padding) goes through parse_timestamp.
+_FIRST_YEAR = np.datetime64("0001-01-01T00:00:00", "s")
+# Events per batch when parsing or formatting timestamps.
+_CHUNK = 8192
+
+
+def _datetime64(text: str) -> np.datetime64:
+    try:
+        return np.datetime64(text, "s")
+    except ValueError:
+        return np.datetime64("NaT")
+
+
+def _epochs(stamps: Sequence, lines: Sequence[int]) -> np.ndarray:
+    """Epoch seconds of event timestamps, or the ParseError of the first bad one.
+
+    Agrees with ``parse_timestamp`` on every value it accepts and rejects.
+    Works through ``_CHUNK`` stamps at a time to bound its temporary arrays.
+    """
+    out = np.empty(len(stamps), dtype=np.int64)
+    for start in range(0, len(stamps), _CHUNK):
+        chunk = stamps[start:start + _CHUNK]
+        canonical = [
+            i for i, s in enumerate(chunk)
+            if type(s) is str and len(s) == 20 and s[19] == "Z"
+        ]
+        # Casting to 19 characters drops the "Z".
+        text = np.array([chunk[i] for i in canonical], dtype="U19")
+        try:
+            parsed = text.astype("datetime64[s]")
+        except ValueError:  # one bad stamp; parse the rest one at a time
+            parsed = np.array([_datetime64(t) for t in text], dtype="datetime64[s]")
+        ok = (np.datetime_as_string(parsed) == text) & (parsed >= _FIRST_YEAR)
+        index = np.array(canonical, dtype=np.intp)[ok]
+        out[start + index] = parsed[ok].astype(np.int64)
+        slow = np.ones(len(chunk), dtype=bool)
+        slow[index] = False
+        for i in np.flatnonzero(slow).tolist():
+            out[start + i] = _parse_stamp(chunk[i], lines[start + i])
+    return out
+
+
+def _parse_stamp(text, line_no: int) -> int:
+    try:
+        return parse_timestamp(text)
+    except ValueError as exc:
+        raise ParseError(line_no, str(exc)) from exc
 
 
 def _require_int(obj: dict, key: str, line_no: int) -> int:
@@ -138,23 +193,24 @@ def _parse_repo(obj: dict, line_no: int) -> RepoRecord:
         raise ParseError(line_no, str(exc)) from exc
 
 
-def _parse_event(obj: dict, line_no: int) -> PopularityEvent:
-    _check_keys(obj, _EVENT_KEYS, frozenset({"delta"}), line_no, "event")
-    kind_text = _require_str(obj, "kind", line_no)
-    try:
-        kind = EventKind(kind_text)
-    except ValueError:
-        raise ParseError(line_no, f"unknown event kind {kind_text!r}") from None
+def _parse_event(obj: dict, line_no: int) -> tuple[str, int, object, int]:
+    """One event line as (repo_id, kind code, raw timestamp, delta).
+
+    The timestamp is parsed later, with all the others, by ``_epochs``.
+    """
+    if obj.keys() not in _EVENT_KEY_SETS:
+        _check_keys(obj, _EVENT_KEYS, frozenset({"delta"}), line_no, "event")
+    kind = _require_str(obj, "kind", line_no)
+    code = _KIND_CODES.get(kind)
+    if code is None:
+        raise ParseError(line_no, f"unknown event kind {kind!r}")
     delta = _require_int(obj, "delta", line_no) if "delta" in obj else 1
-    try:
-        return PopularityEvent(
-            repo_id=_require_str(obj, "repo_id", line_no),
-            kind=kind,
-            occurred_at=parse_timestamp(obj["occurred_at"]),
-            delta=delta,
-        )
-    except ValueError as exc:
-        raise ParseError(line_no, str(exc)) from exc
+    repo_id = _require_str(obj, "repo_id", line_no)
+    stamp = obj["occurred_at"]
+    if delta == 0:
+        _parse_stamp(stamp, line_no)  # a bad timestamp on the line comes first
+        raise ParseError(line_no, "delta must be nonzero")
+    return repo_id, code, stamp, delta
 
 
 def _parse_manifest(obj: dict, line_no: int) -> DatasetManifest:
@@ -171,7 +227,7 @@ def _parse_manifest(obj: dict, line_no: int) -> DatasetManifest:
         raise ParseError(line_no, f"unknown source {source_text!r}") from None
     return DatasetManifest(
         schema_version=version,
-        captured_at=parse_timestamp(obj["captured_at"]),
+        captured_at=_parse_stamp(obj["captured_at"], line_no),
         repo_count=_require_int(obj, "repo_count", line_no),
         source=source,
     )
@@ -193,58 +249,90 @@ def load_corpus(path: str | Path, interval_days: int = 30) -> Corpus:
     path = Path(path)
     manifest: DatasetManifest | None = None
     repos: list[RepoRecord] = []
-    events: list[tuple[int, PopularityEvent]] = []
+    # Event columns in file order; timestamps stay raw until ``_epochs``.
+    lines: list[int] = []
+    repo_ids: list[str] = []
+    kinds: list[int] = []
+    stamps: list = []
+    deltas: list[int] = []
+    shared_ids: dict[str, str] = {}  # one string object per repo_id
     seen_lines = 0
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            seen_lines += 1
-            text = raw.strip()
-            if not text:
-                raise ParseError(line_no, "blank line")
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(line_no, "line is not a JSON object")
-            if "schema_version" in obj:
-                manifest = _parse_manifest(obj, line_no)
-            elif "kind" in obj:
-                events.append((line_no, _parse_event(obj, line_no)))
-            elif "full_name" in obj:
-                repos.append(_parse_repo(obj, line_no))
-            else:
-                raise ParseError(line_no, "unrecognized line type")
+    try:
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                seen_lines += 1
+                text = raw.strip()
+                if not text:
+                    raise ParseError(line_no, "blank line")
+                try:
+                    obj = json.loads(text)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+                if not isinstance(obj, dict):
+                    raise ParseError(line_no, "line is not a JSON object")
+                if "schema_version" in obj:
+                    manifest = _parse_manifest(obj, line_no)
+                elif "kind" in obj:
+                    repo_id, kind, stamp, delta = _parse_event(obj, line_no)
+                    lines.append(line_no)
+                    repo_ids.append(shared_ids.setdefault(repo_id, repo_id))
+                    kinds.append(kind)
+                    stamps.append(stamp)
+                    deltas.append(delta)
+                elif "full_name" in obj:
+                    repos.append(_parse_repo(obj, line_no))
+                else:
+                    raise ParseError(line_no, "unrecognized line type")
+    except ParseError:
+        # A bad timestamp on an earlier line is the first fault in the file.
+        _epochs(stamps, lines)
+        raise
     if seen_lines == 0:
         raise ParseError(1, "empty dataset file")
+    times = _epochs(stamps, lines)
+    del stamps  # the raw text is not needed while the columns are sorted
     if not repos:
         raise ParseError(seen_lines, "dataset contains no repository lines")
-
-    by_id = {record.repo_id: record for record in repos}
-    for line_no, event in events:
-        record = by_id.get(event.repo_id)
-        if record is None:
-            raise ParseError(line_no, f"event references unknown repo_id {event.repo_id!r}")
-        if event.occurred_at < record.created_at:
-            raise EventBeforeCreation(
-                f"line {line_no}: event at {format_timestamp(event.occurred_at)} "
-                f"predates creation of {event.repo_id!r}"
-            )
     if manifest is not None and manifest.repo_count != len(repos):
         raise ParseError(
             1, f"manifest repo_count {manifest.repo_count} != {len(repos)} repository lines"
         )
-
-    return Corpus.build(
-        repos,
-        (e for _, e in events),
+    return Corpus._from_columns(
+        tuple(repos),
+        repo_ids,
+        kinds,
+        times,
+        deltas,
         interval_days,
         captured_at=manifest.captured_at if manifest else None,
+        lines=lines,
     )
 
 
 def _dump(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+
+
+def _repo_dict(r: RepoRecord) -> dict:
+    return {
+        "repo_id": r.repo_id,
+        "full_name": r.full_name,
+        "created_at": format_timestamp(r.created_at),
+        "primary_language": r.primary_language,
+        "size_kb": r.size_kb,
+        "owner_followers": r.owner_followers,
+        "forks_total": r.forks_total,
+        "stars_total": r.stars_total,
+        "watchers_total": r.watchers_total,
+        "follower_ids": list(r.follower_ids),
+    }
+
+
+def _iso_seconds(times: np.ndarray) -> Iterator[str]:
+    """``format_timestamp`` without the "Z", ``_CHUNK`` times at a time."""
+    for start in range(0, len(times), _CHUNK):
+        batch = times[start:start + _CHUNK].astype("datetime64[s]")
+        yield from np.datetime_as_string(batch).tolist()
 
 
 def save_corpus(
@@ -265,34 +353,16 @@ def save_corpus(
         repo_count=len(corpus.repos),
         source=source,
     )
-    lines = [_dump(manifest.to_json_dict())]
-    for r in corpus.repos:
-        lines.append(
-            _dump(
-                {
-                    "repo_id": r.repo_id,
-                    "full_name": r.full_name,
-                    "created_at": format_timestamp(r.created_at),
-                    "primary_language": r.primary_language,
-                    "size_kb": r.size_kb,
-                    "owner_followers": r.owner_followers,
-                    "forks_total": r.forks_total,
-                    "stars_total": r.stars_total,
-                    "watchers_total": r.watchers_total,
-                    "follower_ids": list(r.follower_ids),
-                }
+    ids = [encode_basestring(r.repo_id) for r in corpus.repos]
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        handle.write(_dump(manifest.to_json_dict()) + "\n")
+        handle.writelines(_dump(_repo_dict(r)) + "\n" for r in corpus.repos)
+        handle.writelines(
+            f'{{"repo_id":{ids[row]},"kind":"{_KIND_NAMES[kind]}",'
+            f'"occurred_at":"{stamp}Z","delta":{delta}}}\n'
+            for row, kind, stamp, delta in zip(
+                corpus.event_repo.tolist(), corpus.event_kind.tolist(),
+                _iso_seconds(corpus.event_time), corpus.event_delta.tolist(),
             )
         )
-    for e in corpus.events:
-        lines.append(
-            _dump(
-                {
-                    "repo_id": e.repo_id,
-                    "kind": e.kind.value,
-                    "occurred_at": format_timestamp(e.occurred_at),
-                    "delta": e.delta,
-                }
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
     return manifest

@@ -20,7 +20,9 @@ from .errors import (
     EmptyEventSet,
     EventBeforeCreation,
     EventOutsideGrid,
+    ParseError,
     UnknownRepo,
+    WtpsError,
 )
 
 SECONDS_PER_DAY = 86_400
@@ -146,7 +148,30 @@ def grid_for_times(times: Iterable[int], interval_days: int) -> TimeGrid:
     return TimeGrid(epoch=epoch, interval_days=interval_days, interval_count=int(count))
 
 
-@dataclass(frozen=True, slots=True)
+# Kinds by the code stored in ``Corpus.event_kind``.
+EVENT_KINDS = (EventKind.FORK, EventKind.STAR)
+_COLUMNS = ("event_repo", "event_kind", "event_time", "event_delta")
+
+
+def format_timestamp(ts: int) -> str:
+    """Render UTC epoch seconds as canonical ISO-8601 ("YYYY-MM-DDTHH:MM:SSZ").
+
+    numpy's formatter pads the year to four digits; ``save_corpus`` runs the
+    same formatter over the event times in batches.
+    """
+    return f"{np.datetime64(ts, 's')}Z"
+
+
+def _grid_rule(
+    repos: Sequence[RepoRecord], times: np.ndarray, interval_days: int
+) -> TimeGrid:
+    """The grid covering the event times, else the repositories' creation times."""
+    if times.size:
+        return grid_for_times((int(times.min()), int(times.max())), interval_days)
+    return grid_for_times((r.created_at for r in repos), interval_days)
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Corpus:
     """An immutable collection of repositories, events, and their grid.
 
@@ -154,56 +179,120 @@ class Corpus:
     ``(occurred_at, repo_id, kind)``) and validates all cross-record
     invariants, so any Corpus in hand is known-good and safe to share.
 
+    Events are stored as four parallel columns in that order: ``event_repo``
+    (row into ``repos``), ``event_kind`` (0 fork, 1 star), ``event_time``
+    (epoch seconds) and ``event_delta`` (int64). ``events`` is the row view
+    of the same data as ``PopularityEvent`` objects, built on first use.
+
     ``captured_at`` is the corpus capture timestamp; when not supplied it
     resolves to the latest event time (latest creation time for event-free
     corpora).
     """
 
     repos: tuple[RepoRecord, ...]
-    events: tuple[PopularityEvent, ...]
     grid: TimeGrid
-    captured_at: int | None = None
+    captured_at: int | None
+    event_repo: np.ndarray = field(repr=False)
+    event_kind: np.ndarray = field(repr=False)
+    event_time: np.ndarray = field(repr=False)
+    event_delta: np.ndarray = field(repr=False)
+    _rows: tuple[PopularityEvent, ...] | None = field(repr=False)
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        repos: Iterable[RepoRecord],
+        events: Iterable[PopularityEvent],
+        grid: TimeGrid,
+        captured_at: int | None = None,
+    ) -> None:
+        self._set(repos=tuple(repos), grid=grid, captured_at=captured_at)
+        self.__post_init__(*_columns(events))
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __post_init__(
+        self,
+        repo_ids: Sequence[str],
+        kinds: Sequence[int],
+        times: Sequence[int],
+        deltas: Sequence[int],
+        lines: Sequence[int] | None = None,
+    ) -> None:
+        """Sort, validate and store the event columns, given in input order.
+
+        ``lines`` are the source line numbers of a loaded file: with them, a
+        faulty event is reported by its earliest line in the loader's words;
+        without, by its canonical position in the corpus's own words.
+        """
         repos = tuple(sorted(self.repos, key=lambda r: r.repo_id))
-        events = tuple(sorted(self.events, key=PopularityEvent.sort_key))
-        object.__setattr__(self, "repos", repos)
-        object.__setattr__(self, "events", events)
-
-        index: dict[str, RepoRecord] = {}
-        for record in repos:
-            if record.repo_id in index:
+        row_of: dict[str, int] = {}
+        for row, record in enumerate(repos):
+            if record.repo_id in row_of:
                 raise DuplicateRepoId(f"duplicate repo_id {record.repo_id!r}")
-            index[record.repo_id] = record
+            row_of[record.repo_id] = row
 
-        activity = 0
-        for event in events:
-            record = index.get(event.repo_id)
-            if record is None:
-                raise UnknownRepo(
-                    f"event references unknown repo_id {event.repo_id!r}"
-                )
-            if event.occurred_at < record.created_at:
-                raise EventBeforeCreation(
-                    f"event at {event.occurred_at} predates creation of "
-                    f"{event.repo_id!r} at {record.created_at}"
-                )
-            self.grid.index_of(event.occurred_at)
-            activity += abs(event.delta)
+        rows = np.fromiter((row_of.get(rid, -1) for rid in repo_ids), np.intp, len(repo_ids))
+        time = np.asarray(times, dtype=np.int64)
+        created = np.array([r.created_at for r in repos], dtype=np.int64)
+        unknown = rows < 0
+        early = np.zeros_like(unknown)
+        early[~unknown] = time[~unknown] < created[rows[~unknown]]
+        faulty = unknown | early | (time < self.grid.epoch) | (time >= self.grid.end)
+        if faulty.any():
+            at = np.flatnonzero(faulty).tolist()
+            i = at[0] if lines is not None else min(
+                at, key=lambda j: (times[j], repo_ids[j], kinds[j])
+            )
+            raise _event_fault(repos, row_of, repo_ids[i], int(time[i]), self.grid,
+                               None if lines is None else lines[i])
         # Binned cells and interval totals are int64; bounding the summed
         # magnitudes bounds every one of them, so none can wrap around.
+        activity = sum(map(abs, deltas))
         if activity >= 2**63:
             raise DeltaOverflow(f"event deltas sum to magnitude {activity} >= 2**63")
 
+        kind = np.asarray(kinds, dtype=np.int8)
+        order = np.lexsort((kind, rows, time))
+        self._set(
+            repos=repos,
+            event_repo=rows[order],
+            event_kind=kind[order],
+            event_time=time[order],
+            event_delta=np.asarray(deltas, dtype=np.int64)[order],
+            _rows=None,
+        )
+        for name in _COLUMNS:
+            getattr(self, name).setflags(write=False)
         if self.captured_at is None:
-            object.__setattr__(self, "captured_at", self._default_capture_time())
+            if time.size:
+                default = int(self.event_time[-1])
+            elif repos:
+                default = max(r.created_at for r in repos)
+            else:
+                default = self.grid.epoch
+            self._set(captured_at=default)
 
-    def _default_capture_time(self) -> int:
-        if self.events:
-            return max(e.occurred_at for e in self.events)
-        if self.repos:
-            return max(r.created_at for r in self.repos)
-        return self.grid.epoch
+    @classmethod
+    def _from_columns(
+        cls,
+        repos: tuple[RepoRecord, ...],
+        repo_ids: Sequence[str],
+        kinds: Sequence[int],
+        times: Sequence[int],
+        deltas: Sequence[int],
+        interval_days: int,
+        captured_at: int | None = None,
+        lines: Sequence[int] | None = None,
+    ) -> "Corpus":
+        """A corpus of event columns in input order, on the grid ``build`` derives."""
+        corpus = object.__new__(cls)
+        times = np.asarray(times, dtype=np.int64)
+        grid = _grid_rule(repos, times, interval_days)
+        corpus._set(repos=repos, grid=grid, captured_at=captured_at)
+        corpus.__post_init__(repo_ids, kinds, times, deltas, lines)
+        return corpus
 
     @classmethod
     def build(
@@ -218,17 +307,65 @@ class Corpus:
         The grid covers the events; a corpus with no events at all seeds the
         grid with repository creation times so it stays well-formed.
         """
-        repos = tuple(repos)
-        events = tuple(events)
-        times: Sequence[int] = [e.occurred_at for e in events]
-        if not times:
-            times = [r.created_at for r in repos]
-        grid = grid_for_times(times, interval_days)
-        return cls(repos, events, grid, captured_at)
+        return cls._from_columns(tuple(repos), *_columns(events), interval_days, captured_at)
+
+    def _derive(self, repos, interval_days, rows, kind, time, delta) -> "Corpus":
+        """A corpus of already sorted and validated columns, on a rebuilt grid.
+
+        The grid is built to cover ``time``, so no event needs checking again.
+        """
+        corpus = object.__new__(Corpus)
+        for column in (rows, kind, time, delta):
+            column.setflags(write=False)
+        corpus._set(
+            repos=repos,
+            grid=_grid_rule(repos, time, interval_days),
+            captured_at=self.captured_at,
+            event_repo=rows,
+            event_kind=kind,
+            event_time=time,
+            event_delta=delta,
+            _rows=None,
+        )
+        return corpus
 
     def regrid(self, interval_days: int) -> "Corpus":
         """Return a copy of this corpus re-binned onto a new interval width."""
-        return self.build(self.repos, self.events, interval_days, self.captured_at)
+        return self._derive(self.repos, interval_days, self.event_repo,
+                            self.event_kind, self.event_time, self.event_delta)
+
+    def subset(self, repo_ids: Iterable[str]) -> "Corpus":
+        """The given repositories and their events, on a grid rebuilt by the
+        ``build`` rule at the same width; the capture time is kept."""
+        wanted = set(repo_ids)
+        keep = np.array([r.repo_id in wanted for r in self.repos], dtype=bool)
+        new_row = np.cumsum(keep) - 1
+        mask = keep[self.event_repo]
+        return self._derive(
+            tuple(r for r in self.repos if r.repo_id in wanted),
+            self.grid.interval_days,
+            new_row[self.event_repo[mask]],
+            self.event_kind[mask],
+            self.event_time[mask],
+            self.event_delta[mask],
+        )
+
+    @property
+    def events(self) -> tuple[PopularityEvent, ...]:
+        """The events as ``PopularityEvent`` rows in canonical order.
+
+        Built from the columns on first use and then kept.
+        """
+        if self._rows is None:
+            ids = [r.repo_id for r in self.repos]
+            self._set(_rows=tuple(
+                PopularityEvent(ids[row], EVENT_KINDS[kind], time, delta)
+                for row, kind, time, delta in zip(
+                    self.event_repo.tolist(), self.event_kind.tolist(),
+                    self.event_time.tolist(), self.event_delta.tolist(),
+                )
+            ))
+        return self._rows
 
     @property
     def repo_ids(self) -> tuple[str, ...]:
@@ -236,6 +373,59 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.repos)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (
+            self.repos == other.repos
+            and self.grid == other.grid
+            and self.captured_at == other.captured_at
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in _COLUMNS
+            )
+        )
+
+
+def _columns(
+    events: Iterable[PopularityEvent],
+) -> tuple[list[str], list[int], list[int], list[int]]:
+    """Event objects as column lists: repo ids, kind codes, times, deltas."""
+    events = tuple(events)
+    return (
+        [e.repo_id for e in events],
+        [EVENT_KINDS.index(e.kind) for e in events],
+        [e.occurred_at for e in events],
+        [e.delta for e in events],
+    )
+
+
+def _event_fault(
+    repos: tuple[RepoRecord, ...],
+    row_of: dict[str, int],
+    repo_id: str,
+    time: int,
+    grid: TimeGrid,
+    line: int | None,
+) -> WtpsError:
+    """The error for one faulty event, checked in the order unknown repo,
+    before creation, outside the grid; ``line`` selects the loader's words."""
+    row = row_of.get(repo_id)
+    if row is None:
+        message = f"event references unknown repo_id {repo_id!r}"
+        return UnknownRepo(message) if line is None else ParseError(line, message)
+    created = repos[row].created_at
+    if time < created:
+        if line is None:
+            return EventBeforeCreation(
+                f"event at {time} predates creation of {repo_id!r} at {created}"
+            )
+        return EventBeforeCreation(
+            f"line {line}: event at {format_timestamp(time)} "
+            f"predates creation of {repo_id!r}"
+        )
+    return EventOutsideGrid(f"timestamp {time} outside grid [{grid.epoch}, {grid.end})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,22 +478,17 @@ def bin_events(corpus: Corpus) -> BinnedCounts:
 
     Pure function: counts[r][t][kind] is the sum of deltas of that kind for
     repo r in interval t, so per-repo totals are conserved under binning.
+    The sums stay in int64 throughout (``np.add.at``, not float weights).
     """
-    repo_ids = corpus.repo_ids
-    index = {rid: i for i, rid in enumerate(repo_ids)}
-    shape = (len(repo_ids), corpus.grid.interval_count)
-    forks = np.zeros(shape, dtype=np.int64)
-    stars = np.zeros(shape, dtype=np.int64)
-    for event in corpus.events:
-        t = corpus.grid.index_of(event.occurred_at)
-        row = index[event.repo_id]
-        if event.kind is EventKind.FORK:
-            forks[row, t] += event.delta
-        else:
-            stars[row, t] += event.delta
+    grid = corpus.grid
+    shape = (len(EVENT_KINDS), len(corpus.repos), grid.interval_count)
+    interval = (corpus.event_time - grid.epoch) // grid.interval_seconds
+    cell = np.ravel_multi_index((corpus.event_kind, corpus.event_repo, interval), shape)
+    counts = np.zeros(shape, dtype=np.int64)
+    np.add.at(counts.reshape(-1), cell, corpus.event_delta)
     return BinnedCounts(
-        repo_ids=repo_ids,
-        interval_count=corpus.grid.interval_count,
-        forks=forks,
-        stars=stars,
+        repo_ids=corpus.repo_ids,
+        interval_count=grid.interval_count,
+        forks=counts[0],
+        stars=counts[1],
     )

@@ -124,5 +124,17 @@ def to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def to_json(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    r"""The records as ``json.dumps(records, indent=2, ensure_ascii=False)``.
+
+    ``indent`` makes ``json`` fall back to its pure-Python encoder, so the
+    text comes from one pass of the C encoder with the field separator of
+    the indented form; every raw newline in it is a separator (strings
+    escape theirs), so each record boundary reads ``},\n    {`` and is
+    rewritten to the indented layout.
+    """
     records = [dict(zip(header, row)) for row in rows]
-    return json.dumps(records, indent=2, ensure_ascii=False) + "\n"
+    if not records or not all(records):
+        return json.dumps(records, indent=2, ensure_ascii=False) + "\n"
+    flat = json.dumps(records, separators=(",\n    ", ": "), ensure_ascii=False)
+    body = flat[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+    return f"[\n  {{\n    {body}\n  }}\n]\n"

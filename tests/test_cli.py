@@ -24,7 +24,9 @@ from wtps.serialize import (
 )
 import wtps
 from wtps import Indicator, bin_events, compute_weights, rank, score_all
+from wtps.model import Corpus
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE
+from test_golden import DIGESTS, run_all
 
 
 def _read_csv(path):
@@ -304,6 +306,17 @@ class TestImportSurface:
         result = subprocess.run([sys.executable, "-c", probe, src],
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
+
+
+class TestColumnarCorpus:
+    def test_commands_read_columns_not_event_rows(self, tmp_path, monkeypatch):
+        # Every golden run gives its golden output with the row view of the
+        # events made unavailable, so no command builds it.
+        def row_view(corpus):
+            raise AssertionError("a command built corpus.events")
+
+        monkeypatch.setattr(Corpus, "events", property(row_view))
+        assert run_all(tmp_path) == json.loads(DIGESTS.read_text(encoding="utf-8"))
 
 
 class TestGraphCommands:

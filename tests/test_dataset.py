@@ -128,6 +128,35 @@ class TestLoadCorpus:
         with pytest.raises(EventBeforeCreation):
             load_corpus(path)
 
+    def test_earliest_faulty_event_line_is_reported(self, tmp_path):
+        # The two faults are found by one pass over all events; the one on
+        # the earlier line wins, whichever kind it is.
+        early = _event_line(at="2018-01-02T00:00:00Z")
+        ghost = _event_line(rid="ghost", at="2018-07-01T00:00:00Z")
+        repo = _repo_line(created="2018-06-01T00:00:00Z")
+        path = _write(tmp_path, repo, _event_line(at="2018-06-02T00:00:00Z"), early, ghost)
+        with pytest.raises(EventBeforeCreation) as caught:
+            load_corpus(path)
+        assert str(caught.value) == (
+            "line 3: event at 2018-01-02T00:00:00Z predates creation of 'R1'"
+        )
+        path = _write(tmp_path, repo, ghost, early)
+        with pytest.raises(ParseError) as caught:
+            load_corpus(path)
+        assert str(caught.value) == "line 2: event references unknown repo_id 'ghost'"
+
+    def test_bad_timestamp_before_later_fault_is_reported(self, tmp_path):
+        # Event timestamps are parsed after the line scan; a bad one still
+        # comes before any fault on a later line.
+        path = _write(
+            tmp_path, _repo_line(), _event_line(at="2018-13-01T00:00:00Z"), "{not json"
+        )
+        with pytest.raises(ParseError, match="^line 2: month must be in 1..12$"):
+            load_corpus(path)
+        path = _write(tmp_path, _repo_line(), _event_line(at="soon", delta=0))
+        with pytest.raises(ParseError, match="^line 2: Invalid isoformat string"):
+            load_corpus(path)
+
     def test_zero_delta_rejected(self, tmp_path):
         path = _write(tmp_path, _repo_line(), _event_line(delta=0))
         with pytest.raises(ParseError, match="delta"):
@@ -159,6 +188,17 @@ class TestLoadCorpus:
         })
         path = _write(tmp_path, manifest, _repo_line())
         with pytest.raises(ParseError, match="repo_count"):
+            load_corpus(path)
+
+    def test_manifest_bad_capture_time_is_parse_error(self, tmp_path):
+        manifest = json.dumps({
+            "schema_version": 1,
+            "captured_at": "May 2018",
+            "repo_count": 1,
+            "source": "file",
+        })
+        path = _write(tmp_path, manifest, _repo_line())
+        with pytest.raises(ParseError, match="^line 1: Invalid isoformat string"):
             load_corpus(path)
 
     def test_manifest_must_be_first_line(self, tmp_path):

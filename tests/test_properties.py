@@ -1,0 +1,207 @@
+"""Hypothesis properties of the columnar event store and its file format.
+
+Each property has a plain reference beside it: ``parse_timestamp`` for the
+batch timestamp parser, ``json.dumps(indent=2)`` for ``to_json``, a loop
+over ``PopularityEvent`` rows for binning, and ``Corpus.build`` for regrid
+and subset.
+"""
+
+import json
+import random
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from wtps import ParseError, bin_events  # noqa: E402
+from wtps.dataset import _epochs, load_corpus, parse_timestamp, save_corpus  # noqa: E402
+from wtps.model import Corpus, EventKind, PopularityEvent, RepoRecord  # noqa: E402
+from wtps.serialize import to_json  # noqa: E402
+from wtps.stats import DEFAULT_SWEEP_DAYS  # noqa: E402
+
+# 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59Z, the years a dataset can spell.
+FIRST_TS = -62_135_596_800
+LAST_TS = 253_402_300_799
+
+
+# --- timestamps --------------------------------------------------------------
+
+@st.composite
+def stamp_texts(draw):
+    """Timestamps near the canonical form, many of them malformed."""
+    year = draw(st.sampled_from([0, 1, 999, 1970, 2018, 9999, 10000]))
+    month, day = draw(st.integers(0, 13)), draw(st.integers(0, 32))
+    hour, minute, second = draw(st.integers(0, 24)), draw(st.integers(0, 60)), draw(
+        st.integers(0, 60)
+    )
+    separator = draw(st.sampled_from(["T", " ", "t"]))
+    fraction = draw(st.sampled_from(["", ".5", ".000001"]))
+    zone = draw(st.sampled_from(["Z", "z", "", "+00:00", "+05:30", "-23:59"]))
+    pad = draw(st.sampled_from(["", " ", "\t", "\n"]))
+    return (
+        f"{pad}{year:04d}-{month:02d}-{day:02d}{separator}"
+        f"{hour:02d}:{minute:02d}:{second:02d}{fraction}{zone}{pad}"
+    )
+
+
+def _reference(text):
+    try:
+        return parse_timestamp(text), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@given(st.lists(st.one_of(stamp_texts(), st.text(max_size=22), st.integers()), max_size=8))
+@example(["0000-01-01T00:00:00Z", "10000-01-01T00:00:00Z"])
+@example(["2018-01-01T00:00:00z", "2018-01-01 00:00:00Z", " 2018-01-01T00:00:00Z "])
+@example(["2018-01-01T00:00:00.5Z", "2018-01-01T00:00:00+05:00", "-001-01-01T00:00:00Z"])
+@example(["2018-01-01T00:00\x00\x00\x00Z", "2018-02-30T00:00:00Z"])
+def test_batch_timestamps_agree_with_parse_timestamp(stamps):
+    lines = [10 + i for i in range(len(stamps))]
+    expected = [_reference(s) for s in stamps]
+    bad = [i for i, (_, error) in enumerate(expected) if error is not None]
+    if bad:
+        with pytest.raises(ParseError) as caught:
+            _epochs(stamps, lines)
+        assert caught.value.line_no == lines[bad[0]]
+        assert caught.value.reason == expected[bad[0]][1]
+    else:
+        assert _epochs(stamps, lines).tolist() == [value for value, _ in expected]
+
+
+# --- JSON rendering ----------------------------------------------------------
+
+_AWKWARD = ['"},\n    {"', "\ud800", "\udfff", "\x00\x1f\x7f", "é ü 漢", "\n", "}, {"]
+_cells = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.none(),
+    st.text(),
+    st.sampled_from(_AWKWARD),
+)
+
+
+@given(
+    st.lists(st.one_of(st.text(max_size=4), st.sampled_from(_AWKWARD)), min_size=1, max_size=4)
+    .flatmap(lambda header: st.tuples(
+        st.just(header),
+        st.lists(st.lists(_cells, max_size=len(header)), max_size=5),
+    ))
+)
+@example((["value"], [[float("nan")], [float("inf")], [float("-inf")], [-0.0]]))
+@example((["repo_id", "value"], [['"},\n    {"', 1.5], ["\ud800", "é\x01"]]))
+@example((["repo_id"], []))
+def test_to_json_matches_indented_dumps(table):
+    header, rows = table
+    records = [dict(zip(header, row)) for row in rows]
+    expected = json.dumps(records, indent=2, ensure_ascii=False) + "\n"
+    assert to_json(header, rows) == expected
+
+
+# --- corpora -----------------------------------------------------------------
+
+@st.composite
+def corpora(draw, max_events=25, spans=(40 * 86_400, 400 * 86_400)):
+    """Up to four repositories and their signed events, in shuffled order."""
+    n_repos = draw(st.integers(1, 4))
+    span = draw(st.sampled_from(spans))
+    start = draw(st.integers(FIRST_TS, LAST_TS - span))
+    repos = [
+        RepoRecord(
+            repo_id=f"r{i}é" if i % 2 else f'r"{i}',
+            full_name=f"org/r{i}",
+            created_at=draw(st.integers(start, start + span // 2)),
+            stars_total=i,
+        )
+        for i in range(n_repos)
+    ]
+    events = []
+    for _ in range(draw(st.integers(0, max_events))):
+        repo = draw(st.sampled_from(repos))
+        events.append(PopularityEvent(
+            repo_id=repo.repo_id,
+            kind=draw(st.sampled_from(list(EventKind))),
+            occurred_at=draw(st.integers(repo.created_at, start + span)),
+            delta=draw(st.integers(-(2**40), 2**40).filter(bool)),
+        ))
+    random.Random(draw(st.integers(0, 2**16))).shuffle(events)
+    return repos, events
+
+
+def _reference_counts(corpus):
+    """Binned matrices by a loop over the row view."""
+    shape = (len(corpus.repos), corpus.grid.interval_count)
+    counts = {kind: np.zeros(shape, dtype=np.int64) for kind in EventKind}
+    rows = {rid: i for i, rid in enumerate(corpus.repo_ids)}
+    for event in corpus.events:
+        counts[event.kind][rows[event.repo_id], corpus.grid.index_of(event.occurred_at)] += event.delta
+    return counts[EventKind.FORK], counts[EventKind.STAR]
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora(spans=(40 * 86_400, LAST_TS - FIRST_TS)), st.randoms(use_true_random=False))
+def test_save_load_save_is_byte_identical(tmp_path_factory, data, rng):
+    repos, events = data
+    corpus = Corpus.build(repos, events, interval_days=30)
+    folder = tmp_path_factory.mktemp("round_trip")
+    first = folder / "first.jsonl"
+    save_corpus(corpus, first)
+    lines = first.read_text(encoding="utf-8").splitlines()
+    head, body = lines[: 1 + len(repos)], lines[1 + len(repos):]
+    # Shuffle the event lines, keeping events that share a sort key in their
+    # saved order: the canonical order does not rank such events, so the
+    # loader keeps them in file order.
+    keys = [tuple(json.loads(line)[k] for k in ("occurred_at", "repo_id", "kind")) for line in body]
+    place = {key: rng.random() for key in keys}
+    body = [line for _, _, line in sorted(
+        (place[key], i, line) for i, (key, line) in enumerate(zip(keys, body))
+    )]
+    shuffled = folder / "shuffled.jsonl"
+    shuffled.write_text("\n".join(head + body) + "\n", encoding="utf-8")
+    loaded = load_corpus(shuffled, interval_days=30)
+    assert loaded == corpus
+    second = folder / "second.jsonl"
+    save_corpus(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora(max_events=40))
+def test_binning_conserves_totals_and_matches_loop(data):
+    repos, events = data
+    corpus = Corpus.build(repos, events, interval_days=7)
+    binned = bin_events(corpus)
+    forks, stars = _reference_counts(corpus)
+    assert np.array_equal(binned.forks, forks)
+    assert np.array_equal(binned.stars, stars)
+    for kind, matrix in ((EventKind.FORK, binned.forks), (EventKind.STAR, binned.stars)):
+        for row, rid in enumerate(binned.repo_ids):
+            total = sum(e.delta for e in events if e.repo_id == rid and e.kind is kind)
+            assert int(matrix[row].sum()) == total
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpora(max_events=40), st.data())
+def test_regrid_and_subset_equal_build(data, choice):
+    repos, events = data
+    corpus = Corpus.build(repos, events, interval_days=30)
+    for days in DEFAULT_SWEEP_DAYS:
+        regridded = corpus.regrid(days)
+        rebuilt = Corpus.build(repos, events, days, corpus.captured_at)
+        assert regridded == rebuilt
+        assert regridded.events == rebuilt.events
+        expected = bin_events(rebuilt)
+        binned = bin_events(regridded)
+        assert np.array_equal(binned.forks, expected.forks)
+        assert np.array_equal(binned.stars, expected.stars)
+    keep = choice.draw(st.sets(st.sampled_from(corpus.repo_ids), min_size=1))
+    subset = corpus.subset(keep)
+    assert subset == Corpus.build(
+        [r for r in repos if r.repo_id in keep],
+        [e for e in events if e.repo_id in keep],
+        corpus.grid.interval_days,
+        corpus.captured_at,
+    )
