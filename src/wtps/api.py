@@ -184,6 +184,14 @@ class FetchResult:
     truncated_history: bool
 
 
+def split_repo_spec(owner_and_name: str) -> tuple[str, str]:
+    """Split ``OWNER/NAME`` into its two non-empty parts; ValueError otherwise."""
+    owner, _, name = owner_and_name.partition("/")
+    if not owner or not name or "/" in name:
+        raise ValueError(f"expected 'owner/name', got {owner_and_name!r}")
+    return owner, name
+
+
 def fetch_repo(
     config: ApiClientConfig,
     owner_and_name: str,
@@ -200,9 +208,7 @@ def fetch_repo(
     ``truncated_history`` is set when the fetched timeline is shorter than
     the snapshot count, which is what capped pagination looks like.
     """
-    owner, _, name = owner_and_name.partition("/")
-    if not owner or not name or "/" in name:
-        raise ValueError(f"expected 'owner/name', got {owner_and_name!r}")
+    owner, name = split_repo_spec(owner_and_name)
     client = RestClient(config, session=session, clock=clock, sleep=sleep)
 
     repo_json = client.get_json(f"/repos/{owner}/{name}")

@@ -37,7 +37,6 @@ from .dataset import (
 from .errors import (
     ApiError,
     ConfigError,
-    DegenerateInput,
     DeltaOverflow,
     DuplicateRepoId,
     EmptyEventSet,
@@ -54,7 +53,7 @@ from .graph import (
     format_edge_list,
     scores_for_measure,
 )
-from .model import Corpus, bin_events
+from .model import SECONDS_PER_DAY, Corpus, bin_events
 from .scoring import (
     GrowthThresholds,
     Indicator,
@@ -78,8 +77,8 @@ from .serialize import (
 )
 from .stats import (
     DEFAULT_SWEEP_DAYS,
+    correlate,
     interval_sweep,
-    ols_line,
     repo_features,
     summarize,
 )
@@ -101,13 +100,13 @@ _DATA_ERRORS = (
     EmptyEventSet,
 )
 
-_PROPERTY_FIELDS = (
-    "forks_total",
-    "stars_total",
-    "watchers_total",
-    "age_days",
-    "owner_followers",
-    "size_kb",
+# Exit code by error type, first match wins; any other exception exits 1.
+_EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG),
+    (_DATA_ERRORS, EXIT_DATA),
+    (ApiError, EXIT_API),
+    (WtpsError, EXIT_DOMAIN),
+    (OSError, EXIT_IO),
 )
 
 
@@ -223,6 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_width(days: int, message: str) -> None:
+    """Reject an interval width that is not positive (with ``message``), or
+    whose length in seconds does not fit the int64 arithmetic of binning."""
+    if days <= 0:
+        raise ConfigError(message)
+    if days * SECONDS_PER_DAY >= 2**63:
+        raise ConfigError(f"interval width of {days} days overflows 64-bit seconds")
+
+
 def _load(args) -> Corpus:
     path = Path(args.input)
     if not path.is_file():
@@ -231,33 +239,8 @@ def _load(args) -> Corpus:
     for target in (output, _sidecar_path(output)):
         if target.exists() and target.samefile(path):
             raise ConfigError(f"output {target} would overwrite the input {path}")
-    if args.interval_days <= 0:
-        raise ConfigError("--interval-days must be positive")
+    _check_width(args.interval_days, "--interval-days must be positive")
     return load_corpus(path, interval_days=args.interval_days)
-
-
-def _sample_corpus(corpus: Corpus, sample_repos: int | None, seed: int) -> Corpus:
-    """Uniform repository sample (without replacement), keeping their events."""
-    if sample_repos is None or sample_repos >= len(corpus.repos):
-        return corpus
-    if sample_repos <= 0:
-        raise ConfigError("--sample-repos must be positive")
-    rng = random.Random(seed)
-    return corpus.subset(rng.sample(sorted(corpus.repo_ids), sample_repos))
-
-
-def _provenance(corpus: Corpus, input_path: str | None) -> dict:
-    return {
-        "input": input_path,
-        "captured_at": format_timestamp(corpus.captured_at),
-        "repo_count": len(corpus.repos),
-        "event_count": len(corpus.event_time),
-        "grid": {
-            "epoch": format_timestamp(corpus.grid.epoch),
-            "interval_days": corpus.grid.interval_days,
-            "interval_count": corpus.grid.interval_count,
-        },
-    }
 
 
 def _sidecar_path(output: Path) -> Path:
@@ -287,33 +270,27 @@ def _staged_outputs(output: Path):
         raise
 
 
-def _write_sidecar(path: Path, sidecar: dict) -> None:
-    text = json.dumps(sidecar, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    path.write_text(text, encoding="utf-8", newline="")
-
-
-def _write_outputs(args, data_text: str, sidecar: dict) -> None:
-    with _staged_outputs(Path(args.output)) as (data_path, sidecar_path):
-        data_path.write_text(data_text, encoding="utf-8", newline="")
-        _write_sidecar(sidecar_path, sidecar)
-
-
-def _render(args, header, rows) -> str:
-    if args.format == "json":
-        return to_json(header, rows)
-    return to_csv(header, rows)
-
-
-def _sidecar(args, command: str, corpus: Corpus, extra: dict | None = None) -> dict:
+def _write_sidecar(path: Path, args, corpus: Corpus, extra: dict) -> None:
+    """The run's configuration, corpus provenance and ``extra`` blocks."""
     sidecar = {
         "schema_version": 1,
-        "command": command,
+        "command": args.command,
         "config": {k: v for k, v in vars(args).items() if k != "command"},
-        "provenance": _provenance(corpus, getattr(args, "input", None)),
+        "provenance": {
+            "input": getattr(args, "input", None),
+            "captured_at": format_timestamp(corpus.captured_at),
+            "repo_count": len(corpus.repos),
+            "event_count": len(corpus.event_time),
+            "grid": {
+                "epoch": format_timestamp(corpus.grid.epoch),
+                "interval_days": corpus.grid.interval_days,
+                "interval_count": corpus.grid.interval_count,
+            },
+        },
+        **extra,
     }
-    if extra:
-        sidecar.update(extra)
-    return sidecar
+    text = json.dumps(sidecar, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    path.write_text(text, encoding="utf-8", newline="")
 
 
 def _unit_weights(args, corpus: Corpus, indicator: Indicator) -> WeightTable | None:
@@ -337,20 +314,17 @@ def _cmd_ingest(args) -> int:
     corpus = _load(args)
     with _staged_outputs(Path(args.output)) as (data_path, sidecar_path):
         manifest = save_corpus(corpus, data_path, source=DatasetSource.FILE)
-        sidecar = _sidecar(args, "ingest", corpus, {"manifest": manifest.to_json_dict()})
-        _write_sidecar(sidecar_path, sidecar)
+        _write_sidecar(sidecar_path, args, corpus, {"manifest": manifest.to_json_dict()})
     return EXIT_OK
 
 
 def _cmd_fetch(args) -> int:
     # Imported here so that only fetch loads the HTTP client library.
-    from .api import ApiClientConfig, fetch_repo
+    from .api import ApiClientConfig, fetch_repo, split_repo_spec
 
-    if args.interval_days <= 0:
-        raise ConfigError("--interval-days must be positive")
-    if "/" not in args.repo:
-        raise ConfigError(f"--repo expects OWNER/NAME, got {args.repo!r}")
+    _check_width(args.interval_days, "--interval-days must be positive")
     try:
+        split_repo_spec(args.repo)
         config = ApiClientConfig(
             base_url=args.base_url,
             auth_token=os.environ.get(args.token_env),
@@ -371,86 +345,51 @@ def _cmd_fetch(args) -> int:
     corpus = Corpus.build([result.repo], result.events, interval_days=args.interval_days)
     with _staged_outputs(Path(args.output)) as (data_path, sidecar_path):
         save_corpus(corpus, data_path, source=DatasetSource.LIVE_API)
-        sidecar = _sidecar(args, "fetch", corpus,
-                           {"truncated_history": result.truncated_history})
-        _write_sidecar(sidecar_path, sidecar)
+        _write_sidecar(sidecar_path, args, corpus,
+                       {"truncated_history": result.truncated_history})
     return EXIT_OK
 
 
-def _cmd_score(args) -> int:
-    corpus = _load(args)
+def _cmd_score(args, corpus: Corpus):
     binned = bin_events(corpus)
     weights = _unit_weights(args, corpus, Indicator.WTPS) or compute_weights(binned)
-    cards = score_all(binned, weights)
-    header, rows = score_table(cards)
-    sidecar = _sidecar(args, "score", corpus, {
+    return score_table(score_all(binned, weights)), {
         "weights": {
             "fork_weights": list(weights.fork_weights),
             "star_weights": list(weights.star_weights),
         },
-    })
-    _write_outputs(args, _render(args, header, rows), sidecar)
-    return EXIT_OK
+    }
 
 
-def _cmd_rank(args) -> int:
-    corpus = _load(args)
+def _cmd_rank(args, corpus: Corpus):
     indicator = Indicator(args.indicator)
     entries = rank(corpus, indicator, weights=_unit_weights(args, corpus, indicator))
-    header, rows = rank_table(entries, indicator.value)
-    _write_outputs(args, _render(args, header, rows), _sidecar(args, "rank", corpus))
-    return EXIT_OK
+    return rank_table(entries, indicator.value), {}
 
 
-def _cmd_correlate(args) -> int:
-    corpus = _load(args)
-    binned = bin_events(corpus)
-    weights = compute_weights(binned)
-    scores = [card.overall for card in score_all(binned, weights)]
-    columns = repo_features(corpus)
-    rows_in = []
-    skipped = []
-    for prop in _PROPERTY_FIELDS:
-        try:
-            result = ols_line(scores, columns[prop])
-        except DegenerateInput as exc:
-            skipped.append({"property": prop, "reason": str(exc)})
-            continue
-        rows_in.append({
-            "property": prop,
-            "slope": result.slope,
-            "intercept": result.intercept,
-            "pearson_r": result.pearson_r,
-            "sample_count": result.sample_count,
-        })
-    if not rows_in:
-        raise DegenerateInput(
-            "no repository property admits a correlation with the score"
-        )
-    header, rows = correlation_table(rows_in)
-    sidecar = _sidecar(args, "correlate", corpus, {"skipped": skipped})
-    _write_outputs(args, _render(args, header, rows), sidecar)
-    return EXIT_OK
+def _cmd_correlate(args, corpus: Corpus):
+    fitted, skipped = correlate(corpus)
+    return correlation_table(fitted), {
+        "skipped": [{"property": p, "reason": r} for p, r in skipped.items()],
+    }
 
 
-def _cmd_sweep(args) -> int:
-    corpus = _load(args)
+def _cmd_sweep(args, corpus: Corpus):
     try:
         days_list = [int(d) for d in args.interval_days_list.split(",") if d.strip()]
     except ValueError:
         raise ConfigError(
             f"--interval-days-list must be comma-separated integers, got {args.interval_days_list!r}"
         ) from None
-    if not days_list or any(d <= 0 for d in days_list):
-        raise ConfigError("--interval-days-list must contain positive integers")
-    entries = interval_sweep(corpus, days_list)
-    header, rows = sweep_table(entries)
-    _write_outputs(args, _render(args, header, rows), _sidecar(args, "sweep", corpus))
-    return EXIT_OK
+    nonpositive = "--interval-days-list must contain positive integers"
+    if not days_list:
+        raise ConfigError(nonpositive)
+    for days in days_list:
+        _check_width(days, nonpositive)
+    return sweep_table(interval_sweep(corpus, days_list)), {}
 
 
-def _cmd_classify(args) -> int:
-    corpus = _load(args)
+def _cmd_classify(args, corpus: Corpus):
     thresholds = GrowthThresholds(
         min_activity=args.min_activity,
         loss_fraction=args.loss_fraction,
@@ -462,23 +401,15 @@ def _cmd_classify(args) -> int:
         classify_growth(binned, rid, indicator, thresholds)
         for rid in corpus.repo_ids
     ]
-    header, rows = growth_table(labels)
-    _write_outputs(args, _render(args, header, rows), _sidecar(args, "classify", corpus))
-    return EXIT_OK
+    return growth_table(labels), {}
 
 
-def _cmd_graph_build(args) -> int:
-    corpus = _load(args)
-    corpus = _sample_corpus(corpus, args.sample_repos, args.seed)
+def _cmd_graph_build(args, corpus: Corpus):
     graph = build_graph(corpus)
-    sidecar = _sidecar(args, "graph-build", corpus, {"graph": _graph_block(graph)})
-    _write_outputs(args, format_edge_list(graph), sidecar)
-    return EXIT_OK
+    return format_edge_list(graph), {"graph": _graph_block(graph)}
 
 
-def _cmd_graph_deletion(args) -> int:
-    corpus = _load(args)
-    corpus = _sample_corpus(corpus, args.sample_repos, args.seed)
+def _cmd_graph_deletion(args, corpus: Corpus):
     measure = Indicator(args.measure)
     kind = CoefficientKind(args.coefficient)
     weights = _unit_weights(args, corpus, measure)
@@ -492,28 +423,20 @@ def _cmd_graph_deletion(args) -> int:
         )
     graph = build_graph(corpus)
     series = deletion_experiment(graph, scores, steps, kind=kind, measure=measure)
-    header, rows = deletion_table(series)
-    sidecar = _sidecar(args, "graph-deletion", corpus, {
+    return deletion_table(series), {
         "series": series.to_json_dict(),
         "graph": _graph_block(graph),
-    })
-    _write_outputs(args, _render(args, header, rows), sidecar)
-    return EXIT_OK
+    }
 
 
-def _cmd_summarize(args) -> int:
-    corpus = _load(args)
+def _cmd_summarize(args, corpus: Corpus):
     summaries = {
         name: summarize(values) for name, values in repo_features(corpus).items()
     }
-    header, rows = summary_table(summaries)
-    _write_outputs(args, _render(args, header, rows), _sidecar(args, "summarize", corpus))
-    return EXIT_OK
+    return summary_table(summaries), {}
 
 
-_HANDLERS = {
-    "ingest": _cmd_ingest,
-    "fetch": _cmd_fetch,
+_REPORTS = {
     "score": _cmd_score,
     "rank": _cmd_rank,
     "correlate": _cmd_correlate,
@@ -525,18 +448,25 @@ _HANDLERS = {
 }
 
 
-def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, ConfigError):
-        return EXIT_CONFIG
-    if isinstance(exc, _DATA_ERRORS):
-        return EXIT_DATA
-    if isinstance(exc, ApiError):
-        return EXIT_API
-    if isinstance(exc, WtpsError):
-        return EXIT_DOMAIN
-    if isinstance(exc, OSError):
-        return EXIT_IO
-    return EXIT_UNEXPECTED
+def _run_report(args, handler) -> int:
+    """Run one report command: load the corpus, draw the ``--sample-repos``
+    sample where the command has one, call ``handler(args, corpus)`` for the
+    command's table (or graph-build's text) and the sidecar's extra blocks,
+    render the table in ``--format`` and write the data file and sidecar."""
+    corpus = _load(args)
+    sample = getattr(args, "sample_repos", None)
+    if sample is not None and sample < len(corpus.repos):
+        if sample <= 0:
+            raise ConfigError("--sample-repos must be positive")
+        rng = random.Random(args.seed)
+        corpus = corpus.subset(rng.sample(sorted(corpus.repo_ids), sample))
+    result, extra = handler(args, corpus)
+    if not isinstance(result, str):
+        result = (to_json if args.format == "json" else to_csv)(*result)
+    with _staged_outputs(Path(args.output)) as (data_path, sidecar_path):
+        data_path.write_text(result, encoding="utf-8", newline="")
+        _write_sidecar(sidecar_path, args, corpus, extra)
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -546,9 +476,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
-        return _HANDLERS[args.command](args)
+        if args.command == "ingest":
+            return _cmd_ingest(args)
+        if args.command == "fetch":
+            return _cmd_fetch(args)
+        return _run_report(args, _REPORTS[args.command])
     except Exception as exc:  # noqa: BLE001 - boundary translates to exit codes
-        code = _exit_code_for(exc)
+        code = next((c for kind, c in _EXIT_CODES if isinstance(exc, kind)), EXIT_UNEXPECTED)
         print(
             json.dumps({
                 "error": type(exc).__name__,

@@ -13,7 +13,7 @@ File layout (schema_version 1), one JSON object per line:
                                                             to +1)
 
 Timestamps are ISO-8601 UTC ("...Z"). Saving is canonical and deterministic:
-repos sort by repo_id, events by (occurred_at, repo_id, kind), keys keep the
+repos sort by repo_id, events by (occurred_at, repo_id, kind, delta), keys keep the
 documented order, so saving the same corpus twice is byte-identical and
 save -> load is the identity.
 """
@@ -98,13 +98,6 @@ _FIRST_YEAR = np.datetime64("0001-01-01T00:00:00", "s")
 _CHUNK = 8192
 
 
-def _datetime64(text: str) -> np.datetime64:
-    try:
-        return np.datetime64(text, "s")
-    except ValueError:
-        return np.datetime64("NaT")
-
-
 def _epochs(stamps: Sequence, lines: Sequence[int]) -> np.ndarray:
     """Epoch seconds of event timestamps, or the ParseError of the first bad one.
 
@@ -122,8 +115,10 @@ def _epochs(stamps: Sequence, lines: Sequence[int]) -> np.ndarray:
         text = np.array([chunk[i] for i in canonical], dtype="U19")
         try:
             parsed = text.astype("datetime64[s]")
-        except ValueError:  # one bad stamp; parse the rest one at a time
-            parsed = np.array([_datetime64(t) for t in text], dtype="datetime64[s]")
+        except ValueError:  # numpy rejects a stamp: parse the chunk one stamp at a time
+            for i, stamp in enumerate(chunk):
+                out[start + i] = _parse_stamp(stamp, lines[start + i])
+            continue
         ok = (np.datetime_as_string(parsed) == text) & (parsed >= _FIRST_YEAR)
         index = np.array(canonical, dtype=np.intp)[ok]
         out[start + index] = parsed[ok].astype(np.int64)

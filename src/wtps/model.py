@@ -58,12 +58,20 @@ class RepoRecord:
     def __post_init__(self) -> None:
         if not self.repo_id:
             raise ValueError("repo_id must be non-empty")
+        object.__setattr__(self, "follower_ids", tuple(self.follower_ids))
+        # Saved files and outputs are UTF-8, which has no lone surrogates.
+        for name, text in (("repo_id", self.repo_id), ("full_name", self.full_name),
+                           ("primary_language", self.primary_language or ""),
+                           ("follower_ids", "".join(self.follower_ids))):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{name} is not encodable as UTF-8: {text!r}") from None
         for name in ("size_kb", "owner_followers", "forks_total",
                      "stars_total", "watchers_total"):
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
-        object.__setattr__(self, "follower_ids", tuple(self.follower_ids))
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,8 +91,8 @@ class PopularityEvent:
         if self.delta == 0:
             raise ValueError("delta must be nonzero")
 
-    def sort_key(self) -> tuple[int, str, str]:
-        return (self.occurred_at, self.repo_id, self.kind.value)
+    def sort_key(self) -> tuple[int, str, str, int]:
+        return (self.occurred_at, self.repo_id, self.kind.value, self.delta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,7 +184,7 @@ class Corpus:
     """An immutable collection of repositories, events, and their grid.
 
     Construction canonicalizes ordering (repos by id, events by
-    ``(occurred_at, repo_id, kind)``) and validates all cross-record
+    ``(occurred_at, repo_id, kind, delta)``) and validates all cross-record
     invariants, so any Corpus in hand is known-good and safe to share.
 
     Events are stored as four parallel columns in that order: ``event_repo``
@@ -243,7 +251,7 @@ class Corpus:
         if faulty.any():
             at = np.flatnonzero(faulty).tolist()
             i = at[0] if lines is not None else min(
-                at, key=lambda j: (times[j], repo_ids[j], kinds[j])
+                at, key=lambda j: (times[j], repo_ids[j], kinds[j], deltas[j])
             )
             raise _event_fault(repos, row_of, repo_ids[i], int(time[i]), self.grid,
                                None if lines is None else lines[i])
@@ -254,13 +262,14 @@ class Corpus:
             raise DeltaOverflow(f"event deltas sum to magnitude {activity} >= 2**63")
 
         kind = np.asarray(kinds, dtype=np.int8)
-        order = np.lexsort((kind, rows, time))
+        delta = np.asarray(deltas, dtype=np.int64)
+        order = np.lexsort((delta, kind, rows, time))
         self._set(
             repos=repos,
             event_repo=rows[order],
             event_kind=kind[order],
             event_time=time[order],
-            event_delta=np.asarray(deltas, dtype=np.int64)[order],
+            event_delta=delta[order],
             _rows=None,
         )
         for name in _COLUMNS:

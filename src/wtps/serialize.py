@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .graph import DeletionSeries
 from .scoring import GrowthLabel, RankEntry, ScoreCard
-from .stats import DistributionSummary, SweepEntry
+from .stats import DistributionSummary, RegressionResult, SweepEntry
 
 SCORE_COLUMNS = ("repo_id", "indicator", "interval_index", "value")
 RANK_COLUMNS = ("repo_id", "indicator", "value", "rank")
@@ -53,18 +53,13 @@ def rank_table(entries: Iterable[RankEntry], indicator: str) -> Table:
     return RANK_COLUMNS, rows
 
 
+def _line_cells(r: RegressionResult) -> list:
+    """The cells every regression row ends with."""
+    return [r.slope, r.intercept, r.pearson_r, r.sample_count]
+
+
 def sweep_table(entries: Iterable[SweepEntry]) -> Table:
-    rows = [
-        [
-            e.indicator.value,
-            e.interval_days,
-            e.result.slope,
-            e.result.intercept,
-            e.result.pearson_r,
-            e.result.sample_count,
-        ]
-        for e in entries
-    ]
+    rows = [[e.indicator.value, e.interval_days, *_line_cells(e.result)] for e in entries]
     return SWEEP_COLUMNS, rows
 
 
@@ -83,8 +78,8 @@ def growth_table(labels: Iterable[GrowthLabel]) -> Table:
     return GROWTH_COLUMNS, rows
 
 
-def correlation_table(rows_in: Iterable[Mapping]) -> Table:
-    rows = [[r[c] for c in CORRELATION_COLUMNS] for r in rows_in]
+def correlation_table(fitted: Mapping[str, RegressionResult]) -> Table:
+    rows = [[prop, *_line_cells(result)] for prop, result in fitted.items()]
     return CORRELATION_COLUMNS, rows
 
 

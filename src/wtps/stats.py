@@ -10,13 +10,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateInput, EmptyInput, LengthMismatch
 from .model import Corpus, bin_events
 from .scoring import Indicator, SNAPSHOT_FIELDS, compute_weights, score_all
 
 DEFAULT_SWEEP_DAYS: tuple[int, ...] = (30, 21, 14, 7)
+# The repository properties ``correlate`` regresses, in report order.
+_PROPERTY_FIELDS: tuple[str, ...] = (
+    "forks_total",
+    "stars_total",
+    "watchers_total",
+    "age_days",
+    "owner_followers",
+    "size_kb",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,6 +85,37 @@ def ols_line(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     )
 
 
+def _fit_on_wtps(
+    corpus: Corpus, columns: Mapping
+) -> tuple[dict, dict]:
+    """Regress each column on the overall WTPS of ``corpus``: the fitted
+    lines, and apart the constant columns with the reason."""
+    binned = bin_events(corpus)
+    weights = compute_weights(binned)
+    scores = [card.overall for card in score_all(binned, weights)]
+    fitted, skipped = {}, {}
+    for key, column in columns.items():
+        try:
+            fitted[key] = ols_line(scores, column)
+        except DegenerateInput as exc:
+            skipped[key] = str(exc)
+    return fitted, skipped
+
+
+def correlate(corpus: Corpus) -> tuple[dict[str, RegressionResult], dict[str, str]]:
+    """Regress each repository property on the overall score: the lines by
+    property, and apart the constant properties with the reason.
+
+    Raises:
+        DegenerateInput: no property admits a regression.
+    """
+    features = repo_features(corpus)
+    fitted, skipped = _fit_on_wtps(corpus, {p: features[p] for p in _PROPERTY_FIELDS})
+    if not fitted:
+        raise DegenerateInput("no repository property admits a correlation with the score")
+    return fitted, skipped
+
+
 @dataclass(frozen=True, slots=True)
 class SweepEntry:
     """Regression of one snapshot indicator on the weighted score for one
@@ -98,20 +138,11 @@ def interval_sweep(
     than poisoning the whole sweep.
     """
     features = repo_features(corpus)
+    columns = {ind: features[name] for ind, name in SNAPSHOT_FIELDS.items()}
     entries: list[SweepEntry] = []
     for days in interval_days_list:
-        regridded = corpus.regrid(days)
-        binned = bin_events(regridded)
-        weights = compute_weights(binned)
-        scores = [card.overall for card in score_all(binned, weights)]
-        for indicator, column in SNAPSHOT_FIELDS.items():
-            try:
-                result = ols_line(scores, features[column])
-            except DegenerateInput:
-                continue
-            entries.append(
-                SweepEntry(indicator=indicator, interval_days=days, result=result)
-            )
+        fitted, _ = _fit_on_wtps(corpus.regrid(days), columns)
+        entries.extend(SweepEntry(ind, days, result) for ind, result in fitted.items())
     return entries
 
 

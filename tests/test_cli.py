@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from wtps.serialize import (
     to_json,
 )
 import wtps
-from wtps import Indicator, bin_events, compute_weights, rank, score_all
+from wtps import Indicator, bin_events, compute_weights, load_corpus, rank, score_all
 from wtps.model import Corpus
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE
 from test_golden import DIGESTS, run_all
@@ -281,13 +282,59 @@ class TestRejectedRuns:
         ["fetch", "--repo", "o/r", "--page-size", "0"],
         ["fetch", "--repo", "o/r", "--requests-per-hour", "0"],
         ["fetch", "--repo", "o/r", "--retry-limit", "-1"],
-    ], ids=["steps", "page-size", "requests-per-hour", "retry-limit"])
+        ["fetch", "--repo", "a/b/c"],
+        ["fetch", "--repo", "/name"],
+        ["fetch", "--repo", "owner/"],
+        ["score", "--input", str(COMMUNITY_SAMPLE), "--interval-days", "0"],
+        ["score", "--input", str(COMMUNITY_SAMPLE), "--interval-days", str(10**17)],
+        ["sweep", "--input", str(COMMUNITY_SAMPLE), "--interval-days-list", "30,0"],
+        ["sweep", "--input", str(COMMUNITY_SAMPLE), "--interval-days-list", f"30,{10**17}"],
+        # A local base URL: if the width check regressed, no request leaves the host.
+        ["fetch", "--repo", "o/r", "--interval-days", str(10**17),
+         "--base-url", "http://127.0.0.1:9"],
+    ], ids=["steps", "page-size", "requests-per-hour", "retry-limit",
+            "repo-three-parts", "repo-no-owner", "repo-no-name",
+            "score-width-0", "score-width-huge", "sweep-width-0", "sweep-width-huge",
+            "fetch-width-huge"])
     def test_bad_numeric_flag_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         code = main([*argv, "--output", str(out)])
         assert code == EXIT_CONFIG
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("flag", ["score --interval-days", "sweep --interval-days-list"])
+    def test_widest_interval_is_the_last_accepted(self, tmp_path, capsys, flag):
+        command, option = flag.split()
+        widest = (2**63 - 1) // 86_400  # days whose length in seconds fits int64
+        for days, expected in ((widest, EXIT_OK), (widest + 1, EXIT_CONFIG)):
+            code = main([command, "--input", str(COMMUNITY_SAMPLE),
+                         "--output", str(tmp_path / f"{days}.csv"), option, str(days)])
+            assert code == expected
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".csv"] == [f"{widest}.csv"]
+
+    @pytest.mark.parametrize("field", ["repo_id", "full_name", "primary_language",
+                                       "follower_ids"])
+    @pytest.mark.parametrize("command", ["ingest", "score", "graph-build"])
+    def test_lone_surrogate_is_data_error(self, tmp_path, capsys, command, field):
+        # JSON can spell a lone surrogate (\ud800); UTF-8 output cannot.
+        repo = {"repo_id": "R1", "full_name": "o/r", "created_at": "2018-01-01T00:00:00Z",
+                "primary_language": None, "size_kb": 1, "owner_followers": 1,
+                "forks_total": 1, "stars_total": 1, "watchers_total": 1,
+                "follower_ids": ["f1"]}
+        repo[field] = ["f\ud800"] if field == "follower_ids" else "a\ud800"
+        event = {"repo_id": repo["repo_id"], "kind": "star",
+                 "occurred_at": "2018-01-02T00:00:00Z"}
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text(json.dumps(repo) + "\n" + json.dumps(event) + "\n",
+                           encoding="utf-8")
+        code = main([command, "--input", str(dataset), "--output", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "ParseError" and "line 1" in error["message"]
+        assert list(tmp_path.iterdir()) == [dataset]
 
 
 class TestImportSurface:
@@ -306,6 +353,19 @@ class TestImportSurface:
         result = subprocess.run([sys.executable, "-c", probe, src],
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
+
+
+    def test_traced_layers_resolve(self, monkeypatch):
+        # perfbench/spans.py wraps these functions by name: a rename must fail
+        # here rather than drop its span from a traced benchmark run.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        spans = importlib.import_module("spans")
+        assert spans.LAYERS
+        for module_name, owner_name, attr, _, _ in spans.LAYERS:
+            owner = importlib.import_module(module_name)
+            if owner_name:
+                owner = getattr(owner, owner_name)
+            assert callable(getattr(owner, attr, None)), (module_name, owner_name, attr)
 
 
 class TestColumnarCorpus:
@@ -387,6 +447,26 @@ class TestIngestCommand:
         assert code == EXIT_DATA
         error_line = json.loads(capsys.readouterr().err.strip())
         assert error_line["error"] == "ParseError"
+
+    def test_same_key_events_load_and_ingest_alike(self, tmp_path):
+        # Two events sharing (occurred_at, repo_id, kind), in either file order.
+        repo = {"repo_id": "R1", "full_name": "o/r", "created_at": "2018-01-01T00:00:00Z",
+                "primary_language": None, "size_kb": 1, "owner_followers": 1,
+                "forks_total": 1, "stars_total": 1, "watchers_total": 1,
+                "follower_ids": []}
+        events = [{"repo_id": "R1", "kind": "star", "occurred_at": "2018-01-02T00:00:00Z",
+                   "delta": d} for d in (2, -1)]
+        corpora, outputs = [], []
+        for name, order in (("a", events), ("b", events[::-1])):
+            dataset = tmp_path / f"{name}.jsonl"
+            dataset.write_text("".join(json.dumps(o) + "\n" for o in [repo, *order]),
+                               encoding="utf-8")
+            corpora.append(load_corpus(dataset))
+            out = tmp_path / f"{name}.out.jsonl"
+            assert main(["ingest", "--input", str(dataset), "--output", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert corpora[0] == corpora[1]
+        assert outputs[0] == outputs[1]
 
     def test_degenerate_stats_map_to_domain_exit(self, tmp_path, capsys):
         # single-repo corpus: every snapshot column is constant -> correlate

@@ -2,11 +2,12 @@
 
 Each property has a plain reference beside it: ``parse_timestamp`` for the
 batch timestamp parser, ``json.dumps(indent=2)`` for ``to_json``, a loop
-over ``PopularityEvent`` rows for binning, and ``Corpus.build`` for regrid
-and subset.
+over ``PopularityEvent`` rows for binning, ``Corpus.build`` for regrid
+and subset, and exact integer shares for the weights.
 """
 
 import json
+import math
 import random
 
 import numpy as np
@@ -16,9 +17,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from wtps import ParseError, bin_events  # noqa: E402
+from wtps import ParseError, bin_events, compute_weights  # noqa: E402
 from wtps.dataset import _epochs, load_corpus, parse_timestamp, save_corpus  # noqa: E402
-from wtps.model import Corpus, EventKind, PopularityEvent, RepoRecord  # noqa: E402
+from wtps.model import (  # noqa: E402
+    BinnedCounts,
+    Corpus,
+    EventKind,
+    PopularityEvent,
+    RepoRecord,
+)
 from wtps.serialize import to_json  # noqa: E402
 from wtps.stats import DEFAULT_SWEEP_DAYS  # noqa: E402
 
@@ -143,6 +150,10 @@ def _reference_counts(corpus):
 
 @settings(max_examples=60, deadline=None)
 @given(corpora(spans=(40 * 86_400, LAST_TS - FIRST_TS)), st.randoms(use_true_random=False))
+# Two events that differ only in delta; this shuffle swaps their lines.
+@example(data=([RepoRecord("r", "org/r", 0)],
+               [PopularityEvent("r", EventKind.STAR, 5, d) for d in (2, -1)]),
+         rng=random.Random(1))
 def test_save_load_save_is_byte_identical(tmp_path_factory, data, rng):
     repos, events = data
     corpus = Corpus.build(repos, events, interval_days=30)
@@ -151,14 +162,7 @@ def test_save_load_save_is_byte_identical(tmp_path_factory, data, rng):
     save_corpus(corpus, first)
     lines = first.read_text(encoding="utf-8").splitlines()
     head, body = lines[: 1 + len(repos)], lines[1 + len(repos):]
-    # Shuffle the event lines, keeping events that share a sort key in their
-    # saved order: the canonical order does not rank such events, so the
-    # loader keeps them in file order.
-    keys = [tuple(json.loads(line)[k] for k in ("occurred_at", "repo_id", "kind")) for line in body]
-    place = {key: rng.random() for key in keys}
-    body = [line for _, _, line in sorted(
-        (place[key], i, line) for i, (key, line) in enumerate(zip(keys, body))
-    )]
+    rng.shuffle(body)
     shuffled = folder / "shuffled.jsonl"
     shuffled.write_text("\n".join(head + body) + "\n", encoding="utf-8")
     loaded = load_corpus(shuffled, interval_days=30)
@@ -205,3 +209,33 @@ def test_regrid_and_subset_equal_build(data, choice):
         corpus.grid.interval_days,
         corpus.captured_at,
     )
+
+
+# --- weights -----------------------------------------------------------------
+
+@st.composite
+def binned_counts(draw):
+    """Signed fork and star cells, small enough that the weight sums stay
+    well inside float precision."""
+    n_repos, n_intervals = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    cells = st.lists(st.integers(-20, 20), min_size=n_repos * n_intervals,
+                     max_size=n_repos * n_intervals)
+    forks, stars = (np.array(draw(cells), dtype=np.int64).reshape(n_repos, n_intervals)
+                    for _ in range(2))
+    return BinnedCounts(tuple(f"r{i}" for i in range(n_repos)), n_intervals, forks, stars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(binned_counts())
+def test_weights_are_shares_of_the_net_total(binned):
+    table = compute_weights(binned)
+    for matrix, weights in ((binned.forks, table.fork_weights),
+                            (binned.stars, table.star_weights)):
+        per_interval = [int(c) for c in matrix.sum(axis=0)]
+        total = sum(per_interval)
+        assert len(weights) == binned.interval_count
+        if total > 0:
+            assert list(weights) == [c / total for c in per_interval]
+            assert abs(math.fsum(weights) - 1.0) <= 1e-12
+        else:
+            assert weights == (0.0,) * binned.interval_count

@@ -3,13 +3,23 @@ import random
 import numpy as np
 import pytest
 
-from wtps import DegenerateInput, EmptyInput, Indicator, LengthMismatch
+from wtps import (
+    DegenerateInput,
+    EmptyInput,
+    Indicator,
+    LengthMismatch,
+    bin_events,
+    compute_weights,
+    score_all,
+)
 from wtps.model import Corpus, EventKind, PopularityEvent, RepoRecord
 from wtps.stats import (
+    correlate,
     interval_sweep,
     ols_line,
     pearson,
     repo_age_days,
+    repo_features,
     summarize,
 )
 from synth import BASE_TS, DAY, make_corpus
@@ -107,6 +117,20 @@ class TestOlsLine:
         with pytest.raises(DegenerateInput):
             ols_line([1, 1, 1], [1, 2, 3])
 
+    def test_matches_scipy(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(29)
+        for _ in range(20):
+            n = rng.randint(3, 100)
+            x = [rng.uniform(-100, 100) for _ in range(n)]
+            y = [rng.choice([-1, 1]) * 0.7 * xi + rng.gauss(0, 30) for xi in x]
+            result = ols_line(x, y)
+            line = scipy_stats.linregress(x, y)
+            assert result.slope == pytest.approx(line.slope, rel=1e-9, abs=1e-12)
+            assert result.intercept == pytest.approx(line.intercept, rel=1e-9, abs=1e-9)
+            assert result.pearson_r == pytest.approx(line.rvalue, abs=1e-12)
+            assert pearson(x, y) == pytest.approx(scipy_stats.pearsonr(x, y)[0], abs=1e-12)
+
 
 class TestSummarize:
     def test_odd_count_quartiles(self):
@@ -199,6 +223,24 @@ class TestIntervalSweep:
             rs = by_indicator[indicator]
             assert len(rs) == 4
             assert max(rs) - min(rs) < 0.2  # loose sanity bound; tight bound in acceptance
+
+
+class TestCorrelate:
+    def test_sample_lines_and_skipped_properties(self, community_corpus):
+        fitted, skipped = correlate(community_corpus)
+        # every shipped sample repo shares one creation date and zero watchers
+        assert set(skipped) == {"watchers_total", "age_days"}
+        assert list(fitted) == ["forks_total", "stars_total", "owner_followers", "size_kb"]
+        binned = bin_events(community_corpus)
+        scores = [c.overall for c in score_all(binned, compute_weights(binned))]
+        features = repo_features(community_corpus)
+        for prop, result in fitted.items():
+            assert result == ols_line(scores, features[prop])
+
+    def test_nothing_to_regress_is_degenerate(self):
+        corpus = Corpus.build([RepoRecord("R1", "o/r", BASE_TS)], [], interval_days=30)
+        with pytest.raises(DegenerateInput):
+            correlate(corpus)
 
 
 class TestRepoAge:
