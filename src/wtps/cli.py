@@ -118,9 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
-        if needs_input:
-            p.add_argument("--input", required=True, help="JSON-lines dataset path")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--input", required=True, help="JSON-lines dataset path")
         p.add_argument("--output", required=True, help="data output path")
         p.add_argument(
             "--interval-days",
@@ -390,11 +389,14 @@ def _cmd_sweep(args, corpus: Corpus):
 
 
 def _cmd_classify(args, corpus: Corpus):
-    thresholds = GrowthThresholds(
-        min_activity=args.min_activity,
-        loss_fraction=args.loss_fraction,
-        growth_fraction=args.growth_fraction,
-    )
+    try:
+        thresholds = GrowthThresholds(
+            min_activity=args.min_activity,
+            loss_fraction=args.loss_fraction,
+            growth_fraction=args.growth_fraction,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     binned = bin_events(corpus)
     indicator = Indicator(args.indicator)
     labels = [
@@ -476,6 +478,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
+        # Every argument lands in the UTF-8 sidecar; argv bytes that are not
+        # UTF-8 arrive as lone surrogates and could never be written there.
+        for name, value in vars(args).items():
+            if isinstance(value, str):
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError:
+                    flag = "--" + name.replace("_", "-")
+                    raise ConfigError(f"{flag} is not valid UTF-8: {value!r}") from None
         if args.command == "ingest":
             return _cmd_ingest(args)
         if args.command == "fetch":

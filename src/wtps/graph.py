@@ -62,20 +62,6 @@ class FollowerGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def repo_adjacency(self) -> dict[str, set[str]]:
-        """Follower neighborhoods per repo node (isolated repos included)."""
-        adjacency: dict[str, set[str]] = {r: set() for r in self.repo_nodes}
-        for repo, follower in self.edges:
-            adjacency[repo].add(follower)
-        return adjacency
-
-    def follower_adjacency(self) -> dict[str, set[str]]:
-        """Repo neighborhoods per follower node (isolated followers included)."""
-        adjacency: dict[str, set[str]] = {f: set() for f in self.follower_nodes}
-        for repo, follower in self.edges:
-            adjacency[follower].add(repo)
-        return adjacency
-
     def remove_repo(self, repo_id: str) -> "FollowerGraph":
         """Drop one repo node and its incident edges.
 
@@ -94,16 +80,11 @@ class FollowerGraph:
 
 def build_graph(corpus: Corpus) -> FollowerGraph:
     """Link every repository to each of its owner's followers."""
-    edges = set()
-    followers = set()
-    for record in corpus.repos:
-        for follower in record.follower_ids:
-            followers.add(follower)
-            edges.add((record.repo_id, follower))
+    edges = frozenset((r.repo_id, f) for r in corpus.repos for f in r.follower_ids)
     return FollowerGraph(
         repo_nodes=frozenset(corpus.repo_ids),
-        follower_nodes=frozenset(followers),
-        edges=frozenset(edges),
+        follower_nodes=frozenset(follower for _, follower in edges),
+        edges=edges,
     )
 
 
@@ -117,22 +98,35 @@ def clustering_coefficient(g: FollowerGraph, kind: CoefficientKind) -> float:
     """
     if g.node_count == 0:
         raise EmptyGraph("coefficient undefined on a graph with no nodes")
-    if kind is CoefficientKind.BIPARTITE_LATAPY:
-        return _bipartite_overlap(g)
-    return 0.0
+    return _bipartite_overlap(*_adjacency(g), kind)
 
 
-def _bipartite_overlap(g: FollowerGraph) -> float:
+def _adjacency(g: FollowerGraph) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """Neighbor sets per repo node and per follower node, isolated nodes included."""
+    repo_adj: dict[str, set[str]] = {r: set() for r in g.repo_nodes}
+    follower_adj: dict[str, set[str]] = {f: set() for f in g.follower_nodes}
+    for repo, follower in g.edges:
+        repo_adj[repo].add(follower)
+        follower_adj[follower].add(repo)
+    return repo_adj, follower_adj
+
+
+def _bipartite_overlap(
+    repo_adj: dict[str, set[str]],
+    follower_adj: dict[str, set[str]],
+    kind: CoefficientKind,
+) -> float:
     """Mean over all nodes of the pairwise neighbor-overlap coefficient.
 
     Per node u, cc(u) averages |N(u) & N(v)| / |N(u) | N(v)| over the
     same-side nodes v at distance 2 from u; nodes with no such neighbors
     (including isolated ones) contribute 0. Walking u's 2-paths counts
     shared[v] = |N(u) & N(v)|; the union is deg(u) + deg(v) - shared[v].
-    fsum keeps the result identical regardless of iteration order.
+    fsum keeps the result identical regardless of iteration order. The
+    triangle-based kinds and a graph with no nodes give 0.0.
     """
-    repo_adj = g.repo_adjacency()
-    follower_adj = g.follower_adjacency()
+    if kind is not CoefficientKind.BIPARTITE_LATAPY:
+        return 0.0
     values = []
     for side, other in ((repo_adj, follower_adj), (follower_adj, repo_adj)):
         for node, neighborhood in side.items():
@@ -149,7 +143,7 @@ def _bipartite_overlap(g: FollowerGraph) -> float:
                 for peer, count in shared.items()
             )
             values.append(overlaps / len(shared))
-    return math.fsum(values) / len(values)
+    return math.fsum(values) / len(values) if values else 0.0
 
 
 @dataclass(frozen=True)
@@ -202,16 +196,13 @@ def deletion_experiment(
     if missing:
         raise ValueError(f"missing scores for repo nodes: {missing[:5]}")
 
-    current = g
-    values = [clustering_coefficient(current, kind)]
-    removed: list[str] = []
-    remaining = sorted(g.repo_nodes, key=lambda rid: (-scores[rid], rid))
-    for target in remaining[:steps]:
-        current = current.remove_repo(target)
-        removed.append(target)
-        values.append(
-            clustering_coefficient(current, kind) if current.node_count else 0.0
-        )
+    values = [clustering_coefficient(g, kind)]
+    repo_adj, follower_adj = _adjacency(g)
+    removed = sorted(g.repo_nodes, key=lambda rid: (-scores[rid], rid))[:steps]
+    for target in removed:
+        for follower in repo_adj.pop(target):
+            follower_adj[follower].discard(target)
+        values.append(_bipartite_overlap(repo_adj, follower_adj, kind))
     return DeletionSeries(
         measure=measure,
         coefficient_kind=kind,

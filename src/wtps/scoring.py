@@ -167,7 +167,6 @@ def rank(
     indicator: Indicator,
     *,
     weights: WeightTable | None = None,
-    binned: BinnedCounts | None = None,
 ) -> list[RankEntry]:
     """Rank all repositories under one indicator, descending by value.
 
@@ -176,8 +175,7 @@ def rank(
     ``weights`` table (e.g. unit weights) is supplied.
     """
     if indicator is Indicator.WTPS:
-        if binned is None:
-            binned = bin_events(corpus)
+        binned = bin_events(corpus)
         if weights is None:
             weights = compute_weights(binned)
         values: dict[str, float] = {
@@ -221,6 +219,14 @@ class GrowthThresholds:
     min_activity: int = 10
     loss_fraction: float = 0.2
     growth_fraction: float = 0.6
+
+    def __post_init__(self) -> None:
+        for name in ("loss_fraction", "growth_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        if not self.min_activity >= 0:
+            raise ValueError(f"min_activity must be >= 0, got {self.min_activity!r}")
 
 
 @dataclass(frozen=True, slots=True)

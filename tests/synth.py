@@ -7,6 +7,7 @@ so property-style loops stay reproducible without any global seeding.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from wtps.graph import FollowerGraph
 from wtps.model import Corpus, EventKind, PopularityEvent, RepoRecord
@@ -177,3 +178,33 @@ def make_bipartite_graph(
         follower_nodes=frozenset(followers),
         edges=frozenset(edges),
     )
+
+
+def overlap_oracle(g: FollowerGraph) -> float:
+    """Exhaustive pairwise-overlap enumeration, independent of the library.
+
+    Walks every node, finds its same-side distance-2 peers by brute force,
+    and averages |N(u) & N(v)| / |N(u) | N(v)| with exact fractions.
+    """
+    repo_adj = {r: set() for r in g.repo_nodes}
+    follower_adj = {f: set() for f in g.follower_nodes}
+    for repo, follower in g.edges:
+        repo_adj[repo].add(follower)
+        follower_adj[follower].add(repo)
+
+    per_node = []
+    for side in (repo_adj, follower_adj):
+        for u in sorted(side):
+            # distance-2 peers: same-side nodes sharing at least one neighbor
+            peers = sorted(
+                v for v in side if v != u and side[u] & side[v]
+            )
+            if not peers:
+                per_node.append(Fraction(0))
+                continue
+            total = sum(
+                Fraction(len(side[u] & side[v]), len(side[u] | side[v]))
+                for v in peers
+            )
+            per_node.append(total / len(peers))
+    return float(sum(per_node) / len(per_node))

@@ -34,7 +34,13 @@ from wtps.model import EventKind
 from wtps.scoring import unit_weights
 from wtps.stats import interval_sweep, ols_line, pearson
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE
-from synth import make_bipartite_graph, make_corpus, make_heavy_tailed_corpus, scale_events
+from synth import (
+    make_bipartite_graph,
+    make_corpus,
+    make_heavy_tailed_corpus,
+    overlap_oracle,
+    scale_events,
+)
 
 # --- independent oracles ----------------------------------------------------
 
@@ -62,27 +68,6 @@ def exact_scores(binned):
         ]
         out[rid] = (per_interval, sum(per_interval))
     return out
-
-
-def overlap_oracle(graph):
-    """Exhaustive same-side pairwise overlap enumeration (exact fractions)."""
-    repo_adj = {r: set() for r in graph.repo_nodes}
-    follower_adj = {f: set() for f in graph.follower_nodes}
-    for repo, follower in graph.edges:
-        repo_adj[repo].add(follower)
-        follower_adj[follower].add(repo)
-    per_node = []
-    for side in (repo_adj, follower_adj):
-        for u in sorted(side):
-            peers = [v for v in side if v != u and side[u] & side[v]]
-            if not peers:
-                per_node.append(Fraction(0))
-                continue
-            per_node.append(
-                sum(Fraction(len(side[u] & side[v]), len(side[u] | side[v]))
-                    for v in peers) / len(peers)
-            )
-    return float(sum(per_node) / len(per_node))
 
 
 def normal_equations(x, y):

@@ -1,6 +1,7 @@
 import csv
 import importlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -292,10 +293,24 @@ class TestRejectedRuns:
         # A local base URL: if the width check regressed, no request leaves the host.
         ["fetch", "--repo", "o/r", "--interval-days", str(10**17),
          "--base-url", "http://127.0.0.1:9"],
+        ["classify", "--input", str(COMMUNITY_SAMPLE), "--indicator", "forks",
+         "--loss-fraction", "nan", "--growth-fraction", "nan", "--min-activity", "-5"],
+        ["classify", "--input", str(COMMUNITY_SAMPLE), "--indicator", "forks",
+         "--loss-fraction", "nan"],
+        ["classify", "--input", str(COMMUNITY_SAMPLE), "--indicator", "stars",
+         "--growth-fraction", "1.5"],
+        ["classify", "--input", str(COMMUNITY_SAMPLE), "--indicator", "stars",
+         "--loss-fraction", "-0.1"],
+        ["classify", "--input", str(COMMUNITY_SAMPLE), "--indicator", "forks",
+         "--growth-fraction", "inf"],
+        ["classify", "--input", str(COMMUNITY_SAMPLE), "--indicator", "forks",
+         "--min-activity", "-1"],
     ], ids=["steps", "page-size", "requests-per-hour", "retry-limit",
             "repo-three-parts", "repo-no-owner", "repo-no-name",
             "score-width-0", "score-width-huge", "sweep-width-0", "sweep-width-huge",
-            "fetch-width-huge"])
+            "fetch-width-huge", "classify-all-bad", "classify-loss-nan",
+            "classify-growth-above-1", "classify-loss-negative", "classify-growth-inf",
+            "classify-activity-negative"])
     def test_bad_numeric_flag_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         code = main([*argv, "--output", str(out)])
@@ -303,6 +318,18 @@ class TestRejectedRuns:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--input", "--output"])
+    def test_non_utf8_path_is_config_error(self, tmp_path, capsys, flag):
+        # argv bytes that are not UTF-8 reach Python as lone surrogates.
+        paths = {"--input": tmp_path / "in.jsonl", "--output": tmp_path / "out.csv"}
+        paths[flag] = tmp_path / f"{flag[2:]}\udcff"
+        shutil.copyfile(COMMUNITY_SAMPLE, paths["--input"])
+        code = main(["score", "--input", str(paths["--input"]),
+                     "--output", str(paths["--output"])])
+        assert code == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "ConfigError" and flag in error["message"]
+        assert list(tmp_path.iterdir()) == [paths["--input"]]
 
     @pytest.mark.parametrize("flag", ["score --interval-days", "sweep --interval-days-list"])
     def test_widest_interval_is_the_last_accepted(self, tmp_path, capsys, flag):

@@ -13,41 +13,11 @@ from wtps.graph import (
     format_edge_list,
     scores_for_measure,
 )
-from synth import make_bipartite_graph
+from synth import make_bipartite_graph, overlap_oracle
 
 # Exhaustively precomputed overlap coefficient for the shipped 3-repo sample
-# (see overlap_oracle below): mean of per-node overlap means = 61/126.
+# (see synth.overlap_oracle): mean of per-node overlap means = 61/126.
 FOLLOWER_SAMPLE_OVERLAP = Fraction(61, 126)
-
-
-def overlap_oracle(g: FollowerGraph) -> float:
-    """Exhaustive pairwise-overlap enumeration, independent of the library.
-
-    Walks every node, finds its same-side distance-2 peers by brute force,
-    and averages |N(u) & N(v)| / |N(u) | N(v)| with exact fractions.
-    """
-    repo_adj = {r: set() for r in g.repo_nodes}
-    follower_adj = {f: set() for f in g.follower_nodes}
-    for repo, follower in g.edges:
-        repo_adj[repo].add(follower)
-        follower_adj[follower].add(repo)
-
-    per_node = []
-    for side in (repo_adj, follower_adj):
-        for u in sorted(side):
-            # distance-2 peers: same-side nodes sharing at least one neighbor
-            peers = sorted(
-                v for v in side if v != u and side[u] & side[v]
-            )
-            if not peers:
-                per_node.append(Fraction(0))
-                continue
-            total = sum(
-                Fraction(len(side[u] & side[v]), len(side[u] | side[v]))
-                for v in peers
-            )
-            per_node.append(total / len(peers))
-    return float(sum(per_node) / len(per_node))
 
 
 @pytest.fixture()
@@ -59,9 +29,9 @@ class TestBuildGraph:
     def test_sample_topology(self, sample_graph):
         assert sample_graph.node_count == 7
         assert sample_graph.edge_count == 8
-        follower_adj = sample_graph.follower_adjacency()
-        assert follower_adj["f2"] == {"R1", "R2", "R3"}
-        assert sample_graph.repo_adjacency()["R1"] == {"f1", "f2", "f4"}
+        edges = sample_graph.edges
+        assert {r for r, f in edges if f == "f2"} == {"R1", "R2", "R3"}
+        assert {f for r, f in edges if r == "R1"} == {"f1", "f2", "f4"}
 
     def test_no_follower_data_gives_edgeless_graph(self, community_corpus):
         graph = build_graph(community_corpus)
@@ -81,8 +51,10 @@ class TestBuildGraph:
             captured_at=follower_corpus.captured_at,
         )
         graph = build_graph(corpus)
-        adjacency = graph.repo_adjacency()
-        assert adjacency["R9"] == adjacency["R1"]
+        def followers(rid):
+            return {f for r, f in graph.edges if r == rid}
+
+        assert followers("R9") == followers("R1") == {"f1", "f2", "f4"}
 
     def test_edges_must_reference_known_nodes(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 Each property has a plain reference beside it: ``parse_timestamp`` for the
 batch timestamp parser, ``json.dumps(indent=2)`` for ``to_json``, a loop
 over ``PopularityEvent`` rows for binning, ``Corpus.build`` for regrid
-and subset, and exact integer shares for the weights.
+and subset, exact integer shares for the weights, and chained
+``FollowerGraph.remove_repo`` calls for the deletion series.
 """
 
 import json
@@ -19,6 +20,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from wtps import ParseError, bin_events, compute_weights  # noqa: E402
 from wtps.dataset import _epochs, load_corpus, parse_timestamp, save_corpus  # noqa: E402
+from wtps.graph import (  # noqa: E402
+    CoefficientKind,
+    FollowerGraph,
+    clustering_coefficient,
+    deletion_experiment,
+)
 from wtps.model import (  # noqa: E402
     BinnedCounts,
     Corpus,
@@ -239,3 +246,32 @@ def test_weights_are_shares_of_the_net_total(binned):
             assert abs(math.fsum(weights) - 1.0) <= 1e-12
         else:
             assert weights == (0.0,) * binned.interval_count
+
+
+# --- deletion experiment -----------------------------------------------------
+
+@st.composite
+def follower_graphs(draw):
+    """Small graphs over one id alphabet, so a repo and a follower may share
+    text, with isolated repos and followers."""
+    ids = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+    repos = draw(st.sets(ids, min_size=1))
+    followers = draw(st.sets(ids))
+    pairs = sorted((r, f) for r in repos for f in followers)
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    scores = {r: draw(st.integers(0, 3)) * 1.0 for r in sorted(repos)}
+    return FollowerGraph(frozenset(repos), frozenset(followers), frozenset(edges)), scores
+
+
+@settings(max_examples=100, deadline=None)
+@given(follower_graphs(), st.sampled_from(CoefficientKind))
+def test_deletion_series_equals_recompute_after_each_removal(data, kind):
+    graph, scores = data
+    series = deletion_experiment(graph, scores, len(graph.repo_nodes), kind)
+    assert list(series.removed) == sorted(scores, key=lambda r: (-scores[r], r))
+    current = graph
+    for k, value in enumerate(series.values):
+        if k:
+            current = current.remove_repo(series.removed[k - 1])
+        expected = clustering_coefficient(current, kind) if current.node_count else 0.0
+        assert value == expected
