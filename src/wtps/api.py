@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import requests
@@ -105,7 +106,7 @@ class RestClient:
             NotFound: HTTP 404.
             AuthFailure: HTTP 401, or 403 without rate-limit markers.
             RateLimited: rate-limit responses persisting past retry_limit.
-            ApiError: any other non-2xx status.
+            ApiError: any other non-2xx status, or a body that is not JSON.
         """
         url = self.config.base_url.rstrip("/") + path
         attempts = self.config.retry_limit + 1
@@ -115,7 +116,10 @@ class RestClient:
                 url, params=params, headers=self._headers(media_type)
             )
             if 200 <= response.status_code < 300:
-                return response.json()
+                try:
+                    return response.json()
+                except ValueError:
+                    raise ApiError(f"response from {path} is not JSON") from None
             if response.status_code == 404:
                 raise NotFound(f"{path} not found")
             if response.status_code == 401:
@@ -184,6 +188,21 @@ class FetchResult:
     truncated_history: bool
 
 
+@contextmanager
+def _payload_of(path: str):
+    """Report a payload from ``path`` that lacks a field, or has one of the
+    wrong type or value, as an ApiError naming the endpoint. Errors from
+    ``requests`` are OSErrors (some also ValueErrors) and pass unchanged."""
+    try:
+        yield
+    except OSError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ApiError(
+            f"malformed response from {path}: {type(exc).__name__}: {exc}"
+        ) from None
+
+
 def split_repo_spec(owner_and_name: str) -> tuple[str, str]:
     """Split ``OWNER/NAME`` into its two non-empty parts; ValueError otherwise."""
     owner, _, name = owner_and_name.partition("/")
@@ -206,61 +225,52 @@ def fetch_repo(
     timeline anywhere, so the watcher count is captured as a snapshot only.
 
     ``truncated_history`` is set when the fetched timeline is shorter than
-    the snapshot count, which is what capped pagination looks like.
+    the snapshot count, which is what capped pagination looks like. A
+    payload that lacks a field or has one of the wrong type or value raises
+    ApiError naming its endpoint.
     """
     owner, name = split_repo_spec(owner_and_name)
     client = RestClient(config, session=session, clock=clock, sleep=sleep)
 
-    repo_json = client.get_json(f"/repos/{owner}/{name}")
-    user_json = client.get_json(f"/users/{owner}")
-
-    follower_ids: tuple[str, ...] = ()
+    repo_path = f"/repos/{owner}/{name}"
+    with _payload_of(repo_path):
+        repo_json = client.get_json(repo_path)
+        record = RepoRecord(
+            repo_id=str(repo_json["id"]),
+            full_name=str(repo_json["full_name"]),
+            created_at=parse_timestamp(repo_json["created_at"]),
+            primary_language=repo_json.get("language"),
+            size_kb=int(repo_json.get("size", 0)),
+            forks_total=int(repo_json.get("forks_count", 0)),
+            stars_total=int(repo_json.get("stargazers_count", 0)),
+            watchers_total=int(
+                repo_json.get("subscribers_count", repo_json.get("watchers_count", 0))
+            ),
+        )
+    # Fields from the other endpoints go in through ``replace``, which runs
+    # RepoRecord's checks again inside the block of the endpoint they came from.
+    user_path = f"/users/{owner}"
+    with _payload_of(user_path):
+        user_json = client.get_json(user_path)
+        record = replace(record, owner_followers=int(user_json.get("followers", 0)))
     if config.fetch_follower_ids:
-        follower_ids = tuple(
-            str(entry["login"])
-            for entry in client.paginate(f"/users/{owner}/followers")
-        )
+        with _payload_of(f"{user_path}/followers"):
+            record = replace(record, follower_ids=tuple(
+                str(entry["login"]) for entry in client.paginate(f"{user_path}/followers")
+            ))
 
-    repo_id = str(repo_json["id"])
-    star_events = [
-        PopularityEvent(
-            repo_id=repo_id,
-            kind=EventKind.STAR,
-            occurred_at=parse_timestamp(entry["starred_at"]),
-        )
-        for entry in client.paginate(
-            f"/repos/{owner}/{name}/stargazers", media_type=_STAR_MEDIA_TYPE
-        )
-    ]
-    fork_events = [
-        PopularityEvent(
-            repo_id=repo_id,
-            kind=EventKind.FORK,
-            occurred_at=parse_timestamp(entry["created_at"]),
-        )
-        for entry in client.paginate(
-            f"/repos/{owner}/{name}/forks", params={"sort": "oldest"}
-        )
-    ]
+    def timeline(path: str, kind: EventKind, key: str, **kwargs) -> list[PopularityEvent]:
+        with _payload_of(path):
+            return [PopularityEvent(record.repo_id, kind, parse_timestamp(entry[key]))
+                    for entry in client.paginate(path, **kwargs)]
 
-    stars_total = int(repo_json.get("stargazers_count", 0))
-    forks_total = int(repo_json.get("forks_count", 0))
-    record = RepoRecord(
-        repo_id=repo_id,
-        full_name=str(repo_json["full_name"]),
-        created_at=parse_timestamp(repo_json["created_at"]),
-        primary_language=repo_json.get("language"),
-        size_kb=int(repo_json.get("size", 0)),
-        owner_followers=int(user_json.get("followers", 0)),
-        forks_total=forks_total,
-        stars_total=stars_total,
-        watchers_total=int(
-            repo_json.get("subscribers_count", repo_json.get("watchers_count", 0))
-        ),
-        follower_ids=follower_ids,
-    )
+    star_events = timeline(f"{repo_path}/stargazers", EventKind.STAR, "starred_at",
+                           media_type=_STAR_MEDIA_TYPE)
+    fork_events = timeline(f"{repo_path}/forks", EventKind.FORK, "created_at",
+                           params={"sort": "oldest"})
     events = tuple(
         sorted(star_events + fork_events, key=PopularityEvent.sort_key)
     )
-    truncated = len(star_events) < stars_total or len(fork_events) < forks_total
+    truncated = (len(star_events) < record.stars_total
+                 or len(fork_events) < record.forks_total)
     return FetchResult(repo=record, events=events, truncated_history=truncated)

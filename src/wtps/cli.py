@@ -230,6 +230,52 @@ def _check_width(days: int, message: str) -> None:
         raise ConfigError(f"interval width of {days} days overflows 64-bit seconds")
 
 
+def _sweep_days(args) -> list[int]:
+    """The widths of ``--interval-days-list``, each checked by ``_check_width``."""
+    try:
+        days_list = [int(d) for d in args.interval_days_list.split(",") if d.strip()]
+    except ValueError:
+        raise ConfigError(
+            f"--interval-days-list must be comma-separated integers, got {args.interval_days_list!r}"
+        ) from None
+    nonpositive = "--interval-days-list must contain positive integers"
+    if not days_list:
+        raise ConfigError(nonpositive)
+    for days in days_list:
+        _check_width(days, nonpositive)
+    return days_list
+
+
+def _thresholds(args) -> GrowthThresholds:
+    try:
+        return GrowthThresholds(
+            min_activity=args.min_activity,
+            loss_fraction=args.loss_fraction,
+            growth_fraction=args.growth_fraction,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _check_flags(args) -> None:
+    """Reject every flag value that is wrong whatever the corpus, so that no
+    input is read for a run that cannot succeed. Handlers keep only the
+    checks that need the corpus."""
+    _check_width(args.interval_days, "--interval-days must be positive")
+    if getattr(args, "sample_repos", None) is not None and args.sample_repos <= 0:
+        raise ConfigError("--sample-repos must be positive")
+    if getattr(args, "weights_one", False):
+        indicator = getattr(args, "measure", getattr(args, "indicator", "wtps"))
+        if indicator != Indicator.WTPS.value:
+            raise ConfigError(f"--weights-one applies to wtps only, not {indicator}")
+    if getattr(args, "steps", None) is not None and args.steps < 0:
+        raise ConfigError(f"--steps must be non-negative, got {args.steps}")
+    if args.command == "sweep":
+        _sweep_days(args)
+    elif args.command == "classify":
+        _thresholds(args)
+
+
 def _load(args) -> Corpus:
     path = Path(args.input)
     if not path.is_file():
@@ -238,7 +284,7 @@ def _load(args) -> Corpus:
     for target in (output, _sidecar_path(output)):
         if target.exists() and target.samefile(path):
             raise ConfigError(f"output {target} would overwrite the input {path}")
-    _check_width(args.interval_days, "--interval-days must be positive")
+    _check_flags(args)
     return load_corpus(path, interval_days=args.interval_days)
 
 
@@ -292,13 +338,9 @@ def _write_sidecar(path: Path, args, corpus: Corpus, extra: dict) -> None:
     path.write_text(text, encoding="utf-8", newline="")
 
 
-def _unit_weights(args, corpus: Corpus, indicator: Indicator) -> WeightTable | None:
+def _unit_weights(args, corpus: Corpus) -> WeightTable | None:
     """Unit weights under ``--weights-one``; None leaves community weights."""
-    if not args.weights_one:
-        return None
-    if indicator is not Indicator.WTPS:
-        raise ConfigError(f"--weights-one applies to wtps only, not {indicator.value}")
-    return unit_weights(corpus.grid.interval_count)
+    return unit_weights(corpus.grid.interval_count) if args.weights_one else None
 
 
 def _graph_block(graph: FollowerGraph) -> dict:
@@ -351,7 +393,7 @@ def _cmd_fetch(args) -> int:
 
 def _cmd_score(args, corpus: Corpus):
     binned = bin_events(corpus)
-    weights = _unit_weights(args, corpus, Indicator.WTPS) or compute_weights(binned)
+    weights = _unit_weights(args, corpus) or compute_weights(binned)
     return score_table(score_all(binned, weights)), {
         "weights": {
             "fork_weights": list(weights.fork_weights),
@@ -362,7 +404,7 @@ def _cmd_score(args, corpus: Corpus):
 
 def _cmd_rank(args, corpus: Corpus):
     indicator = Indicator(args.indicator)
-    entries = rank(corpus, indicator, weights=_unit_weights(args, corpus, indicator))
+    entries = rank(corpus, indicator, weights=_unit_weights(args, corpus))
     return rank_table(entries, indicator.value), {}
 
 
@@ -374,29 +416,11 @@ def _cmd_correlate(args, corpus: Corpus):
 
 
 def _cmd_sweep(args, corpus: Corpus):
-    try:
-        days_list = [int(d) for d in args.interval_days_list.split(",") if d.strip()]
-    except ValueError:
-        raise ConfigError(
-            f"--interval-days-list must be comma-separated integers, got {args.interval_days_list!r}"
-        ) from None
-    nonpositive = "--interval-days-list must contain positive integers"
-    if not days_list:
-        raise ConfigError(nonpositive)
-    for days in days_list:
-        _check_width(days, nonpositive)
-    return sweep_table(interval_sweep(corpus, days_list)), {}
+    return sweep_table(interval_sweep(corpus, _sweep_days(args))), {}
 
 
 def _cmd_classify(args, corpus: Corpus):
-    try:
-        thresholds = GrowthThresholds(
-            min_activity=args.min_activity,
-            loss_fraction=args.loss_fraction,
-            growth_fraction=args.growth_fraction,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    thresholds = _thresholds(args)
     binned = bin_events(corpus)
     indicator = Indicator(args.indicator)
     labels = [
@@ -414,11 +438,9 @@ def _cmd_graph_build(args, corpus: Corpus):
 def _cmd_graph_deletion(args, corpus: Corpus):
     measure = Indicator(args.measure)
     kind = CoefficientKind(args.coefficient)
-    weights = _unit_weights(args, corpus, measure)
+    weights = _unit_weights(args, corpus)
     scores = scores_for_measure(corpus, measure, weights=weights)
     steps = args.steps if args.steps is not None else min(100, len(corpus.repos))
-    if steps < 0:
-        raise ConfigError(f"--steps must be non-negative, got {steps}")
     if steps > len(corpus.repos):
         raise ConfigError(
             f"--steps {steps} exceeds repository count {len(corpus.repos)}"
@@ -458,8 +480,6 @@ def _run_report(args, handler) -> int:
     corpus = _load(args)
     sample = getattr(args, "sample_repos", None)
     if sample is not None and sample < len(corpus.repos):
-        if sample <= 0:
-            raise ConfigError("--sample-repos must be positive")
         rng = random.Random(args.seed)
         corpus = corpus.subset(rng.sample(sorted(corpus.repo_ids), sample))
     result, extra = handler(args, corpus)

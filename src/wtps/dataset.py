@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -88,47 +88,6 @@ def parse_timestamp(text: str) -> int:
     return int(moment.timestamp())
 
 
-# Canonical stamps ("YYYY-MM-DDTHH:MM:SSZ") are parsed as one datetime64
-# batch. numpy also reads text that parse_timestamp rejects, such as years
-# 0000 and 10000, so a batch value counts only if it formats back to exactly
-# its text with a year >= 0001. Every other stamp (an offset, "z", a
-# fraction, a space separator, padding) goes through parse_timestamp.
-_FIRST_YEAR = np.datetime64("0001-01-01T00:00:00", "s")
-# Events per batch when parsing or formatting timestamps.
-_CHUNK = 8192
-
-
-def _epochs(stamps: Sequence, lines: Sequence[int]) -> np.ndarray:
-    """Epoch seconds of event timestamps, or the ParseError of the first bad one.
-
-    Agrees with ``parse_timestamp`` on every value it accepts and rejects.
-    Works through ``_CHUNK`` stamps at a time to bound its temporary arrays.
-    """
-    out = np.empty(len(stamps), dtype=np.int64)
-    for start in range(0, len(stamps), _CHUNK):
-        chunk = stamps[start:start + _CHUNK]
-        canonical = [
-            i for i, s in enumerate(chunk)
-            if type(s) is str and len(s) == 20 and s[19] == "Z"
-        ]
-        # Casting to 19 characters drops the "Z".
-        text = np.array([chunk[i] for i in canonical], dtype="U19")
-        try:
-            parsed = text.astype("datetime64[s]")
-        except ValueError:  # numpy rejects a stamp: parse the chunk one stamp at a time
-            for i, stamp in enumerate(chunk):
-                out[start + i] = _parse_stamp(stamp, lines[start + i])
-            continue
-        ok = (np.datetime_as_string(parsed) == text) & (parsed >= _FIRST_YEAR)
-        index = np.array(canonical, dtype=np.intp)[ok]
-        out[start + index] = parsed[ok].astype(np.int64)
-        slow = np.ones(len(chunk), dtype=bool)
-        slow[index] = False
-        for i in np.flatnonzero(slow).tolist():
-            out[start + i] = _parse_stamp(chunk[i], lines[start + i])
-    return out
-
-
 def _parse_stamp(text, line_no: int) -> int:
     try:
         return parse_timestamp(text)
@@ -175,7 +134,7 @@ def _parse_repo(obj: dict, line_no: int) -> RepoRecord:
         return RepoRecord(
             repo_id=_require_str(obj, "repo_id", line_no),
             full_name=_require_str(obj, "full_name", line_no),
-            created_at=parse_timestamp(obj["created_at"]),
+            created_at=_parse_stamp(obj["created_at"], line_no),
             primary_language=language,
             size_kb=_require_int(obj, "size_kb", line_no),
             owner_followers=_require_int(obj, "owner_followers", line_no),
@@ -188,11 +147,8 @@ def _parse_repo(obj: dict, line_no: int) -> RepoRecord:
         raise ParseError(line_no, str(exc)) from exc
 
 
-def _parse_event(obj: dict, line_no: int) -> tuple[str, int, object, int]:
-    """One event line as (repo_id, kind code, raw timestamp, delta).
-
-    The timestamp is parsed later, with all the others, by ``_epochs``.
-    """
+def _parse_event(obj: dict, line_no: int) -> tuple[str, int, int, int]:
+    """One event line as (repo_id, kind code, epoch seconds, delta)."""
     if obj.keys() not in _EVENT_KEY_SETS:
         _check_keys(obj, _EVENT_KEYS, frozenset({"delta"}), line_no, "event")
     kind = _require_str(obj, "kind", line_no)
@@ -201,11 +157,10 @@ def _parse_event(obj: dict, line_no: int) -> tuple[str, int, object, int]:
         raise ParseError(line_no, f"unknown event kind {kind!r}")
     delta = _require_int(obj, "delta", line_no) if "delta" in obj else 1
     repo_id = _require_str(obj, "repo_id", line_no)
-    stamp = obj["occurred_at"]
+    time = _parse_stamp(obj["occurred_at"], line_no)
     if delta == 0:
-        _parse_stamp(stamp, line_no)  # a bad timestamp on the line comes first
         raise ParseError(line_no, "delta must be nonzero")
-    return repo_id, code, stamp, delta
+    return repo_id, code, time, delta
 
 
 def _parse_manifest(obj: dict, line_no: int) -> DatasetManifest:
@@ -244,48 +199,41 @@ def load_corpus(path: str | Path, interval_days: int = 30) -> Corpus:
     path = Path(path)
     manifest: DatasetManifest | None = None
     repos: list[RepoRecord] = []
-    # Event columns in file order; timestamps stay raw until ``_epochs``.
+    # Event columns in file order.
     lines: list[int] = []
     repo_ids: list[str] = []
     kinds: list[int] = []
-    stamps: list = []
+    times: list[int] = []
     deltas: list[int] = []
     shared_ids: dict[str, str] = {}  # one string object per repo_id
     seen_lines = 0
-    try:
-        with path.open("r", encoding="utf-8", newline="") as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                seen_lines += 1
-                text = raw.strip()
-                if not text:
-                    raise ParseError(line_no, "blank line")
-                try:
-                    obj = json.loads(text)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-                if not isinstance(obj, dict):
-                    raise ParseError(line_no, "line is not a JSON object")
-                if "schema_version" in obj:
-                    manifest = _parse_manifest(obj, line_no)
-                elif "kind" in obj:
-                    repo_id, kind, stamp, delta = _parse_event(obj, line_no)
-                    lines.append(line_no)
-                    repo_ids.append(shared_ids.setdefault(repo_id, repo_id))
-                    kinds.append(kind)
-                    stamps.append(stamp)
-                    deltas.append(delta)
-                elif "full_name" in obj:
-                    repos.append(_parse_repo(obj, line_no))
-                else:
-                    raise ParseError(line_no, "unrecognized line type")
-    except ParseError:
-        # A bad timestamp on an earlier line is the first fault in the file.
-        _epochs(stamps, lines)
-        raise
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            seen_lines += 1
+            text = raw.strip()
+            if not text:
+                raise ParseError(line_no, "blank line")
+            try:
+                obj = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(line_no, "line is not a JSON object")
+            if "schema_version" in obj:
+                manifest = _parse_manifest(obj, line_no)
+            elif "kind" in obj:
+                repo_id, kind, time, delta = _parse_event(obj, line_no)
+                lines.append(line_no)
+                repo_ids.append(shared_ids.setdefault(repo_id, repo_id))
+                kinds.append(kind)
+                times.append(time)
+                deltas.append(delta)
+            elif "full_name" in obj:
+                repos.append(_parse_repo(obj, line_no))
+            else:
+                raise ParseError(line_no, "unrecognized line type")
     if seen_lines == 0:
         raise ParseError(1, "empty dataset file")
-    times = _epochs(stamps, lines)
-    del stamps  # the raw text is not needed while the columns are sorted
     if not repos:
         raise ParseError(seen_lines, "dataset contains no repository lines")
     if manifest is not None and manifest.repo_count != len(repos):
@@ -321,6 +269,10 @@ def _repo_dict(r: RepoRecord) -> dict:
         "watchers_total": r.watchers_total,
         "follower_ids": list(r.follower_ids),
     }
+
+
+# Times per batch when formatting timestamps on save.
+_CHUNK = 8192
 
 
 def _iso_seconds(times: np.ndarray) -> Iterator[str]:

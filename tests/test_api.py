@@ -6,8 +6,9 @@ from urllib.parse import parse_qs, urlparse
 import pytest
 import requests
 
-from wtps import AuthFailure, NotFound, RateLimited
+from wtps import ApiError, AuthFailure, NotFound, RateLimited
 from wtps.api import ApiClientConfig, RestClient, fetch_repo
+from wtps.cli import EXIT_API, main
 from wtps.dataset import parse_timestamp
 from wtps.model import EventKind
 
@@ -211,6 +212,44 @@ class TestFetchRepo:
         base_url, _ = mock_api
         with pytest.raises(ValueError):
             fetch_repo(_config(base_url), bad)
+
+
+class TestMalformedPayload:
+    """A payload with a missing field, or a field of the wrong type or value,
+    is an ApiError (exit 4) naming its endpoint, and nothing is written."""
+
+    @pytest.mark.parametrize("breaks,endpoint", [
+        (lambda s: s.stars.__setitem__(0, "yesterday"), "/stargazers"),
+        (lambda s: s.repo.update(created_at=None), f"/repos/{OWNER}/{NAME}:"),
+        (lambda s: s.repo.update(size=None), f"/repos/{OWNER}/{NAME}:"),
+        (lambda s: s.repo.update(size=-5), f"/repos/{OWNER}/{NAME}:"),
+        (lambda s: s.repo.pop("id"), f"/repos/{OWNER}/{NAME}:"),
+        (lambda s: s.user.update(followers="many"), f"/users/{OWNER}:"),
+    ], ids=["bad-starred-at", "null-created-at", "null-size", "negative-size",
+            "missing-id", "followers-not-a-number"])
+    def test_fetch_exits_with_api_error(self, mock_api, tmp_path, capsys, breaks, endpoint):
+        base_url, state = mock_api
+        breaks(state)
+        out = tmp_path / "fetched.jsonl"
+        code = main(["fetch", "--repo", f"{OWNER}/{NAME}", "--output", str(out),
+                     "--base-url", base_url])
+        assert code == EXIT_API
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "ApiError"
+        assert "malformed response from /" in error["message"]
+        assert endpoint in error["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_body_that_is_not_json(self):
+        class HtmlSession:
+            def get(self, url, params=None, headers=None):
+                response = requests.Response()
+                response.status_code = 200
+                response._content = b"<html>busy</html>"
+                return response
+
+        with pytest.raises(ApiError, match=f"^response from /repos/{OWNER}/{NAME} is not JSON$"):
+            fetch_repo(_config("http://127.0.0.1:9"), f"{OWNER}/{NAME}", session=HtmlSession())
 
 
 class TestErrorMapping:

@@ -318,6 +318,35 @@ class TestRejectedRuns:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--indicator", "forks", "--loss-fraction", "nan"],
+        ["graph-deletion", "--measure", "stars", "--steps", "-1"],
+        ["graph-deletion", "--measure", "forks", "--weights-one"],
+        ["sweep", "--interval-days-list", "x"],
+        ["sweep", "--interval-days-list", "30,0"],
+        ["rank", "--indicator", "forks", "--weights-one"],
+        ["graph-build", "--sample-repos", "0"],
+    ], ids=["classify-loss-nan", "deletion-steps-negative", "deletion-weights-one-forks",
+            "sweep-list-not-int", "sweep-list-width-0", "rank-weights-one-forks",
+            "graph-build-sample-0"])
+    def test_bad_flag_is_rejected_before_the_input_is_read(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"bad": 1}\n', encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([argv[0], "--input", str(bad), "--output", str(out), *argv[1:]]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr("wtps.cli.load_corpus", no_load)
+        code = main([argv[0], "--input", str(FOLLOWER_SAMPLE), "--output", str(out), *argv[1:]])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+        assert list(tmp_path.iterdir()) == [bad]
+
     @pytest.mark.parametrize("flag", ["--input", "--output"])
     def test_non_utf8_path_is_config_error(self, tmp_path, capsys, flag):
         # argv bytes that are not UTF-8 reach Python as lone surrogates.

@@ -146,7 +146,7 @@ class TestLoadCorpus:
         assert str(caught.value) == "line 2: event references unknown repo_id 'ghost'"
 
     def test_bad_timestamp_before_later_fault_is_reported(self, tmp_path):
-        # Event timestamps are parsed after the line scan; a bad one still
+        # An event's timestamp is parsed as its line is read, so a bad one
         # comes before any fault on a later line.
         path = _write(
             tmp_path, _repo_line(), _event_line(at="2018-13-01T00:00:00Z"), "{not json"

@@ -1,7 +1,7 @@
 """Hypothesis properties of the columnar event store and its file format.
 
 Each property has a plain reference beside it: ``parse_timestamp`` for the
-batch timestamp parser, ``json.dumps(indent=2)`` for ``to_json``, a loop
+event times ``load_corpus`` reads, ``json.dumps(indent=2)`` for ``to_json``, a loop
 over ``PopularityEvent`` rows for binning, ``Corpus.build`` for regrid
 and subset, exact integer shares for the weights, and chained
 ``FollowerGraph.remove_repo`` calls for the deletion series.
@@ -19,7 +19,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from wtps import ParseError, bin_events, compute_weights  # noqa: E402
-from wtps.dataset import _epochs, load_corpus, parse_timestamp, save_corpus  # noqa: E402
+from wtps.dataset import load_corpus, parse_timestamp, save_corpus  # noqa: E402
 from wtps.graph import (  # noqa: E402
     CoefficientKind,
     FollowerGraph,
@@ -68,22 +68,38 @@ def _reference(text):
         return None, str(exc)
 
 
+def _event_file(folder, stamps, created):
+    """A one-repository dataset with one star event per stamp, on lines 2, 3, ..."""
+    repo = {"repo_id": "r", "full_name": "org/r", "created_at": created,
+            "primary_language": None, "size_kb": 0, "owner_followers": 0,
+            "forks_total": 0, "stars_total": 0, "watchers_total": 0, "follower_ids": []}
+    events = [{"repo_id": "r", "kind": "star", "occurred_at": s} for s in stamps]
+    path = folder / "stamps.jsonl"
+    path.write_text("".join(json.dumps(o) + "\n" for o in [repo, *events]), encoding="utf-8")
+    return path
+
+
+@settings(deadline=None)
 @given(st.lists(st.one_of(stamp_texts(), st.text(max_size=22), st.integers()), max_size=8))
 @example(["0000-01-01T00:00:00Z", "10000-01-01T00:00:00Z"])
 @example(["2018-01-01T00:00:00z", "2018-01-01 00:00:00Z", " 2018-01-01T00:00:00Z "])
 @example(["2018-01-01T00:00:00.5Z", "2018-01-01T00:00:00+05:00", "-001-01-01T00:00:00Z"])
 @example(["2018-01-01T00:00\x00\x00\x00Z", "2018-02-30T00:00:00Z"])
-def test_batch_timestamps_agree_with_parse_timestamp(stamps):
-    lines = [10 + i for i in range(len(stamps))]
+def test_loaded_timestamps_agree_with_parse_timestamp(tmp_path_factory, stamps):
     expected = [_reference(s) for s in stamps]
+    # The repository is created at the earliest valid stamp, in its own spelling.
+    valid = [(value, s) for s, (value, error) in zip(stamps, expected) if error is None]
+    created = min(valid)[1] if valid else "2018-01-01T00:00:00Z"
+    path = _event_file(tmp_path_factory.mktemp("stamps"), stamps, created)
     bad = [i for i, (_, error) in enumerate(expected) if error is not None]
     if bad:
         with pytest.raises(ParseError) as caught:
-            _epochs(stamps, lines)
-        assert caught.value.line_no == lines[bad[0]]
+            load_corpus(path)
+        assert caught.value.line_no == 2 + bad[0]
         assert caught.value.reason == expected[bad[0]][1]
     else:
-        assert _epochs(stamps, lines).tolist() == [value for value, _ in expected]
+        loaded = load_corpus(path).event_time.tolist()
+        assert loaded == sorted(value for value, _ in expected)
 
 
 # --- JSON rendering ----------------------------------------------------------
