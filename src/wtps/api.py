@@ -21,6 +21,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
+from urllib.parse import urlsplit
 
 import requests
 
@@ -50,6 +51,11 @@ class ApiClientConfig:
             raise ValueError("page_size must be within [1, 100]")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(
+                f"base_url must be an http or https URL with a host: {self.base_url!r}"
+            )
 
 
 class RestClient:

@@ -11,7 +11,6 @@ two-mode graphs and is the default for deletion experiments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -96,54 +95,187 @@ def clustering_coefficient(g: FollowerGraph, kind: CoefficientKind) -> float:
     Raises:
         EmptyGraph: the graph has no nodes at all.
     """
+    _require_nodes(g)
+    if kind is not CoefficientKind.BIPARTITE_LATAPY:
+        return 0.0
+    return _Overlap(g).value()
+
+
+def _require_nodes(g: FollowerGraph) -> None:
     if g.node_count == 0:
         raise EmptyGraph("coefficient undefined on a graph with no nodes")
-    return _bipartite_overlap(*_adjacency(g), kind)
 
 
-def _adjacency(g: FollowerGraph) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-    """Neighbor sets per repo node and per follower node, isolated nodes included."""
-    repo_adj: dict[str, set[str]] = {r: set() for r in g.repo_nodes}
-    follower_adj: dict[str, set[str]] = {f: set() for f in g.follower_nodes}
-    for repo, follower in g.edges:
-        repo_adj[repo].add(follower)
-        follower_adj[follower].add(repo)
-    return repo_adj, follower_adj
+# Every finite double is an integer multiple of 2**-1074, so a term scaled by
+# 2**1074 is an exact int and sums of scaled terms never round.
+_SCALE = 1 << 1074
 
 
-def _bipartite_overlap(
-    repo_adj: dict[str, set[str]],
-    follower_adj: dict[str, set[str]],
-    kind: CoefficientKind,
-) -> float:
-    """Mean over all nodes of the pairwise neighbor-overlap coefficient.
+def _exact(x: float) -> int:
+    """``x * 2**1074`` as an exact int, for a finite double ``x``."""
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+class _Overlap:
+    """Pairwise-overlap coefficient of a graph, updated one repo removal at a time.
 
     Per node u, cc(u) averages |N(u) & N(v)| / |N(u) | N(v)| over the
     same-side nodes v at distance 2 from u; nodes with no such neighbors
-    (including isolated ones) contribute 0. Walking u's 2-paths counts
-    shared[v] = |N(u) & N(v)|; the union is deg(u) + deg(v) - shared[v].
-    fsum keeps the result identical regardless of iteration order. The
-    triangle-based kinds and a graph with no nodes give 0.0.
+    (including isolated ones) contribute 0, and the coefficient is the mean
+    over all nodes. Walking u's 2-paths counts shared = |N(u) & N(v)|; the
+    union is deg(u) + deg(v) - shared.
+
+    Repos and followers are numbered by sorted id, and on each side nodes
+    with identical neighbour sets form one twin class of multiplicity m.
+    Classes are indexed together, repo classes first; a class's neighbours
+    are whole classes of the other side. A member's peers are its m - 1
+    classmates (term 1.0 each, when it has neighbours) and the members of
+    every other class at distance 2. Each class keeps the exact int sum of
+    one member's peer terms and its peer count, so its value
+    ``total / 2**1074 / peers`` is bit for bit ``fsum(terms) / len(terms)``
+    (int/int division and fsum both round correctly). The node mean keeps
+    one exact int total of m * value over the classes the same way.
     """
-    if kind is not CoefficientKind.BIPARTITE_LATAPY:
-        return 0.0
-    values = []
-    for side, other in ((repo_adj, follower_adj), (follower_adj, repo_adj)):
-        for node, neighborhood in side.items():
-            shared: dict[str, int] = {}
-            for middle in neighborhood:
-                for peer in other[middle]:
-                    shared[peer] = shared.get(peer, 0) + 1
-            shared.pop(node, None)
-            if not shared:
-                values.append(0.0)
-                continue
-            overlaps = math.fsum(
-                count / (len(neighborhood) + len(side[peer]) - count)
-                for peer, count in shared.items()
-            )
-            values.append(overlaps / len(shared))
-    return math.fsum(values) / len(values) if values else 0.0
+
+    def __init__(self, g: FollowerGraph) -> None:
+        self.class_of, self.mult, self.adj, self.deg = _twin_classes(g)
+        self.terms: dict[tuple[int, int], int] = {}
+        self.total: list[int] = []
+        self.peers: list[int] = []
+        mult, deg, term = self.mult, self.deg, self._term
+        for c in range(len(mult)):
+            shared = self._walk(c)
+            shared.pop(c, None)
+            dc = deg[c]
+            total = peers = 0
+            for d, s in shared.items():
+                total += mult[d] * term(s, dc + deg[d] - s)
+                peers += mult[d]
+            if dc:
+                total += (mult[c] - 1) * _SCALE
+                peers += mult[c] - 1
+            self.total.append(total)
+            self.peers.append(peers)
+        self.val = [self._class_value(c) for c in range(len(mult))]
+        self.node_total = sum(m * _exact(v) for m, v in zip(mult, self.val))
+        self.node_count = g.node_count
+
+    def value(self) -> float:
+        if not self.node_count:
+            return 0.0
+        return self.node_total / _SCALE / self.node_count
+
+    def remove(self, repo_id: str) -> None:
+        """Drop one repo node; only the terms it changes are touched.
+
+        Repo side: each other repo class sharing followers with it loses one
+        peer, and its classmates lose one. Follower side: each class adjacent
+        to it loses one degree, so every term at its 2-paths is replaced; a
+        pair of two such classes loses one shared repo, is updated once from
+        each end, and drops out when nothing is left shared.
+        """
+        mult, deg, adj, total, peers = self.mult, self.deg, self.adj, self.total, self.peers
+        term = self._term
+        r = self.class_of[repo_id]
+        hit = set(adj[r])
+        touched = {r, *hit}
+        for f in hit:
+            shared = self._walk(f)
+            del shared[f]
+            df, mf = deg[f], mult[f]
+            if df == 1 and mf > 1:
+                total[f] -= (mf - 1) * _SCALE
+                peers[f] -= mf - 1
+            for p, s in shared.items():
+                dp, mp = deg[p], mult[p]
+                old = term(s, df + dp - s)
+                if p not in hit:
+                    diff = term(s, df - 1 + dp - s) - old
+                    total[f] += mp * diff
+                    total[p] += mf * diff
+                    touched.add(p)
+                elif s > 1:
+                    total[f] += mp * (term(s - 1, df + dp - s - 1) - old)
+                else:
+                    total[f] -= mp * old
+                    peers[f] -= mp
+        shared = self._walk(r)
+        shared.pop(r, None)
+        for d, s in shared.items():
+            total[d] -= term(s, deg[r] + deg[d] - s)
+            peers[d] -= 1
+            touched.add(d)
+        if deg[r] and mult[r] > 1:
+            total[r] -= _SCALE
+            peers[r] -= 1
+        for f in hit:
+            deg[f] -= 1
+        mult[r] -= 1
+        if not mult[r]:
+            for f in hit:
+                adj[f].remove(r)
+            adj[r] = []
+        self.node_total -= _exact(self.val[r])
+        self.node_count -= 1
+        for c in touched:
+            v = self._class_value(c)
+            self.node_total += mult[c] * (_exact(v) - _exact(self.val[c]))
+            self.val[c] = v
+
+    def _walk(self, c: int) -> dict[int, int]:
+        """Shared-neighbour count with every class at distance 2 or 0."""
+        shared: dict[int, int] = {}
+        for x in self.adj[c]:
+            m = self.mult[x]
+            for d in self.adj[x]:
+                shared[d] = shared.get(d, 0) + m
+        return shared
+
+    def _term(self, shared: int, union: int) -> int:
+        key = (shared, union)
+        term = self.terms.get(key)
+        if term is None:
+            term = self.terms[key] = _exact(shared / union)
+        return term
+
+    def _class_value(self, c: int) -> float:
+        if not self.peers[c]:
+            return 0.0
+        return self.total[c] / _SCALE / self.peers[c]
+
+
+def _twin_classes(
+    g: FollowerGraph,
+) -> tuple[dict[str, int], list[int], list[list[int]], list[int]]:
+    """The graph's twin classes, numbered in sorted id order, repo classes first.
+
+    Returns each repo's class, and per class its multiplicity, its
+    neighbour classes and its members' degree.
+    """
+    repo_nbrs: dict[str, list[str]] = {r: [] for r in sorted(g.repo_nodes)}
+    follower_nbrs: dict[str, list[str]] = {f: [] for f in sorted(g.follower_nodes)}
+    for repo, follower in g.edges:
+        repo_nbrs[repo].append(follower)
+        follower_nbrs[follower].append(repo)
+    repo_class, repo_keys = _group(repo_nbrs)
+    follower_class, follower_keys = _group(follower_nbrs)
+    offset = len(repo_keys)
+    mult = [0] * (offset + len(follower_keys))
+    for c in repo_class.values():
+        mult[c] += 1
+    for c in follower_class.values():
+        mult[offset + c] += 1
+    adj = [list({offset + follower_class[f] for f in key}) for key in repo_keys]
+    adj += [list({repo_class[r] for r in key}) for key in follower_keys]
+    return repo_class, mult, adj, [len(key) for key in repo_keys + follower_keys]
+
+
+def _group(nbrs: dict[str, list[str]]) -> tuple[dict[str, int], list[tuple[str, ...]]]:
+    """Class per node, numbered in node order, and each class's neighbours."""
+    classes: dict[tuple[str, ...], int] = {}
+    of = {node: classes.setdefault(tuple(sorted(n)), len(classes)) for node, n in nbrs.items()}
+    return of, list(classes)
 
 
 @dataclass(frozen=True)
@@ -196,13 +328,16 @@ def deletion_experiment(
     if missing:
         raise ValueError(f"missing scores for repo nodes: {missing[:5]}")
 
-    values = [clustering_coefficient(g, kind)]
-    repo_adj, follower_adj = _adjacency(g)
+    _require_nodes(g)
     removed = sorted(g.repo_nodes, key=lambda rid: (-scores[rid], rid))[:steps]
-    for target in removed:
-        for follower in repo_adj.pop(target):
-            follower_adj[follower].discard(target)
-        values.append(_bipartite_overlap(repo_adj, follower_adj, kind))
+    if kind is not CoefficientKind.BIPARTITE_LATAPY:
+        values = [0.0] * (steps + 1)
+    else:
+        overlap = _Overlap(g)
+        values = [overlap.value()]
+        for target in removed:
+            overlap.remove(target)
+            values.append(overlap.value())
     return DeletionSeries(
         measure=measure,
         coefficient_kind=kind,

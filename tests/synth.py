@@ -6,10 +6,11 @@ so property-style loops stay reproducible without any global seeding.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from wtps.graph import FollowerGraph
+from wtps.graph import CoefficientKind, FollowerGraph
 from wtps.model import Corpus, EventKind, PopularityEvent, RepoRecord
 
 BASE_TS = 1_514_764_800  # 2018-01-01T00:00:00Z
@@ -208,3 +209,57 @@ def overlap_oracle(g: FollowerGraph) -> float:
             )
             per_node.append(total / len(peers))
     return float(sum(per_node) / len(per_node))
+
+
+def fsum_overlap_reference(g: FollowerGraph) -> float:
+    """The overlap coefficient by a plain fsum over every node's 2-paths.
+
+    This is the library's former kernel, kept verbatim as a bit-exact
+    reference for the twin-class kernel: both must give the same double.
+    """
+    return _bipartite_overlap(*_adjacency(g), CoefficientKind.BIPARTITE_LATAPY)
+
+
+def _adjacency(g: FollowerGraph) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """Neighbor sets per repo node and per follower node, isolated nodes included."""
+    repo_adj: dict[str, set[str]] = {r: set() for r in g.repo_nodes}
+    follower_adj: dict[str, set[str]] = {f: set() for f in g.follower_nodes}
+    for repo, follower in g.edges:
+        repo_adj[repo].add(follower)
+        follower_adj[follower].add(repo)
+    return repo_adj, follower_adj
+
+
+def _bipartite_overlap(
+    repo_adj: dict[str, set[str]],
+    follower_adj: dict[str, set[str]],
+    kind: CoefficientKind,
+) -> float:
+    """Mean over all nodes of the pairwise neighbor-overlap coefficient.
+
+    Per node u, cc(u) averages |N(u) & N(v)| / |N(u) | N(v)| over the
+    same-side nodes v at distance 2 from u; nodes with no such neighbors
+    (including isolated ones) contribute 0. Walking u's 2-paths counts
+    shared[v] = |N(u) & N(v)|; the union is deg(u) + deg(v) - shared[v].
+    fsum keeps the result identical regardless of iteration order. The
+    triangle-based kinds and a graph with no nodes give 0.0.
+    """
+    if kind is not CoefficientKind.BIPARTITE_LATAPY:
+        return 0.0
+    values = []
+    for side, other in ((repo_adj, follower_adj), (follower_adj, repo_adj)):
+        for node, neighborhood in side.items():
+            shared: dict[str, int] = {}
+            for middle in neighborhood:
+                for peer in other[middle]:
+                    shared[peer] = shared.get(peer, 0) + 1
+            shared.pop(node, None)
+            if not shared:
+                values.append(0.0)
+                continue
+            overlaps = math.fsum(
+                count / (len(neighborhood) + len(side[peer]) - count)
+                for peer, count in shared.items()
+            )
+            values.append(overlaps / len(shared))
+    return math.fsum(values) / len(values) if values else 0.0

@@ -346,3 +346,7 @@ class TestRateCap:
             ApiClientConfig(requests_per_hour_cap=0)
         with pytest.raises(ValueError):
             ApiClientConfig(retry_limit=-1)
+        for url in ("notaurl", "ftp://example.com", "http://", "https:///path", "example.com"):
+            with pytest.raises(ValueError):
+                ApiClientConfig(base_url=url)
+        ApiClientConfig(base_url="http://127.0.0.1:9/api")

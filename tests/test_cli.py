@@ -293,6 +293,9 @@ class TestRejectedRuns:
         # A local base URL: if the width check regressed, no request leaves the host.
         ["fetch", "--repo", "o/r", "--interval-days", str(10**17),
          "--base-url", "http://127.0.0.1:9"],
+        ["fetch", "--repo", "o/r", "--base-url", "notaurl"],
+        ["fetch", "--repo", "o/r", "--base-url", "file:///tmp/api"],
+        ["fetch", "--repo", "o/r", "--base-url", "https://"],
         ["classify", "--input", str(COMMUNITY_SAMPLE), "--indicator", "forks",
          "--loss-fraction", "nan", "--growth-fraction", "nan", "--min-activity", "-5"],
         ["classify", "--input", str(COMMUNITY_SAMPLE), "--indicator", "forks",
@@ -308,7 +311,8 @@ class TestRejectedRuns:
     ], ids=["steps", "page-size", "requests-per-hour", "retry-limit",
             "repo-three-parts", "repo-no-owner", "repo-no-name",
             "score-width-0", "score-width-huge", "sweep-width-0", "sweep-width-huge",
-            "fetch-width-huge", "classify-all-bad", "classify-loss-nan",
+            "fetch-width-huge", "fetch-base-url-no-scheme", "fetch-base-url-file",
+            "fetch-base-url-no-host", "classify-all-bad", "classify-loss-nan",
             "classify-growth-above-1", "classify-loss-negative", "classify-growth-inf",
             "classify-activity-negative"])
     def test_bad_numeric_flag_is_config_error(self, tmp_path, capsys, argv):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,17 +8,30 @@ from wtps import EmptyGraph, Indicator, StepsExceedRepoCount
 from wtps.graph import (
     CoefficientKind,
     FollowerGraph,
+    _exact,
     build_graph,
     clustering_coefficient,
     deletion_experiment,
     format_edge_list,
     scores_for_measure,
 )
-from synth import make_bipartite_graph, overlap_oracle
+from synth import fsum_overlap_reference, make_bipartite_graph, overlap_oracle
 
 # Exhaustively precomputed overlap coefficient for the shipped 3-repo sample
 # (see synth.overlap_oracle): mean of per-node overlap means = 61/126.
 FOLLOWER_SAMPLE_OVERLAP = Fraction(61, 126)
+
+
+def _pareto_graph(rng: random.Random) -> FollowerGraph:
+    """60 repos, 240 followers with Pareto(1.5) follower degrees."""
+    repos = [f"r{i}" for i in range(60)]
+    followers = [f"f{i}" for i in range(240)]
+    edges = {
+        (repo, follower)
+        for follower in followers
+        for repo in rng.sample(repos, min(len(repos), int(rng.paretovariate(1.5))))
+    }
+    return FollowerGraph(frozenset(repos), frozenset(followers), frozenset(edges))
 
 
 @pytest.fixture()
@@ -138,15 +152,7 @@ class TestClusteringCoefficients:
         # Pareto(1.5) follower degrees reach hub followers and peer counts
         # far beyond the small dense graphs above.
         nx = pytest.importorskip("networkx")
-        rng = random.Random(seed)
-        repos = [f"r{i}" for i in range(60)]
-        followers = [f"f{i}" for i in range(240)]
-        edges = {
-            (repo, follower)
-            for follower in followers
-            for repo in rng.sample(repos, min(len(repos), int(rng.paretovariate(1.5))))
-        }
-        graph = FollowerGraph(frozenset(repos), frozenset(followers), frozenset(edges))
+        graph = _pareto_graph(random.Random(seed))
         expected = nx.algorithms.bipartite.average_clustering(
             self._networkx_graph(nx, graph), mode="dot"
         )
@@ -157,6 +163,10 @@ class TestClusteringCoefficients:
         empty = FollowerGraph(frozenset(), frozenset(), frozenset())
         with pytest.raises(EmptyGraph):
             clustering_coefficient(empty, CoefficientKind.BIPARTITE_LATAPY)
+
+    @pytest.mark.parametrize("x", [0.0, 5e-324, sys.float_info.min, 1 / 3, 1.0])
+    def test_exact_int_round_trips(self, x):
+        assert _exact(x) / (1 << 1074) == x
 
 
 class TestDeletionExperiment:
@@ -218,6 +228,20 @@ class TestDeletionExperiment:
     def test_missing_scores_rejected(self, sample_graph):
         with pytest.raises(ValueError):
             deletion_experiment(sample_graph, {"R1": 1.0}, steps=1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_long_series_on_heavy_tailed_graphs_equals_reference(self, seed):
+        # Hub followers and follower twins, over 25 removals.
+        rng = random.Random(seed)
+        graph = _pareto_graph(rng)
+        scores = {r: float(rng.randint(0, 20)) for r in sorted(graph.repo_nodes)}
+        series = deletion_experiment(graph, scores, steps=25)
+        expected = [fsum_overlap_reference(graph)]
+        current = graph
+        for repo in series.removed:
+            current = current.remove_repo(repo)
+            expected.append(fsum_overlap_reference(current))
+        assert list(series.values) == expected
 
     def test_series_json_round_trip(self, sample_graph, follower_corpus):
         series = deletion_experiment(

@@ -3,8 +3,10 @@
 Each property has a plain reference beside it: ``parse_timestamp`` for the
 event times ``load_corpus`` reads, ``json.dumps(indent=2)`` for ``to_json``, a loop
 over ``PopularityEvent`` rows for binning, ``Corpus.build`` for regrid
-and subset, exact integer shares for the weights, and chained
-``FollowerGraph.remove_repo`` calls for the deletion series.
+and subset, exact integer shares for the weights, the former fsum kernel
+(``synth.fsum_overlap_reference``) on chained ``FollowerGraph.remove_repo``
+calls for the deletion series, and ``math.fsum`` for the exact integer sums
+the twin-class kernel keeps.
 """
 
 import json
@@ -23,7 +25,7 @@ from wtps.dataset import load_corpus, parse_timestamp, save_corpus  # noqa: E402
 from wtps.graph import (  # noqa: E402
     CoefficientKind,
     FollowerGraph,
-    clustering_coefficient,
+    _exact,
     deletion_experiment,
 )
 from wtps.model import (  # noqa: E402
@@ -35,6 +37,7 @@ from wtps.model import (  # noqa: E402
 )
 from wtps.serialize import to_json  # noqa: E402
 from wtps.stats import DEFAULT_SWEEP_DAYS  # noqa: E402
+from synth import fsum_overlap_reference  # noqa: E402
 
 # 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59Z, the years a dataset can spell.
 FIRST_TS = -62_135_596_800
@@ -269,25 +272,42 @@ def test_weights_are_shares_of_the_net_total(binned):
 @st.composite
 def follower_graphs(draw):
     """Small graphs over one id alphabet, so a repo and a follower may share
-    text, with isolated repos and followers."""
+    text, with isolated repos and followers, repo twins (a repo copying
+    another's follower set) and follower twins."""
     ids = st.sampled_from(["a", "b", "c", "d", "e", "f"])
     repos = draw(st.sets(ids, min_size=1))
     followers = draw(st.sets(ids))
     pairs = sorted((r, f) for r in repos for f in followers)
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    for k, source in enumerate(draw(st.lists(st.sampled_from(sorted(repos)), max_size=3))):
+        twin = f"{source}{k}"
+        repos.add(twin)
+        edges |= {(twin, f) for r, f in list(edges) if r == source}
+    if followers:
+        for k, source in enumerate(draw(st.lists(st.sampled_from(sorted(followers)),
+                                                 max_size=3))):
+            twin = f"{source}{k}"
+            followers.add(twin)
+            edges |= {(r, twin) for r, f in list(edges) if f == source}
     scores = {r: draw(st.integers(0, 3)) * 1.0 for r in sorted(repos)}
     return FollowerGraph(frozenset(repos), frozenset(followers), frozenset(edges)), scores
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(follower_graphs(), st.sampled_from(CoefficientKind))
 def test_deletion_series_equals_recompute_after_each_removal(data, kind):
     graph, scores = data
     series = deletion_experiment(graph, scores, len(graph.repo_nodes), kind)
     assert list(series.removed) == sorted(scores, key=lambda r: (-scores[r], r))
+    latapy = kind is CoefficientKind.BIPARTITE_LATAPY
     current = graph
     for k, value in enumerate(series.values):
         if k:
             current = current.remove_repo(series.removed[k - 1])
-        expected = clustering_coefficient(current, kind) if current.node_count else 0.0
-        assert value == expected
+        assert value == (fsum_overlap_reference(current) if latapy else 0.0)
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 50)), max_size=30))
+def test_exact_int_sum_equals_fsum(terms):
+    total = sum(m * _exact(x) for x, m in terms)
+    assert total / (1 << 1074) == math.fsum(x for x, m in terms for _ in range(m))
