@@ -21,6 +21,8 @@ save -> load is the identity.
 from __future__ import annotations
 
 import json
+import re
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -45,6 +47,20 @@ _EVENT_KEY_SETS = (set(_EVENT_KEYS), set(_EVENT_KEYS[:3]))
 _KIND_NAMES = tuple(kind.value for kind in EVENT_KINDS)
 _KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}
 _MANIFEST_KEYS = ("schema_version", "captured_at", "repo_count", "source")
+
+# An event line as ``save_corpus`` writes it: a repo_id free of escapes, of
+# control characters and of undecodable bytes, an in-range UTC time of day
+# and, when given, a delta without a leading zero that fits int64. ``[0-9]``,
+# not ``\d``, which also matches other scripts' digits. Lines that do not
+# match, or whose date does not exist, are decoded as JSON.
+_CANONICAL_EVENT = re.compile(
+    r'\{"repo_id":"([^"\\\x00-\x1f\udc80-\udcff]*)","kind":"(fork|star)",'
+    r'"occurred_at":"([0-9]{4}-[0-9]{2}-[0-9]{2})T'
+    r'([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])Z"'
+    r'(?:,"delta":(-?[1-9][0-9]{0,17}))?\}'
+)
+# Bytes that are not UTF-8, as the "surrogateescape" error handler reads them.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 class DatasetSource(Enum):
@@ -86,6 +102,14 @@ def parse_timestamp(text: str) -> int:
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=timezone.utc)
     return int(moment.timestamp())
+
+
+def _epoch_day(date: str) -> int | None:
+    """``parse_timestamp`` of a "YYYY-MM-DD" date, or None if it is no date."""
+    try:
+        return parse_timestamp(date)
+    except ValueError:
+        return None
 
 
 def _parse_stamp(text, line_no: int) -> int:
@@ -200,23 +224,47 @@ def load_corpus(path: str | Path, interval_days: int = 30) -> Corpus:
     manifest: DatasetManifest | None = None
     repos: list[RepoRecord] = []
     # Event columns in file order.
-    lines: list[int] = []
+    lines = array("q")
     repo_ids: list[str] = []
     kinds: list[int] = []
-    times: list[int] = []
+    times = array("q")
     deltas: list[int] = []
     shared_ids: dict[str, str] = {}  # one string object per repo_id
-    seen_lines = 0
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    days: dict[str, int | None] = {}  # epoch second of each date's midnight
+    canonical = _CANONICAL_EVENT.fullmatch
+    line_no = 0  # the last line read
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         for line_no, raw in enumerate(handle, start=1):
-            seen_lines += 1
             text = raw.strip()
+            # Canonical event lines skip JSON decoding; every other line,
+            # faulty ones included, is decoded and checked below.
+            match = canonical(text)
+            if match is not None:
+                repo_id, kind, date, hour, minute, second, delta = match.groups()
+                try:
+                    day = days[date]
+                except KeyError:
+                    day = days[date] = _epoch_day(date)
+                if day is not None:
+                    lines.append(line_no)
+                    repo_ids.append(shared_ids.setdefault(repo_id, repo_id))
+                    kinds.append(_KIND_CODES[kind])
+                    times.append(day + 3600 * int(hour) + 60 * int(minute) + int(second))
+                    deltas.append(1 if delta is None else int(delta))
+                    continue
             if not text:
                 raise ParseError(line_no, "blank line")
+            bad = _UNDECODABLE.search(text)
+            if bad is not None:
+                raise ParseError(
+                    line_no, f"invalid UTF-8: byte 0x{ord(bad.group()) - 0xDC00:02x}"
+                )
             try:
                 obj = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:  # too many digits or too deep
+                raise ParseError(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ParseError(line_no, "line is not a JSON object")
             if "schema_version" in obj:
@@ -232,10 +280,10 @@ def load_corpus(path: str | Path, interval_days: int = 30) -> Corpus:
                 repos.append(_parse_repo(obj, line_no))
             else:
                 raise ParseError(line_no, "unrecognized line type")
-    if seen_lines == 0:
+    if line_no == 0:
         raise ParseError(1, "empty dataset file")
     if not repos:
-        raise ParseError(seen_lines, "dataset contains no repository lines")
+        raise ParseError(line_no, "dataset contains no repository lines")
     if manifest is not None and manifest.repo_count != len(repos):
         raise ParseError(
             1, f"manifest repo_count {manifest.repo_count} != {len(repos)} repository lines"

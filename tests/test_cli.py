@@ -396,6 +396,30 @@ class TestRejectedRuns:
         assert error["error"] == "ParseError" and "line 1" in error["message"]
         assert list(tmp_path.iterdir()) == [dataset]
 
+    @pytest.mark.parametrize("line,reason", [
+        ('{"repo_id":"R1","kind":"star","occurred_at":"2018-01-02T00:00:00Z","delta":1'
+         + "0" * 4999 + "}", "invalid JSON: Exceeds the limit"),
+        ('{"repo_id":"R5","full_name":"o/r","created_at":"2018-01-01T00:00:00Z",'
+         '"primary_language":null,"size_kb":1' + "0" * 4999 + ',"owner_followers":1,'
+         '"forks_total":1,"stars_total":1,"watchers_total":1,"follower_ids":[]}',
+         "invalid JSON: Exceeds the limit"),
+        ('{"repo_id":"R1","kind":"star","occurred_at":"2018-01-02T00:00:00Z","delta":'
+         + "[" * 100_000 + "]" * 100_000 + "}", "invalid JSON: maximum recursion depth"),
+        ('{"repo_id":"R\xff1","kind":"star","occurred_at":"2018-01-02T00:00:00Z"}',
+         "invalid UTF-8: byte 0xff"),
+    ], ids=["delta-5000-digits", "size-kb-5000-digits", "nested-100000-deep",
+            "invalid-utf8"])
+    def test_undecodable_line_is_data_error(self, tmp_path, capsys, line, reason):
+        dataset = tmp_path / "d.jsonl"
+        # Latin-1 keeps 0xff a single byte that is not UTF-8.
+        dataset.write_bytes(COMMUNITY_SAMPLE.read_bytes() + line.encode("latin-1") + b"\n")
+        code = main(["score", "--input", str(dataset), "--output", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "ParseError"
+        assert error["message"].startswith(f"line 46: {reason}")
+        assert list(tmp_path.iterdir()) == [dataset]
+
 
 class TestImportSurface:
     def test_package_exports_quick_start_names_and_error_types(self):

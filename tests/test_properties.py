@@ -1,12 +1,15 @@
 """Hypothesis properties of the columnar event store and its file format.
 
 Each property has a plain reference beside it: ``parse_timestamp`` for the
-event times ``load_corpus`` reads, ``json.dumps(indent=2)`` for ``to_json``, a loop
-over ``PopularityEvent`` rows for binning, ``Corpus.build`` for regrid
-and subset, exact integer shares for the weights, the former fsum kernel
-(``synth.fsum_overlap_reference``) on chained ``FollowerGraph.remove_repo``
-calls for the deletion series, and ``math.fsum`` for the exact integer sums
-the twin-class kernel keeps.
+event times ``load_corpus`` reads, the same lines spelled with spaces (so
+decoded as JSON) for canonical event lines, ``json.dumps(indent=2)`` for
+``to_json``, a loop over ``PopularityEvent`` rows for binning,
+``Corpus.build`` for regrid and subset, exact integer shares for the
+weights, the former fsum kernel (``synth.fsum_overlap_reference``) on chained
+``FollowerGraph.remove_repo`` calls for the deletion series, and
+``math.fsum`` for the exact integer sums the twin-class kernel keeps. The
+last property mutates the shipped samples and requires every CLI command to
+exit with a typed code and to leave no output when it fails.
 """
 
 import json
@@ -20,7 +23,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from wtps import ParseError, bin_events, compute_weights  # noqa: E402
+from wtps import ParseError, WtpsError, bin_events, compute_weights  # noqa: E402
+from wtps.cli import (  # noqa: E402
+    EXIT_API,
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_DOMAIN,
+    EXIT_IO,
+    EXIT_OK,
+    main,
+)
 from wtps.dataset import load_corpus, parse_timestamp, save_corpus  # noqa: E402
 from wtps.graph import (  # noqa: E402
     CoefficientKind,
@@ -37,6 +49,7 @@ from wtps.model import (  # noqa: E402
 )
 from wtps.serialize import to_json  # noqa: E402
 from wtps.stats import DEFAULT_SWEEP_DAYS  # noqa: E402
+from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE  # noqa: E402
 from synth import fsum_overlap_reference  # noqa: E402
 
 # 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59Z, the years a dataset can spell.
@@ -103,6 +116,100 @@ def test_loaded_timestamps_agree_with_parse_timestamp(tmp_path_factory, stamps):
     else:
         loaded = load_corpus(path).event_time.tolist()
         assert loaded == sorted(value for value, _ in expected)
+
+
+# --- canonical event lines -----------------------------------------------------
+
+_OTHER_DIGITS = "٣３𝟗"  # Arabic-Indic, fullwidth and mathematical digits
+_REPO_IDS = ("r", "A", 'a"b', "é")
+
+
+@st.composite
+def stamp_tokens(draw):
+    """A JSON string in the canonical stamp's shape, often out of range."""
+    year = draw(st.sampled_from([0, 1, 1969, 1970, 2018, 9999]))
+    month, day = draw(st.integers(0, 13)), draw(st.integers(0, 32))
+    hour, minute, second = (draw(st.integers(0, 25)), draw(st.integers(0, 61)),
+                            draw(st.integers(0, 61)))
+    stamp = f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}Z"
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.sampled_from([i for i, c in enumerate(stamp) if c.isdigit()]))
+        stamp = stamp[:at] + draw(st.sampled_from(_OTHER_DIGITS)) + stamp[at + 1:]
+    return f'"{stamp}"'
+
+
+_event_tokens = st.tuples(
+    st.one_of(st.sampled_from(_REPO_IDS).map(lambda r: json.dumps(r, ensure_ascii=False)),
+              st.sampled_from(['"\\u0041"', '"a\\"b"', '"r\x01"', '""', '"é\\u00e9"'])),
+    st.sampled_from(['"fork"', '"star"', '"watch"', "1"]),
+    stamp_tokens(),
+    st.one_of(
+        st.none(),
+        st.integers(-(10**20), 10**20).map(str),
+        st.sampled_from(["0", "-0", "01", "-01", "1.0", "true", '"1"', "9" * 19,
+                         "-" + "9" * 18, *_OTHER_DIGITS]),
+    ),
+)
+
+
+def _event_line(tokens, comma, colon):
+    """One event line from its value tokens, in the canonical key order."""
+    keys = ("repo_id", "kind", "occurred_at", "delta")
+    return "{" + comma.join(
+        f'"{key}"{colon}{token}' for key, token in zip(keys, tokens) if token is not None
+    ) + "}"
+
+
+def _outcome(path):
+    """The loaded corpus, or the error's type, message and line."""
+    try:
+        return load_corpus(path), None
+    except WtpsError as exc:
+        return None, (type(exc), str(exc), getattr(exc, "line_no", None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_event_tokens, min_size=1, max_size=4), st.sampled_from(["\n", "\r\n", "\r"]))
+@example([('"r"', '"star"', '"2018-01-0٣T00:00:00Z"', None)], "\n")
+@example([('"r"', '"star"', '"2018-01-01T1٣:00:00Z"', "1")], "\n")
+@example([('"r"', '"star"', '"2018-01-01T00:0３:5𝟗Z"', "1")], "\n")
+@example([('"r"', '"fork"', '"2018-01-01T00:00:00Z"', "٣")], "\n")
+@example([('"a\\"b"', '"star"', '"2018-01-01T00:00:00Z"', "2"),
+          ('"\\u0041"', '"fork"', '"2018-01-01T00:00:00Z"', "-1")], "\n")
+@example([('"r\x01"', '"star"', '"2018-01-01T00:00:00Z"', None)], "\n")
+@example([('"r"', '"star"', '"2018-01-01T24:00:00Z"', None)], "\n")
+@example([('"r"', '"star"', '"2018-01-01T00:00:60Z"', None)], "\n")
+@example([('"r"', '"star"', '"2019-02-29T00:00:00Z"', None)], "\n")
+@example([('"r"', '"star"', '"0000-01-01T00:00:00Z"', None)], "\n")
+@example([('"r"', '"star"', '"2018-01-01T00:00:00Z"', delta)
+          for delta in ("3", None, "9" * 18, "1" + "0" * 18)], "\n")
+@example([('"r"', '"star"', '"2018-01-01T00:00:00Z"', "0")], "\n")
+@example([('"r"', '"star"', '"2018-01-01T00:00:00Z"', "-0")], "\n")
+@example([('"r"', '"star"', '"2018-01-01T00:00:00Z"', "01")], "\n")
+@example([('"r"', '"star"', '"2018-01-01T00:00:00Z"', "9" * 19)], "\n")
+@example([('"é"', '"fork"', '"2018-01-01T00:00:00Z"', "-2"),
+          ('"r"', '"star"', '"2018-01-02T03:04:05Z"', None)], "\r\n")
+@example([('"é"', '"fork"', '"2018-01-01T00:00:00Z"', "-2"),
+          ('"r"', '"star"', '"2018-01-02T03:04:05Z"', None)], "\r")
+def test_canonical_event_lines_load_as_their_spaced_spelling(tmp_path_factory, events, newline):
+    # The spaced spelling never matches the canonical pattern, so it is
+    # always decoded as JSON: the reference for the canonical one.
+    folder = tmp_path_factory.mktemp("canonical")
+    repos = [json.dumps({"repo_id": rid, "full_name": "o/r",
+                         "created_at": "0001-01-01T00:00:00Z", "primary_language": None,
+                         "size_kb": 0, "owner_followers": 0, "forks_total": 0,
+                         "stars_total": 0, "watchers_total": 0, "follower_ids": []},
+                        ensure_ascii=False)
+             for rid in _REPO_IDS]
+    outcomes = []
+    for name, comma, colon in (("canonical", ",", ":"), ("spaced", ", ", ": ")):
+        path = folder / f"{name}.jsonl"
+        lines = repos + [_event_line(tokens, comma, colon) for tokens in events]
+        path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+        outcomes.append(_outcome(path))
+    (canonical, error), (spaced, spaced_error) = outcomes
+    assert error == spaced_error
+    assert canonical == spaced
 
 
 # --- JSON rendering ----------------------------------------------------------
@@ -311,3 +418,59 @@ def test_deletion_series_equals_recompute_after_each_removal(data, kind):
 def test_exact_int_sum_equals_fsum(terms):
     total = sum(m * _exact(x) for x, m in terms)
     assert total / (1 << 1074) == math.fsum(x for x, m in terms for _ in range(m))
+
+
+# --- the CLI boundary ----------------------------------------------------------
+
+_COMMANDS = (
+    ("ingest",), ("score",), ("rank", "--indicator", "wtps"), ("correlate",), ("sweep",),
+    ("classify", "--indicator", "stars"), ("graph-build",),
+    ("graph-deletion", "--measure", "stars"), ("summarize",),
+)
+_TYPED_EXITS = {EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_API, EXIT_DOMAIN, EXIT_IO}
+_SWAPPED_VALUES = (None, True, 0, -1, 2.5, "x", "", [], ["x"], {}, 10**30,
+                   "2018-01-01T00:00:00Z")
+
+
+@st.composite
+def mutated_samples(draw):
+    """A shipped sample's bytes after one to three mutations of its lines."""
+    lines = draw(st.sampled_from([COMMUNITY_SAMPLE, FOLLOWER_SAMPLE])).read_bytes().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        how = draw(st.sampled_from(["truncate", "flip", "swap", "duplicate", "shuffle"]))
+        if how == "truncate":
+            lines[i] = line[:draw(st.integers(0, len(line)))]
+        elif how == "flip" and line:
+            at = draw(st.integers(0, len(line) - 1))
+            lines[i] = line[:at] + bytes([line[at] ^ draw(st.integers(1, 255))]) + line[at + 1:]
+        elif how == "swap":
+            try:
+                obj = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(obj, dict) and obj:
+                obj[draw(st.sampled_from(sorted(obj)))] = draw(st.sampled_from(_SWAPPED_VALUES))
+                lines[i] = json.dumps(obj, separators=(",", ":")).encode()
+        elif how == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        elif how == "shuffle":
+            draw(st.randoms(use_true_random=False)).shuffle(lines)
+    return b"\n".join(lines) + b"\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(mutated_samples())
+def test_mutated_samples_exit_typed_and_fail_without_output(tmp_path_factory, data):
+    folder = tmp_path_factory.mktemp("fuzz")
+    dataset = folder / "input.jsonl"
+    dataset.write_bytes(data)
+    for command in _COMMANDS:
+        outputs = folder / command[0]
+        outputs.mkdir()
+        code = main([command[0], "--input", str(dataset),
+                     "--output", str(outputs / "out"), *command[1:]])
+        assert code in _TYPED_EXITS
+        expected = ["out", "out.meta.json"] if code == EXIT_OK else []
+        assert sorted(p.name for p in outputs.iterdir()) == expected
