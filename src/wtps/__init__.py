@@ -25,6 +25,7 @@ from .errors import (
     EventOutsideGrid,
     IntervalOutOfRange,
     LengthMismatch,
+    NegativeIntervalTotal,
     NotFound,
     ParseError,
     RateLimited,
@@ -52,6 +53,7 @@ __all__ = [
     "Indicator",
     "IntervalOutOfRange",
     "LengthMismatch",
+    "NegativeIntervalTotal",
     "NotFound",
     "ParseError",
     "RateLimited",

@@ -1,6 +1,8 @@
 import csv
 import importlib
+import io
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -8,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from wtps import cli
 from wtps.cli import (
+    _CHUNK_ROWS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DOMAIN,
@@ -26,8 +30,10 @@ from wtps.serialize import (
 )
 import wtps
 from wtps import Indicator, bin_events, compute_weights, load_corpus, rank, score_all
+from wtps.dataset import save_corpus
 from wtps.model import Corpus
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE
+from synth import make_corpus
 from test_golden import DIGESTS, run_all
 
 
@@ -129,6 +135,77 @@ class TestScoreCommand:
               "--format", "json"])
         records = json.loads(out.read_text())
         assert {r["repo_id"] for r in records} == {"R1", "R2", "R3", "R4"}
+
+
+@pytest.fixture(scope="module")
+def wide_dataset(tmp_path_factory):
+    """A dataset whose 4,900-row score table spans three slices of the
+    table writer."""
+    path = tmp_path_factory.mktemp("wide") / "wide.jsonl"
+    save_corpus(make_corpus(random.Random(7), n_repos=700, n_intervals=6), path)
+    return path
+
+
+class TestChunkedOutput:
+    """Report tables are rendered and written ``_CHUNK_ROWS`` rows at a time."""
+
+    def _score(self, dataset, out, fmt):
+        return main(["score", "--input", str(dataset), "--output", str(out), "--format", fmt])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_multi_chunk_score_matches_whole_rendering(self, tmp_path, wide_dataset, fmt):
+        binned = bin_events(load_corpus(wide_dataset, interval_days=30))
+        header, rows = score_table(score_all(binned, compute_weights(binned)))
+        assert len(rows) > 2 * _CHUNK_ROWS
+        out = tmp_path / f"scores.{fmt}"
+        assert self._score(wide_dataset, out, fmt) == EXIT_OK
+        render = to_json if fmt == "json" else to_csv
+        assert out.read_bytes() == render(header, rows).encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_on_a_later_chunk_leaves_no_output(
+        self, tmp_path, capsys, monkeypatch, wide_dataset, fmt
+    ):
+        render = getattr(cli, f"to_{fmt}")
+        calls = []
+
+        def fail_second(header, rows):
+            calls.append(len(rows))
+            if len(calls) == 2:
+                raise OSError("no space left on device")
+            return render(header, rows)
+
+        monkeypatch.setattr(cli, f"to_{fmt}", fail_second)
+        out = tmp_path / f"scores.{fmt}"
+        assert self._score(wide_dataset, out, fmt) == EXIT_IO
+        assert len(calls) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "OSError"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_rendered_piece_holds_more_than_one_chunk(
+        self, tmp_path, monkeypatch, wide_dataset, fmt
+    ):
+        render = getattr(cli, f"to_{fmt}")
+        pieces = []
+
+        def record(header, rows):
+            pieces.append(render(header, rows))
+            return pieces[-1]
+
+        monkeypatch.setattr(cli, f"to_{fmt}", record)
+        out = tmp_path / f"scores.{fmt}"
+        assert self._score(wide_dataset, out, fmt) == EXIT_OK
+        if fmt == "json":
+            sizes = [len(json.loads(piece)) for piece in pieces]
+            assert max(sizes) <= _CHUNK_ROWS
+        else:
+            # A header line, or a slice's first row in its place, plus the rest.
+            sizes = [len(list(csv.reader(io.StringIO(piece)))) for piece in pieces]
+            assert max(sizes) <= _CHUNK_ROWS + 1
+            # No header is rendered twice: the pieces are the file.
+            assert "".join(pieces).encode("utf-8") == out.read_bytes()
+        assert len(pieces) == 3
 
 
 class TestRankCommand:
@@ -266,6 +343,29 @@ class TestRejectedRuns:
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "ConfigError" and "--weights-one" in error["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["score"], ["rank", "--indicator", "wtps"]])
+    def test_negative_interval_net_is_domain_error(self, tmp_path, capsys, command):
+        # Net star deltas +5 then -3 have a positive total, 2, but shares of
+        # 2.5 and -1.5, which are no weights.
+        dataset = tmp_path / "signed.jsonl"
+        repos = [{"repo_id": rid, "full_name": f"o/{rid}", "created_at": "2018-01-01T00:00:00Z",
+                  "primary_language": None, "size_kb": 1, "owner_followers": 1,
+                  "forks_total": 0, "stars_total": 0, "watchers_total": 0,
+                  "follower_ids": []} for rid in ("R1", "R2")]
+        events = [{"repo_id": "R1", "kind": "star", "occurred_at": "2018-01-02T00:00:00Z",
+                   "delta": 5},
+                  {"repo_id": "R2", "kind": "star", "occurred_at": "2018-02-05T00:00:00Z",
+                   "delta": -3}]
+        dataset.write_text("".join(json.dumps(o) + "\n" for o in [*repos, *events]),
+                           encoding="utf-8")
+        out = tmp_path / "out.csv"
+        code = main([command[0], "--input", str(dataset), "--output", str(out), *command[1:]])
+        assert code == EXIT_DOMAIN
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "NegativeIntervalTotal"
+        assert error["message"].startswith("interval 1 has a negative net star total (-3)")
+        assert list(tmp_path.iterdir()) == [dataset]
 
     @pytest.mark.parametrize("command", ["score", "ingest"])
     def test_failed_sidecar_write_leaves_no_output(self, tmp_path, capsys, command):
@@ -425,7 +525,7 @@ class TestImportSurface:
     def test_package_exports_quick_start_names_and_error_types(self):
         errors = {n for n in wtps.__all__ if isinstance(getattr(wtps, n), type)
                   and issubclass(getattr(wtps, n), wtps.WtpsError)}
-        assert len(errors) == 19
+        assert len(errors) == 20 and "NegativeIntervalTotal" in errors
         assert set(wtps.__all__) - errors == {
             "load_corpus", "bin_events", "compute_weights", "score_all", "rank", "Indicator",
         }

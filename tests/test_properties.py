@@ -3,9 +3,11 @@
 Each property has a plain reference beside it: ``parse_timestamp`` for the
 event times ``load_corpus`` reads, the same lines spelled with spaces (so
 decoded as JSON) for canonical event lines, ``json.dumps(indent=2)`` for
-``to_json``, a loop over ``PopularityEvent`` rows for binning,
+``to_json`` and for the chunked table writer (with the whole-table
+``to_csv`` for its CSV), a loop over ``PopularityEvent`` rows for binning,
 ``Corpus.build`` for regrid and subset, exact integer shares for the
-weights, the former fsum kernel (``synth.fsum_overlap_reference``) on chained
+weights (and the typed error where an interval's net is negative), the
+former fsum kernel (``synth.fsum_overlap_reference``) on chained
 ``FollowerGraph.remove_repo`` calls for the deletion series, and
 ``math.fsum`` for the exact integer sums the twin-class kernel keeps. The
 last property mutates the shipped samples and requires every CLI command to
@@ -15,6 +17,8 @@ exit with a typed code and to leave no output when it fails.
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,14 +27,22 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from wtps import ParseError, WtpsError, bin_events, compute_weights  # noqa: E402
+from wtps import (  # noqa: E402
+    NegativeIntervalTotal,
+    ParseError,
+    WtpsError,
+    bin_events,
+    compute_weights,
+)
 from wtps.cli import (  # noqa: E402
+    _CHUNK_ROWS,
     EXIT_API,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DOMAIN,
     EXIT_IO,
     EXIT_OK,
+    _write_table,
     main,
 )
 from wtps.dataset import load_corpus, parse_timestamp, save_corpus  # noqa: E402
@@ -47,7 +59,7 @@ from wtps.model import (  # noqa: E402
     PopularityEvent,
     RepoRecord,
 )
-from wtps.serialize import to_json  # noqa: E402
+from wtps.serialize import to_csv, to_json  # noqa: E402
 from wtps.stats import DEFAULT_SWEEP_DAYS  # noqa: E402
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE  # noqa: E402
 from synth import fsum_overlap_reference  # noqa: E402
@@ -212,7 +224,7 @@ def test_canonical_event_lines_load_as_their_spaced_spelling(tmp_path_factory, e
     assert canonical == spaced
 
 
-# --- JSON rendering ----------------------------------------------------------
+# --- rendering ----------------------------------------------------------------
 
 _AWKWARD = ['"},\n    {"', "\ud800", "\udfff", "\x00\x1f\x7f", "é ü 漢", "\n", "}, {"]
 _cells = st.one_of(
@@ -239,6 +251,44 @@ def test_to_json_matches_indented_dumps(table):
     records = [dict(zip(header, row)) for row in rows]
     expected = json.dumps(records, indent=2, ensure_ascii=False) + "\n"
     assert to_json(header, rows) == expected
+
+
+# Row counts on either side of each slice boundary of the chunked writer.
+_CHUNK_COUNTS = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]
+# Cells a UTF-8 data file can hold: no lone surrogates.
+_file_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_file_cells = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.integers(),
+    st.none(),
+    _file_text,
+    st.sampled_from(['"},\n    {"', "é ü 漢", "\n", "}, {", "a,b", '"']),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    header=st.lists(_file_text, max_size=3),
+    pool=st.lists(st.lists(_file_cells, max_size=3), min_size=1, max_size=4),
+    count=st.sampled_from(_CHUNK_COUNTS),
+)
+@example(header=[], pool=[[1.5]], count=2 * _CHUNK_ROWS + 1)
+@example(header=["value"], pool=[[float("nan")], [float("inf")], [float("-inf")], [-0.0]],
+         count=_CHUNK_ROWS + 1)
+@example(header=["repo_id", "v"], pool=[['"},\n    {"', "é"]], count=_CHUNK_ROWS)
+def test_chunked_table_file_matches_whole_rendering(header, pool, count):
+    # Each row leads with its index, so a slice written twice, dropped or out
+    # of order shows.
+    rows = [[i, *pool[i % len(pool)]] for i in range(count)]
+    records = [dict(zip(header, row)) for row in rows]
+    expected = {"json": json.dumps(records, indent=2, ensure_ascii=False) + "\n",
+                "csv": to_csv(header, rows)}
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "table"
+        for fmt, text in expected.items():
+            _write_table(path, header, rows, fmt)
+            assert path.read_bytes() == text.encode("utf-8"), fmt
 
 
 # --- corpora -----------------------------------------------------------------
@@ -361,14 +411,26 @@ def binned_counts(draw):
 @settings(max_examples=200, deadline=None)
 @given(binned_counts())
 def test_weights_are_shares_of_the_net_total(binned):
+    nets = {kind: [int(c) for c in binned.matrix(kind).sum(axis=0)] for kind in EventKind}
+    signed = [kind for kind, per_interval in nets.items()
+              if sum(per_interval) > 0 and min(per_interval) < 0]
+    if signed:
+        # Forks are weighed first; the error names their first negative interval.
+        kind = signed[0]
+        t = next(t for t, c in enumerate(nets[kind]) if c < 0)
+        with pytest.raises(NegativeIntervalTotal,
+                           match=rf"^interval {t} has a negative net {kind.value} total"):
+            compute_weights(binned)
+        return
     table = compute_weights(binned)
-    for matrix, weights in ((binned.forks, table.fork_weights),
-                            (binned.stars, table.star_weights)):
-        per_interval = [int(c) for c in matrix.sum(axis=0)]
+    for kind, weights in ((EventKind.FORK, table.fork_weights),
+                          (EventKind.STAR, table.star_weights)):
+        per_interval = nets[kind]
         total = sum(per_interval)
         assert len(weights) == binned.interval_count
         if total > 0:
             assert list(weights) == [c / total for c in per_interval]
+            assert all(0.0 <= w <= 1.0 for w in weights)
             assert abs(math.fsum(weights) - 1.0) <= 1e-12
         else:
             assert weights == (0.0,) * binned.interval_count
