@@ -25,7 +25,6 @@ from .errors import (
     EventOutsideGrid,
     IntervalOutOfRange,
     LengthMismatch,
-    NegativeIntervalTotal,
     NotFound,
     ParseError,
     RateLimited,
@@ -53,7 +52,6 @@ __all__ = [
     "Indicator",
     "IntervalOutOfRange",
     "LengthMismatch",
-    "NegativeIntervalTotal",
     "NotFound",
     "ParseError",
     "RateLimited",

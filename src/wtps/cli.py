@@ -72,8 +72,7 @@ from .serialize import (
     score_table,
     summary_table,
     sweep_table,
-    to_csv,
-    to_json,
+    write_table,
 )
 from .stats import (
     DEFAULT_SWEEP_DAYS,
@@ -108,9 +107,6 @@ _EXIT_CODES = (
     (WtpsError, EXIT_DOMAIN),
     (OSError, EXIT_IO),
 )
-
-# Rows per call of to_csv / to_json when a report table is written.
-_CHUNK_ROWS = 2048
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,30 +471,6 @@ _REPORTS = {
 }
 
 
-def _write_table(path: Path, header, rows: list, fmt: str) -> None:
-    r"""Write ``to_csv(header, rows)`` or ``to_json(header, rows)`` to
-    ``path``, rendering ``_CHUNK_ROWS`` rows at a time, so the text held in
-    memory is one slice whatever the size of the table.
-
-    A later CSV slice passes its first row in the header's place, so it
-    renders no header line of its own. A JSON slice renders as
-    ``[\n  <records>\n]\n``; the file joins the slices' records with
-    ``,\n`` inside one pair of brackets.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as out:
-        if fmt == "csv":
-            out.write(to_csv(header, rows[:_CHUNK_ROWS]))
-            for start in range(_CHUNK_ROWS, len(rows), _CHUNK_ROWS):
-                out.write(to_csv(rows[start], rows[start + 1:start + _CHUNK_ROWS]))
-        elif not rows:
-            out.write(to_json(header, rows))
-        else:
-            for start in range(0, len(rows), _CHUNK_ROWS):
-                text = to_json(header, rows[start:start + _CHUNK_ROWS])
-                out.write(",\n" + text[2:-3] if start else text[:-3])
-            out.write("\n]\n")
-
-
 def _run_report(args, handler) -> int:
     """Run one report command: load the corpus, draw the ``--sample-repos``
     sample where the command has one, call ``handler(args, corpus)`` for the
@@ -514,7 +486,7 @@ def _run_report(args, handler) -> int:
         if isinstance(result, str):
             data_path.write_text(result, encoding="utf-8", newline="")
         else:
-            _write_table(data_path, *result, args.format)
+            write_table(data_path, *result, args.format)
         _write_sidecar(sidecar_path, args, corpus, extra)
     return EXIT_OK
 

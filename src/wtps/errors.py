@@ -42,13 +42,6 @@ class IntervalOutOfRange(WtpsError):
     """An interval index is outside [0, interval_count)."""
 
 
-# --- scoring --------------------------------------------------------------
-
-class NegativeIntervalTotal(WtpsError):
-    """An interval's net delta total is negative while the corpus-wide total
-    is positive, so its community weight would be a share outside [0, 1]."""
-
-
 # --- dataset ingestion ----------------------------------------------------
 
 class ParseError(WtpsError):

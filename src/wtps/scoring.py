@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import IntervalOutOfRange, NegativeIntervalTotal
+from .errors import IntervalOutOfRange
 from .model import BinnedCounts, Corpus, EventKind, bin_events
 
 
@@ -40,10 +40,10 @@ SNAPSHOT_FIELDS: Mapping[Indicator, str] = {
 class WeightTable:
     """Per-interval fork and star weights for a corpus.
 
-    Weights produced by :func:`compute_weights` are shares in [0, 1] that sum
-    to 1 per indicator when the corpus-wide total is positive and are all
-    zero otherwise. Tables from :func:`unit_weights` (the
-    isolated-repository mode) are exempt from the sum rule by design.
+    Weights produced by :func:`compute_weights` sum to 1 per indicator when
+    the corpus-wide total is positive and are all zero otherwise. Tables from
+    :func:`unit_weights` (the isolated-repository mode) are exempt from the
+    sum rule by design.
     """
 
     fork_weights: tuple[float, ...]
@@ -64,28 +64,18 @@ def compute_weights(binned: BinnedCounts) -> WeightTable:
     fork_weights[t] is the fraction of all fork deltas that fell in interval
     t, and likewise for stars. A non-positive corpus-wide total makes that
     indicator's weights all zero, so a missing indicator contributes nothing
-    rather than inventing uniform signal. A positive total with a negative
-    net in some interval raises :class:`NegativeIntervalTotal`, since that
-    interval's weight would not be a share in [0, 1].
+    rather than inventing uniform signal.
     """
 
-    def normalize(kind: EventKind) -> tuple[float, ...]:
-        per_interval = binned.interval_totals(kind)
+    def normalize(per_interval: np.ndarray) -> tuple[float, ...]:
         total = int(per_interval.sum())
         if total <= 0:
             return (0.0,) * len(per_interval)
-        negative = np.flatnonzero(per_interval < 0)
-        if negative.size:
-            t = int(negative[0])
-            raise NegativeIntervalTotal(
-                f"interval {t} has a negative net {kind.value} total "
-                f"({int(per_interval[t])}) while the corpus-wide total is {total}"
-            )
         return tuple(int(c) / total for c in per_interval)
 
     return WeightTable(
-        fork_weights=normalize(EventKind.FORK),
-        star_weights=normalize(EventKind.STAR),
+        fork_weights=normalize(binned.interval_totals(EventKind.FORK)),
+        star_weights=normalize(binned.interval_totals(EventKind.STAR)),
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .graph import DeletionSeries
@@ -133,3 +134,31 @@ def to_json(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     flat = json.dumps(records, separators=(",\n    ", ": "), ensure_ascii=False)
     body = flat[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
     return f"[\n  {{\n    {body}\n  }}\n]\n"
+
+
+# Rows per call of to_csv / to_json when write_table writes a table.
+_CHUNK_ROWS = 2048
+
+
+def write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> None:
+    r"""Write ``to_csv(header, rows)`` or ``to_json(header, rows)`` to
+    ``path``, rendering ``_CHUNK_ROWS`` rows at a time, so the text held in
+    memory is one slice whatever the size of the table.
+
+    A later CSV slice passes its first row in the header's place, so it
+    renders no header line of its own. A JSON slice renders as
+    ``[\n  <records>\n]\n``; the file joins the slices' records with
+    ``,\n`` inside one pair of brackets.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        if fmt == "csv":
+            out.write(to_csv(header, rows[:_CHUNK_ROWS]))
+            for start in range(_CHUNK_ROWS, len(rows), _CHUNK_ROWS):
+                out.write(to_csv(rows[start], rows[start + 1:start + _CHUNK_ROWS]))
+        elif not rows:
+            out.write(to_json(header, rows))
+        else:
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                text = to_json(header, rows[start:start + _CHUNK_ROWS])
+                out.write(",\n" + text[2:-3] if start else text[:-3])
+            out.write("\n]\n")

@@ -10,9 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from wtps import cli
+from wtps import serialize
 from wtps.cli import (
-    _CHUNK_ROWS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DOMAIN,
@@ -21,6 +20,7 @@ from wtps.cli import (
     main,
 )
 from wtps.serialize import (
+    _CHUNK_ROWS,
     RANK_COLUMNS,
     SCORE_COLUMNS,
     rank_table,
@@ -166,7 +166,7 @@ class TestChunkedOutput:
     def test_failure_on_a_later_chunk_leaves_no_output(
         self, tmp_path, capsys, monkeypatch, wide_dataset, fmt
     ):
-        render = getattr(cli, f"to_{fmt}")
+        render = getattr(serialize, f"to_{fmt}")
         calls = []
 
         def fail_second(header, rows):
@@ -175,7 +175,7 @@ class TestChunkedOutput:
                 raise OSError("no space left on device")
             return render(header, rows)
 
-        monkeypatch.setattr(cli, f"to_{fmt}", fail_second)
+        monkeypatch.setattr(serialize, f"to_{fmt}", fail_second)
         out = tmp_path / f"scores.{fmt}"
         assert self._score(wide_dataset, out, fmt) == EXIT_IO
         assert len(calls) == 2
@@ -186,14 +186,14 @@ class TestChunkedOutput:
     def test_no_rendered_piece_holds_more_than_one_chunk(
         self, tmp_path, monkeypatch, wide_dataset, fmt
     ):
-        render = getattr(cli, f"to_{fmt}")
+        render = getattr(serialize, f"to_{fmt}")
         pieces = []
 
         def record(header, rows):
             pieces.append(render(header, rows))
             return pieces[-1]
 
-        monkeypatch.setattr(cli, f"to_{fmt}", record)
+        monkeypatch.setattr(serialize, f"to_{fmt}", record)
         out = tmp_path / f"scores.{fmt}"
         assert self._score(wide_dataset, out, fmt) == EXIT_OK
         if fmt == "json":
@@ -343,29 +343,6 @@ class TestRejectedRuns:
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "ConfigError" and "--weights-one" in error["message"]
         assert not out.exists()
-
-    @pytest.mark.parametrize("command", [["score"], ["rank", "--indicator", "wtps"]])
-    def test_negative_interval_net_is_domain_error(self, tmp_path, capsys, command):
-        # Net star deltas +5 then -3 have a positive total, 2, but shares of
-        # 2.5 and -1.5, which are no weights.
-        dataset = tmp_path / "signed.jsonl"
-        repos = [{"repo_id": rid, "full_name": f"o/{rid}", "created_at": "2018-01-01T00:00:00Z",
-                  "primary_language": None, "size_kb": 1, "owner_followers": 1,
-                  "forks_total": 0, "stars_total": 0, "watchers_total": 0,
-                  "follower_ids": []} for rid in ("R1", "R2")]
-        events = [{"repo_id": "R1", "kind": "star", "occurred_at": "2018-01-02T00:00:00Z",
-                   "delta": 5},
-                  {"repo_id": "R2", "kind": "star", "occurred_at": "2018-02-05T00:00:00Z",
-                   "delta": -3}]
-        dataset.write_text("".join(json.dumps(o) + "\n" for o in [*repos, *events]),
-                           encoding="utf-8")
-        out = tmp_path / "out.csv"
-        code = main([command[0], "--input", str(dataset), "--output", str(out), *command[1:]])
-        assert code == EXIT_DOMAIN
-        error = json.loads(capsys.readouterr().err.strip())
-        assert error["error"] == "NegativeIntervalTotal"
-        assert error["message"].startswith("interval 1 has a negative net star total (-3)")
-        assert list(tmp_path.iterdir()) == [dataset]
 
     @pytest.mark.parametrize("command", ["score", "ingest"])
     def test_failed_sidecar_write_leaves_no_output(self, tmp_path, capsys, command):
@@ -525,7 +502,7 @@ class TestImportSurface:
     def test_package_exports_quick_start_names_and_error_types(self):
         errors = {n for n in wtps.__all__ if isinstance(getattr(wtps, n), type)
                   and issubclass(getattr(wtps, n), wtps.WtpsError)}
-        assert len(errors) == 20 and "NegativeIntervalTotal" in errors
+        assert len(errors) == 19
         assert set(wtps.__all__) - errors == {
             "load_corpus", "bin_events", "compute_weights", "score_all", "rank", "Indicator",
         }

@@ -6,8 +6,7 @@ decoded as JSON) for canonical event lines, ``json.dumps(indent=2)`` for
 ``to_json`` and for the chunked table writer (with the whole-table
 ``to_csv`` for its CSV), a loop over ``PopularityEvent`` rows for binning,
 ``Corpus.build`` for regrid and subset, exact integer shares for the
-weights (and the typed error where an interval's net is negative), the
-former fsum kernel (``synth.fsum_overlap_reference``) on chained
+weights, the former fsum kernel (``synth.fsum_overlap_reference``) on chained
 ``FollowerGraph.remove_repo`` calls for the deletion series, and
 ``math.fsum`` for the exact integer sums the twin-class kernel keeps. The
 last property mutates the shipped samples and requires every CLI command to
@@ -27,22 +26,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from wtps import (  # noqa: E402
-    NegativeIntervalTotal,
-    ParseError,
-    WtpsError,
-    bin_events,
-    compute_weights,
-)
+from wtps import ParseError, WtpsError, bin_events, compute_weights  # noqa: E402
 from wtps.cli import (  # noqa: E402
-    _CHUNK_ROWS,
     EXIT_API,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DOMAIN,
     EXIT_IO,
     EXIT_OK,
-    _write_table,
     main,
 )
 from wtps.dataset import load_corpus, parse_timestamp, save_corpus  # noqa: E402
@@ -59,7 +50,7 @@ from wtps.model import (  # noqa: E402
     PopularityEvent,
     RepoRecord,
 )
-from wtps.serialize import to_csv, to_json  # noqa: E402
+from wtps.serialize import _CHUNK_ROWS, to_csv, to_json, write_table  # noqa: E402
 from wtps.stats import DEFAULT_SWEEP_DAYS  # noqa: E402
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE  # noqa: E402
 from synth import fsum_overlap_reference  # noqa: E402
@@ -287,7 +278,7 @@ def test_chunked_table_file_matches_whole_rendering(header, pool, count):
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "table"
         for fmt, text in expected.items():
-            _write_table(path, header, rows, fmt)
+            write_table(path, header, rows, fmt)
             assert path.read_bytes() == text.encode("utf-8"), fmt
 
 
@@ -411,26 +402,14 @@ def binned_counts(draw):
 @settings(max_examples=200, deadline=None)
 @given(binned_counts())
 def test_weights_are_shares_of_the_net_total(binned):
-    nets = {kind: [int(c) for c in binned.matrix(kind).sum(axis=0)] for kind in EventKind}
-    signed = [kind for kind, per_interval in nets.items()
-              if sum(per_interval) > 0 and min(per_interval) < 0]
-    if signed:
-        # Forks are weighed first; the error names their first negative interval.
-        kind = signed[0]
-        t = next(t for t, c in enumerate(nets[kind]) if c < 0)
-        with pytest.raises(NegativeIntervalTotal,
-                           match=rf"^interval {t} has a negative net {kind.value} total"):
-            compute_weights(binned)
-        return
     table = compute_weights(binned)
-    for kind, weights in ((EventKind.FORK, table.fork_weights),
-                          (EventKind.STAR, table.star_weights)):
-        per_interval = nets[kind]
+    for matrix, weights in ((binned.forks, table.fork_weights),
+                            (binned.stars, table.star_weights)):
+        per_interval = [int(c) for c in matrix.sum(axis=0)]
         total = sum(per_interval)
         assert len(weights) == binned.interval_count
         if total > 0:
             assert list(weights) == [c / total for c in per_interval]
-            assert all(0.0 <= w <= 1.0 for w in weights)
             assert abs(math.fsum(weights) - 1.0) <= 1e-12
         else:
             assert weights == (0.0,) * binned.interval_count
