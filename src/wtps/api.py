@@ -16,6 +16,7 @@ passing silently.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -79,19 +80,19 @@ class RestClient:
         self._sleep = sleep
         self._sent: deque[float] = deque()
 
+    def _prune(self, now: float) -> None:
+        """Forget the requests sent an hour or more before ``now``."""
+        while self._sent and self._sent[0] <= now - 3600.0:
+            self._sent.popleft()
+
     def _throttle(self) -> None:
         now = self._clock()
-        window_start = now - 3600.0
-        while self._sent and self._sent[0] <= window_start:
-            self._sent.popleft()
+        self._prune(now)
         if len(self._sent) >= self.config.requests_per_hour_cap:
             wait = self._sent[0] + 3600.0 - now
             if wait > 0:
                 self._sleep(wait)
-            now = self._clock()
-            window_start = now - 3600.0
-            while self._sent and self._sent[0] <= window_start:
-                self._sent.popleft()
+            self._prune(self._clock())
         self._sent.append(self._clock())
 
     def _headers(self, media_type: str) -> dict[str, str]:
@@ -176,13 +177,12 @@ def _is_rate_limited(response) -> bool:
 
 
 def _retry_after_seconds(response) -> float:
-    header = response.headers.get("Retry-After")
-    if header is not None:
-        try:
-            return max(0.0, float(header))
-        except ValueError:
-            pass
-    return 60.0
+    """Retry-After in seconds; 60 when it is absent, unparsable or not finite."""
+    try:
+        seconds = float(response.headers.get("Retry-After", "nan"))
+    except ValueError:
+        seconds = math.nan
+    return max(0.0, seconds) if math.isfinite(seconds) else 60.0
 
 
 @dataclass(frozen=True, slots=True)

@@ -109,8 +109,13 @@ _EXIT_CODES = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # argument errors take main's one error path
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wtps",
         description="Weighted popularity scoring and analysis over repository event streams.",
     )
@@ -492,12 +497,8 @@ def _run_report(args, handler) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
-    try:
+        args = build_parser().parse_args(argv)
         # Every argument lands in the UTF-8 sidecar; argv bytes that are not
         # UTF-8 arrive as lone surrogates and could never be written there.
         for name, value in vars(args).items():
@@ -512,6 +513,8 @@ def main(argv=None) -> int:
         if args.command == "fetch":
             return _cmd_fetch(args)
         return _run_report(args, _REPORTS[args.command])
+    except SystemExit as exc:  # --help and --version
+        return exc.code
     except Exception as exc:  # noqa: BLE001 - boundary translates to exit codes
         code = next((c for kind, c in _EXIT_CODES if isinstance(exc, kind)), EXIT_UNEXPECTED)
         print(

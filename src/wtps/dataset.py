@@ -24,7 +24,7 @@ import json
 import re
 from array import array
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -47,6 +47,7 @@ _EVENT_KEY_SETS = (set(_EVENT_KEYS), set(_EVENT_KEYS[:3]))
 _KIND_NAMES = tuple(kind.value for kind in EVENT_KINDS)
 _KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}
 _MANIFEST_KEYS = ("schema_version", "captured_at", "repo_count", "source")
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 # An event line as ``save_corpus`` writes it: a repo_id free of escapes, of
 # control characters and of undecodable bytes, an in-range UTC time of day
@@ -91,7 +92,7 @@ def parse_timestamp(text: str) -> int:
     """Parse an ISO-8601 timestamp to UTC epoch seconds.
 
     Accepts a trailing "Z" or an explicit offset; a naive timestamp is read
-    as UTC.
+    as UTC. Fractions of a second are floored.
     """
     if not isinstance(text, str):
         raise ValueError(f"timestamp must be a string, got {type(text).__name__}")
@@ -101,7 +102,7 @@ def parse_timestamp(text: str) -> int:
     moment = datetime.fromisoformat(raw)
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=timezone.utc)
-    return int(moment.timestamp())
+    return (moment - _EPOCH) // timedelta(seconds=1)
 
 
 def _epoch_day(date: str) -> int | None:
@@ -215,7 +216,8 @@ def load_corpus(path: str | Path, interval_days: int = 30) -> Corpus:
 
     Raises:
         ParseError: malformed line, unknown/missing keys, empty file, event
-            referencing an unknown repository, or a manifest mismatch -- all
+            referencing an unknown repository, a manifest mismatch, or a
+            manifest capture time before a repository's creation -- all
             reported with 1-based line numbers.
         DuplicateRepoId: two repository lines share a repo_id.
         EventBeforeCreation: an event predates its repository's creation.
@@ -288,6 +290,9 @@ def load_corpus(path: str | Path, interval_days: int = 30) -> Corpus:
         raise ParseError(
             1, f"manifest repo_count {manifest.repo_count} != {len(repos)} repository lines"
         )
+    newest = max(repos, key=lambda r: r.created_at)
+    if manifest is not None and manifest.captured_at < newest.created_at:
+        raise ParseError(1, f"manifest captured_at precedes the creation of {newest.repo_id!r}")
     return Corpus._from_columns(
         tuple(repos),
         repo_ids,

@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .errors import EmptyGraph, StepsExceedRepoCount
 from .model import Corpus
-from .scoring import Indicator, WeightTable, rank
+from .scoring import Indicator, WeightTable, indicator_values
 
 
 class CoefficientKind(Enum):
@@ -356,7 +356,5 @@ def scores_for_measure(
     corpus: Corpus, measure: Indicator, *, weights: WeightTable | None = None
 ) -> dict[str, float]:
     """Per-repo score mapping used to drive a deletion experiment."""
-    return {
-        entry.repo_id: float(entry.value)
-        for entry in rank(corpus, measure, weights=weights)
-    }
+    values = indicator_values(corpus, measure, weights=weights)
+    return {rid: float(value) for rid, value in values.items()}

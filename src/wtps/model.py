@@ -193,8 +193,8 @@ class Corpus:
     of the same data as ``PopularityEvent`` objects, built on first use.
 
     ``captured_at`` is the corpus capture timestamp; when not supplied it
-    resolves to the latest event time (latest creation time for event-free
-    corpora).
+    resolves to the later of the latest event time and the latest creation
+    time, so that no repository is captured before it exists.
     """
 
     repos: tuple[RepoRecord, ...]
@@ -275,13 +275,8 @@ class Corpus:
         for name in _COLUMNS:
             getattr(self, name).setflags(write=False)
         if self.captured_at is None:
-            if time.size:
-                default = int(self.event_time[-1])
-            elif repos:
-                default = max(r.created_at for r in repos)
-            else:
-                default = self.grid.epoch
-            self._set(captured_at=default)
+            latest = (*self.event_time[-1:].tolist(), *created.tolist())
+            self._set(captured_at=max(latest, default=self.grid.epoch))
 
     @classmethod
     def _from_columns(

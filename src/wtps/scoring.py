@@ -98,31 +98,25 @@ class ScoreCard:
     overall: float
 
 
-def _score_matrix(
-    binned: BinnedCounts, weights: WeightTable, repo_id: str | None = None
-) -> np.ndarray:
-    """Weighted scores per interval: one row per repository, or the single
-    row of ``repo_id`` when given."""
+def _score_matrix(binned: BinnedCounts, weights: WeightTable) -> np.ndarray:
+    """Weighted scores per interval, one row per repository."""
     if weights.interval_count != binned.interval_count:
         raise ValueError(
             f"weight table covers {weights.interval_count} intervals, "
             f"binned counts cover {binned.interval_count}"
         )
-    rows = slice(None) if repo_id is None else binned.row_index(repo_id)
     wf = np.asarray(weights.fork_weights, dtype=np.float64)
     ws = np.asarray(weights.star_weights, dtype=np.float64)
-    return binned.forks[rows] * wf + binned.stars[rows] * ws
+    return binned.forks * wf + binned.stars * ws
 
 
 def wtps_interval(
     binned: BinnedCounts, weights: WeightTable, repo_id: str, t: int
 ) -> float:
     """Weighted score of one repository in one interval."""
-    scores = _score_matrix(binned, weights, repo_id)
+    scores = _score_matrix(binned, weights)[binned.row_index(repo_id)]
     if not 0 <= t < binned.interval_count:
-        raise IntervalOutOfRange(
-            f"interval {t} outside [0, {binned.interval_count})"
-        )
+        raise IntervalOutOfRange(f"interval {t} outside [0, {binned.interval_count})")
     return float(scores[t])
 
 
@@ -130,7 +124,7 @@ def wtps_overall(
     binned: BinnedCounts, weights: WeightTable, repo_id: str
 ) -> ScoreCard:
     """Overall weighted score: the sum of all interval scores."""
-    scores = _score_matrix(binned, weights, repo_id)
+    scores = _score_matrix(binned, weights)[binned.row_index(repo_id)]
     return ScoreCard(
         repo_id=repo_id,
         interval_scores=tuple(float(v) for v in scores),
@@ -162,38 +156,43 @@ class RankEntry:
     rank: int
 
 
+def indicator_values(
+    corpus: Corpus,
+    indicator: Indicator,
+    *,
+    weights: WeightTable | None = None,
+) -> dict[str, int | float]:
+    """Each repository's value under one indicator, keyed by repo_id in
+    sorted order.
+
+    Count indicators give the snapshot totals; WTPS gives the overall
+    weighted score, from community weights unless a ``weights`` table (e.g.
+    unit weights) is supplied. ``weights`` is ignored for count indicators.
+    """
+    if indicator is Indicator.WTPS:
+        binned = bin_events(corpus)
+        if weights is None:
+            weights = compute_weights(binned)
+        overall = _score_matrix(binned, weights).sum(axis=1)
+        return dict(zip(binned.repo_ids, overall.tolist()))
+    attr = SNAPSHOT_FIELDS[indicator]
+    return {r.repo_id: getattr(r, attr) for r in corpus.repos}
+
+
 def rank(
     corpus: Corpus,
     indicator: Indicator,
     *,
     weights: WeightTable | None = None,
 ) -> list[RankEntry]:
-    """Rank all repositories under one indicator, descending by value.
-
-    Count indicators rank by snapshot totals; WTPS ranks by the overall
-    weighted score, recomputing community weights from the corpus unless a
-    ``weights`` table (e.g. unit weights) is supplied.
-    """
-    if indicator is Indicator.WTPS:
-        binned = bin_events(corpus)
-        if weights is None:
-            weights = compute_weights(binned)
-        values: dict[str, float] = {
-            card.repo_id: card.overall for card in score_all(binned, weights)
-        }
-    else:
-        attr = SNAPSHOT_FIELDS[indicator]
-        values = {r.repo_id: getattr(r, attr) for r in corpus.repos}
-
+    """Rank all repositories under one indicator, descending by the value
+    :func:`indicator_values` gives."""
+    values = indicator_values(corpus, indicator, weights=weights)
     ordered = sorted(values, key=lambda rid: (-values[rid], rid))
     entries: list[RankEntry] = []
-    current_rank = 0
-    previous: float | None = None
     for position, rid in enumerate(ordered, start=1):
-        if previous is None or values[rid] != previous:
-            current_rank = position
-            previous = values[rid]
-        entries.append(RankEntry(repo_id=rid, value=values[rid], rank=current_rank))
+        tied = bool(entries) and entries[-1].value == values[rid]
+        entries.append(RankEntry(rid, values[rid], entries[-1].rank if tied else position))
     return entries
 
 

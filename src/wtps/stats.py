@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateInput, EmptyInput, LengthMismatch
-from .model import Corpus, bin_events
-from .scoring import Indicator, SNAPSHOT_FIELDS, compute_weights, score_all
+from .model import Corpus
+from .scoring import Indicator, SNAPSHOT_FIELDS, indicator_values
 
 DEFAULT_SWEEP_DAYS: tuple[int, ...] = (30, 21, 14, 7)
 # The repository properties ``correlate`` regresses, in report order.
@@ -90,9 +90,7 @@ def _fit_on_wtps(
 ) -> tuple[dict, dict]:
     """Regress each column on the overall WTPS of ``corpus``: the fitted
     lines, and apart the constant columns with the reason."""
-    binned = bin_events(corpus)
-    weights = compute_weights(binned)
-    scores = [card.overall for card in score_all(binned, weights)]
+    scores = list(indicator_values(corpus, Indicator.WTPS).values())
     fitted, skipped = {}, {}
     for key, column in columns.items():
         try:
@@ -137,8 +135,7 @@ def interval_sweep(
     is constant (e.g. a corpus with no watcher variation) are omitted rather
     than poisoning the whole sweep.
     """
-    features = repo_features(corpus)
-    columns = {ind: features[name] for ind, name in SNAPSHOT_FIELDS.items()}
+    columns = {ind: list(indicator_values(corpus, ind).values()) for ind in SNAPSHOT_FIELDS}
     entries: list[SweepEntry] = []
     for days in interval_days_list:
         fitted, _ = _fit_on_wtps(corpus.regrid(days), columns)

@@ -1,4 +1,5 @@
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -8,7 +9,8 @@ import requests
 
 from wtps import ApiError, AuthFailure, NotFound, RateLimited
 from wtps.api import ApiClientConfig, RestClient, fetch_repo
-from wtps.cli import EXIT_API, main
+from wtps import load_corpus
+from wtps.cli import EXIT_API, EXIT_OK, main
 from wtps.dataset import parse_timestamp
 from wtps.model import EventKind
 
@@ -252,6 +254,42 @@ class TestMalformedPayload:
             fetch_repo(_config("http://127.0.0.1:9"), f"{OWNER}/{NAME}", session=HtmlSession())
 
 
+class TestFetchCommand:
+    """``wtps fetch`` end to end against the mock server."""
+
+    def _fetch(self, base_url, out):
+        return main(["fetch", "--repo", f"{OWNER}/{NAME}", "--output", str(out),
+                     "--base-url", base_url])
+
+    def test_fetched_repository_is_saved_with_its_sidecar(self, mock_api, tmp_path, capsys):
+        base_url, _ = mock_api
+        out = tmp_path / "fetched.jsonl"
+        assert self._fetch(base_url, out) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        manifest = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
+        assert manifest["source"] == "live_api"
+        corpus = load_corpus(out)
+        assert corpus.repo_ids == ("777",)
+        assert len(corpus.event_time) == len(STAR_TIMES) + len(FORK_TIMES)
+        sidecar = json.loads((tmp_path / "fetched.jsonl.meta.json").read_text(encoding="utf-8"))
+        assert sidecar["command"] == "fetch"
+        assert sidecar["truncated_history"] is False
+        assert sidecar["provenance"]["event_count"] == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fetched.jsonl", "fetched.jsonl.meta.json"]
+
+    def test_truncated_history_is_warned_and_recorded(self, mock_api, tmp_path, capsys):
+        base_url, state = mock_api
+        state.repo["stargazers_count"] = 50
+        out = tmp_path / "fetched.jsonl"
+        assert self._fetch(base_url, out) == EXIT_OK
+        warning = json.loads(capsys.readouterr().err)
+        assert warning["warning"] == "TruncatedHistory"
+        assert f"{OWNER}/{NAME}" in warning["message"]
+        sidecar = json.loads((tmp_path / "fetched.jsonl.meta.json").read_text(encoding="utf-8"))
+        assert sidecar["truncated_history"] is True
+
+
 class TestErrorMapping:
     def test_not_found(self, mock_api):
         base_url, _ = mock_api
@@ -281,6 +319,15 @@ class TestErrorMapping:
         )
         assert result.repo.owner_followers == 11
         assert 7.0 in sleeps
+
+    @pytest.mark.parametrize("header", ["inf", "1e400", "-inf", "nan", "soon"])
+    def test_retry_after_that_is_not_a_finite_number_waits_60s(self, mock_api, header):
+        base_url, state = mock_api
+        state.scripted.append((f"/users/{OWNER}", 429, {"Retry-After": header}))
+        sleeps = []
+        fetch_repo(_config(base_url, retry_limit=1), f"{OWNER}/{NAME}", sleep=sleeps.append)
+        assert 60.0 in sleeps
+        assert all(math.isfinite(s) for s in sleeps)
 
     def test_rate_limit_exhausts_retries(self, mock_api):
         base_url, state = mock_api

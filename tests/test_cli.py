@@ -229,7 +229,38 @@ class TestRankCommand:
         code = main(["rank", "--input", str(COMMUNITY_SAMPLE),
                      "--output", str(tmp_path / "r.csv"), "--indicator", "velocity"])
         assert code == EXIT_CONFIG
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ConfigError",
+            "exit_code": EXIT_CONFIG,
+            "message": "argument --indicator: invalid choice: 'velocity' "
+                       "(choose from 'forks', 'stars', 'watchers', 'wtps')",
+        }
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (["velocity"], "argument command: invalid choice: 'velocity'"),
+        (["score", "--interval-days", "abc"], "argument --interval-days: invalid int value: 'abc'"),
+        (["score", "--output", None, "--input"], "argument --input: expected one argument"),
+        (["score", "--input", str(COMMUNITY_SAMPLE)],
+         "the following arguments are required: --output"),
+    ], ids=["unknown-command", "non-integer-width", "flag-without-value", "missing-output"])
+    def test_argument_error_is_one_json_line(self, tmp_path, capsys, argv, message):
+        argv = [str(tmp_path / "out.csv") if a is None else a for a in argv]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ConfigError" and error["exit_code"] == EXIT_CONFIG
+        assert error["message"].startswith(message)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["rank", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
 
 
 class TestAnalysisCommands:
@@ -284,6 +315,44 @@ class TestAnalysisCommands:
         stars = next(r for r in rows[1:] if r[0] == "stars_total")
         assert float(stars[1]) == 30.0  # minimum
         assert float(stars[5]) == 55.0  # maximum
+
+    def test_repository_created_after_the_last_event_has_age_zero(self, tmp_path):
+        # Without a manifest the capture time is the later of the last event
+        # and the last creation, so no age is negative.
+        repos = [
+            json.dumps({"repo_id": rid, "full_name": f"o/{rid}", "created_at": created,
+                        "primary_language": None, "size_kb": 1, "owner_followers": 0,
+                        "forks_total": 1, "stars_total": 0, "watchers_total": 0,
+                        "follower_ids": []})
+            for rid, created in (("A", "2018-01-01T00:00:00Z"), ("B", "2018-05-01T00:00:00Z"))
+        ]
+        event = '{"repo_id":"A","kind":"fork","occurred_at":"2018-01-30T00:00:00Z"}'
+        source = tmp_path / "in.jsonl"
+        source.write_text("\n".join([*repos, event]) + "\n", encoding="utf-8")
+        out = tmp_path / "summary.csv"
+        assert main(["summarize", "--input", str(source), "--output", str(out)]) == EXIT_OK
+        ages = next(r for r in _read_csv(out)[1:] if r[0] == "age_days")
+        assert (float(ages[1]), float(ages[5])) == (0.0, 120.0)  # minimum, maximum
+        assert _sidecar(out)["provenance"]["captured_at"] == "2018-05-01T00:00:00Z"
+        copy = tmp_path / "copy.jsonl"
+        assert main(["ingest", "--input", str(source), "--output", str(copy)]) == EXIT_OK
+        manifest = json.loads(copy.read_text(encoding="utf-8").splitlines()[0])
+        assert manifest["captured_at"] == "2018-05-01T00:00:00Z"
+
+    def test_manifest_capture_before_a_creation_is_data_error(self, tmp_path, capsys):
+        lines = COMMUNITY_SAMPLE.read_text(encoding="utf-8").splitlines()
+        manifest = json.loads(lines[0])
+        manifest["captured_at"] = "2000-01-01T00:00:00Z"
+        source = tmp_path / "in.jsonl"
+        source.write_text("\n".join([json.dumps(manifest), *lines[1:]]) + "\n",
+                          encoding="utf-8")
+        out = tmp_path / "out" / "summary.csv"
+        out.parent.mkdir()
+        assert main(["summarize", "--input", str(source), "--output", str(out)]) == EXIT_DATA
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ParseError"
+        assert error["message"].startswith("line 1: manifest captured_at precedes")
+        assert list(out.parent.iterdir()) == []
 
 
 class TestRejectedRuns:

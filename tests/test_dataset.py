@@ -57,6 +57,26 @@ class TestTimestamps:
     def test_round_trip(self):
         assert parse_timestamp(format_timestamp(BASE_TS + 12345)) == BASE_TS + 12345
 
+    @pytest.mark.parametrize("text,floor", [
+        ("9999-12-31T23:59:59.999999Z", "9999-12-31T23:59:59Z"),
+        ("1969-12-31T23:59:59.5Z", "1969-12-31T23:59:59Z"),
+        ("2018-01-01T00:00:00.999999Z", "2018-01-01T00:00:00Z"),
+    ])
+    def test_fractions_of_a_second_are_floored(self, text, floor):
+        assert format_timestamp(parse_timestamp(text)) == floor
+
+    def test_latest_fraction_ingests_and_reingests_alike(self, tmp_path):
+        # A float timestamp rounds 9999-12-31T23:59:59.999999 up into year
+        # 10000, which the first ingest would write and the second reject.
+        from wtps.cli import EXIT_OK, main
+
+        source = _write(tmp_path, _repo_line(), _event_line(at="9999-12-31T23:59:59.999999Z"))
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        assert main(["ingest", "--input", str(source), "--output", str(first)]) == EXIT_OK
+        assert main(["ingest", "--input", str(first), "--output", str(second)]) == EXIT_OK
+        assert first.read_bytes() == second.read_bytes()
+        assert '"captured_at":"9999-12-31T23:59:59Z"' in first.read_text(encoding="utf-8")
+
 
 class TestLoadCorpus:
     def test_community_sample_totals(self, community_corpus):
@@ -200,6 +220,21 @@ class TestLoadCorpus:
         path = _write(tmp_path, manifest, _repo_line())
         with pytest.raises(ParseError, match="^line 1: Invalid isoformat string"):
             load_corpus(path)
+
+    def test_manifest_capture_before_a_creation_is_parse_error(self, tmp_path):
+        manifest = json.dumps({
+            "schema_version": 1,
+            "captured_at": "2018-03-01T00:00:00Z",
+            "repo_count": 2,
+            "source": "file",
+        })
+        path = _write(tmp_path, manifest, _repo_line("R1"),
+                      _repo_line("R2", created="2018-03-01T00:00:01Z"))
+        with pytest.raises(ParseError, match="^line 1: .*captured_at.*'R2'"):
+            load_corpus(path)
+        path = _write(tmp_path, manifest, _repo_line("R1"),
+                      _repo_line("R2", created="2018-03-01T00:00:00Z"))
+        assert load_corpus(path).captured_at == parse_timestamp("2018-03-01T00:00:00Z")
 
     def test_manifest_must_be_first_line(self, tmp_path):
         manifest = json.dumps({

@@ -197,6 +197,14 @@ class TestCorpusValidation:
         assert corpus.captured_at == BASE_TS + 2 * DAY
         assert corpus.grid.interval_count == 1
 
+    def test_captured_at_is_never_before_a_creation(self):
+        corpus = Corpus.build(
+            [_repo("R1"), _repo("R2", created=BASE_TS + 40 * DAY)],
+            [_event(at=BASE_TS + 11 * DAY)],
+            interval_days=30,
+        )
+        assert corpus.captured_at == BASE_TS + 40 * DAY
+
     def test_regrid_changes_width_only(self, community_corpus):
         regridded = community_corpus.regrid(7)
         assert regridded.grid.interval_days == 7
