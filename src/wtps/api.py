@@ -8,10 +8,10 @@ Endpoints used (GitHub-compatible):
   /repos/{owner}/{name}/forks       fork timeline, sorted oldest-first
 
 The client enforces a shared hourly request cap across all endpoints and
-retries rate-limited calls up to the configured limit. Platforms cap deep
-pagination (stargazers stop listing after 40k entries), so a fetched history
-shorter than the snapshot count flags the result as truncated instead of
-passing silently.
+retries rate-limited calls up to the configured limit, but refuses a
+Retry-After over an hour. Platforms cap deep pagination (stargazers stop
+listing after 40k entries), so a fetched history shorter than the snapshot
+count flags the result as truncated instead of passing silently.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from .model import EventKind, PopularityEvent, RepoRecord
 
 _STAR_MEDIA_TYPE = "application/vnd.github.star+json"
 _DEFAULT_MEDIA_TYPE = "application/vnd.github+json"
+# The window of the hourly request cap, in seconds; no retry waits longer.
+_WINDOW_S = 3600.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,14 +84,14 @@ class RestClient:
 
     def _prune(self, now: float) -> None:
         """Forget the requests sent an hour or more before ``now``."""
-        while self._sent and self._sent[0] <= now - 3600.0:
+        while self._sent and self._sent[0] <= now - _WINDOW_S:
             self._sent.popleft()
 
     def _throttle(self) -> None:
         now = self._clock()
         self._prune(now)
         if len(self._sent) >= self.config.requests_per_hour_cap:
-            wait = self._sent[0] + 3600.0 - now
+            wait = self._sent[0] + _WINDOW_S - now
             if wait > 0:
                 self._sleep(wait)
             self._prune(self._clock())
@@ -112,7 +114,7 @@ class RestClient:
         Raises:
             NotFound: HTTP 404.
             AuthFailure: HTTP 401, or 403 without rate-limit markers.
-            RateLimited: rate-limit responses persisting past retry_limit.
+            RateLimited: rate limits past retry_limit, or a Retry-After over an hour.
             ApiError: any other non-2xx status, or a body that is not JSON.
         """
         url = self.config.base_url.rstrip("/") + path
@@ -133,6 +135,10 @@ class RestClient:
                 raise AuthFailure(f"authentication rejected for {path}")
             if _is_rate_limited(response):
                 retry_after = _retry_after_seconds(response)
+                if retry_after > _WINDOW_S:
+                    raise RateLimited(f"rate limited on {path}: Retry-After of {retry_after:g}"
+                                      f" s exceeds the {_WINDOW_S:g} s window",
+                                      retry_after=retry_after)
                 if attempt + 1 < attempts:
                     self._sleep(retry_after)
                     continue

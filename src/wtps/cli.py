@@ -443,12 +443,12 @@ def _cmd_graph_deletion(args, corpus: Corpus):
     measure = Indicator(args.measure)
     kind = CoefficientKind(args.coefficient)
     weights = _unit_weights(args, corpus)
-    scores = scores_for_measure(corpus, measure, weights=weights)
     steps = args.steps if args.steps is not None else min(100, len(corpus.repos))
     if steps > len(corpus.repos):
         raise ConfigError(
             f"--steps {steps} exceeds repository count {len(corpus.repos)}"
         )
+    scores = scores_for_measure(corpus, measure, weights=weights)
     graph = build_graph(corpus)
     series = deletion_experiment(graph, scores, steps, kind=kind, measure=measure)
     return deletion_table(series), {

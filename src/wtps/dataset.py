@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from json.encoder import encode_basestring
@@ -33,21 +33,21 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParseError
-from .model import EVENT_KINDS, Corpus, RepoRecord, format_timestamp
+from .model import (COUNT_FIELDS, EVENT_KINDS, Corpus, PopularityEvent, RepoRecord,
+                    format_timestamp)
 
 SCHEMA_VERSION = 1
 
-_REPO_KEYS = (
-    "repo_id", "full_name", "created_at", "primary_language", "size_kb",
-    "owner_followers", "forks_total", "stars_total", "watchers_total",
-    "follower_ids",
-)
-_EVENT_KEYS = ("repo_id", "kind", "occurred_at", "delta")
+# Each line type's keys are its record's fields, in order.
+_REPO_KEYS = tuple(f.name for f in fields(RepoRecord))
+_EVENT_KEYS = tuple(f.name for f in fields(PopularityEvent))
 _EVENT_KEY_SETS = (set(_EVENT_KEYS), set(_EVENT_KEYS[:3]))
 _KIND_NAMES = tuple(kind.value for kind in EVENT_KINDS)
 _KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}
-_MANIFEST_KEYS = ("schema_version", "captured_at", "repo_count", "source")
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z, the first and last second
+# that ``format_timestamp`` writes with a four-digit year.
+_FIRST_SECOND, _LAST_SECOND = -62_135_596_800, 253_402_300_799
 
 # An event line as ``save_corpus`` writes it: a repo_id free of escapes, of
 # control characters and of undecodable bytes, an in-range UTC time of day
@@ -80,19 +80,20 @@ class DatasetManifest:
 
     def to_json_dict(self) -> dict:
         """The manifest line as written to a dataset file, in key order."""
-        return {
-            "schema_version": self.schema_version,
-            "captured_at": format_timestamp(self.captured_at),
-            "repo_count": self.repo_count,
-            "source": self.source.value,
-        }
+        return _line_dict(
+            self, captured_at=format_timestamp(self.captured_at), source=self.source.value
+        )
+
+
+_MANIFEST_KEYS = tuple(f.name for f in fields(DatasetManifest))
 
 
 def parse_timestamp(text: str) -> int:
     """Parse an ISO-8601 timestamp to UTC epoch seconds.
 
     Accepts a trailing "Z" or an explicit offset; a naive timestamp is read
-    as UTC. Fractions of a second are floored.
+    as UTC. Fractions of a second are floored. The instant must fall in UTC
+    years 0001-9999, which ``format_timestamp`` writes back unchanged.
     """
     if not isinstance(text, str):
         raise ValueError(f"timestamp must be a string, got {type(text).__name__}")
@@ -102,7 +103,10 @@ def parse_timestamp(text: str) -> int:
     moment = datetime.fromisoformat(raw)
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=timezone.utc)
-    return (moment - _EPOCH) // timedelta(seconds=1)
+    seconds = (moment - _EPOCH) // timedelta(seconds=1)
+    if not _FIRST_SECOND <= seconds <= _LAST_SECOND:
+        raise ValueError(f"timestamp {text!r} is outside UTC years 0001-9999")
+    return seconds
 
 
 def _epoch_day(date: str) -> int | None:
@@ -155,19 +159,13 @@ def _parse_repo(obj: dict, line_no: int) -> RepoRecord:
         isinstance(f, str) for f in follower_ids
     ):
         raise ParseError(line_no, "follower_ids must be a list of strings")
+    repo_id = _require_str(obj, "repo_id", line_no)
+    full_name = _require_str(obj, "full_name", line_no)
+    created_at = _parse_stamp(obj["created_at"], line_no)
+    counts = {name: _require_int(obj, name, line_no) for name in COUNT_FIELDS}
     try:
-        return RepoRecord(
-            repo_id=_require_str(obj, "repo_id", line_no),
-            full_name=_require_str(obj, "full_name", line_no),
-            created_at=_parse_stamp(obj["created_at"], line_no),
-            primary_language=language,
-            size_kb=_require_int(obj, "size_kb", line_no),
-            owner_followers=_require_int(obj, "owner_followers", line_no),
-            forks_total=_require_int(obj, "forks_total", line_no),
-            stars_total=_require_int(obj, "stars_total", line_no),
-            watchers_total=_require_int(obj, "watchers_total", line_no),
-            follower_ids=tuple(follower_ids),
-        )
+        return RepoRecord(repo_id, full_name, created_at, language, **counts,
+                          follower_ids=tuple(follower_ids))
     except ValueError as exc:
         raise ParseError(line_no, str(exc)) from exc
 
@@ -309,19 +307,16 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
-def _repo_dict(r: RepoRecord) -> dict:
+def _line_dict(record, **rendered) -> dict:
+    """A record as its dataset line: its fields in order, ``rendered`` values first."""
     return {
-        "repo_id": r.repo_id,
-        "full_name": r.full_name,
-        "created_at": format_timestamp(r.created_at),
-        "primary_language": r.primary_language,
-        "size_kb": r.size_kb,
-        "owner_followers": r.owner_followers,
-        "forks_total": r.forks_total,
-        "stars_total": r.stars_total,
-        "watchers_total": r.watchers_total,
-        "follower_ids": list(r.follower_ids),
+        f.name: rendered[f.name] if f.name in rendered else getattr(record, f.name)
+        for f in fields(record)
     }
+
+
+def _repo_dict(r: RepoRecord) -> dict:
+    return _line_dict(r, created_at=format_timestamp(r.created_at))
 
 
 # Times per batch when formatting timestamps on save.

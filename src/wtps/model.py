@@ -35,6 +35,10 @@ class EventKind(Enum):
     STAR = "star"
 
 
+# RepoRecord's snapshot counts, in field order; each fits int64, like a binned cell.
+COUNT_FIELDS = ("size_kb", "owner_followers", "forks_total", "stars_total", "watchers_total")
+
+
 @dataclass(frozen=True, slots=True)
 class RepoRecord:
     """Static metadata for one repository.
@@ -67,11 +71,10 @@ class RepoRecord:
                 text.encode("utf-8")
             except UnicodeEncodeError:
                 raise ValueError(f"{name} is not encodable as UTF-8: {text!r}") from None
-        for name in ("size_kb", "owner_followers", "forks_total",
-                     "stars_total", "watchers_total"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        # The message leaves the value out: a huge int cannot be formatted.
+        for name in COUNT_FIELDS:
+            if not 0 <= getattr(self, name) < 2**63:
+                raise ValueError(f"{name} must be in [0, 2**63)")
 
 
 @dataclass(frozen=True, slots=True)

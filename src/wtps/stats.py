@@ -13,19 +13,16 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateInput, EmptyInput, LengthMismatch
-from .model import Corpus
+from .model import COUNT_FIELDS, Corpus
 from .scoring import Indicator, SNAPSHOT_FIELDS, indicator_values
 
 DEFAULT_SWEEP_DAYS: tuple[int, ...] = (30, 21, 14, 7)
-# The repository properties ``correlate`` regresses, in report order.
-_PROPERTY_FIELDS: tuple[str, ...] = (
-    "forks_total",
-    "stars_total",
-    "watchers_total",
-    "age_days",
-    "owner_followers",
-    "size_kb",
-)
+# The repository features, ``COUNT_FIELDS`` and "age_days", in the report
+# order of ``repo_features`` (and so of summarize) and of ``correlate``.
+_SUMMARY_FIELDS = ("forks_total", "stars_total", "watchers_total", "age_days", "size_kb",
+                   "owner_followers")
+_PROPERTY_FIELDS = ("forks_total", "stars_total", "watchers_total", "age_days", "owner_followers",
+                    "size_kb")
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,14 +201,8 @@ def repo_age_days(corpus: Corpus) -> dict[str, float]:
 
 
 def repo_features(corpus: Corpus) -> dict[str, list[float]]:
-    """The six per-repository float feature columns, in ``corpus.repos`` order."""
-    ages = repo_age_days(corpus)
-    repos = corpus.repos
-    return {
-        "forks_total": [float(r.forks_total) for r in repos],
-        "stars_total": [float(r.stars_total) for r in repos],
-        "watchers_total": [float(r.watchers_total) for r in repos],
-        "age_days": [ages[r.repo_id] for r in repos],
-        "size_kb": [float(r.size_kb) for r in repos],
-        "owner_followers": [float(r.owner_followers) for r in repos],
-    }
+    """The snapshot counts and the age in days as float columns, in
+    ``_SUMMARY_FIELDS`` order, each in ``corpus.repos`` order."""
+    columns = {name: [float(getattr(r, name)) for r in corpus.repos] for name in COUNT_FIELDS}
+    columns["age_days"] = list(repo_age_days(corpus).values())
+    return {name: columns[name] for name in _SUMMARY_FIELDS}

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from wtps.graph import CoefficientKind, FollowerGraph
@@ -76,25 +77,8 @@ def make_corpus(
         )
     if not events:
         events.append(PopularityEvent(repos[0].repo_id, EventKind.STAR, BASE_TS, 1))
-        repos[0] = RepoRecord(
-            **{**_record_fields(repos[0]), "stars_total": repos[0].stars_total + 1}
-        )
+        repos[0] = replace(repos[0], stars_total=repos[0].stars_total + 1)
     return Corpus.build(repos, events, interval_days=interval_days)
-
-
-def _record_fields(record: RepoRecord) -> dict:
-    return {
-        "repo_id": record.repo_id,
-        "full_name": record.full_name,
-        "created_at": record.created_at,
-        "primary_language": record.primary_language,
-        "size_kb": record.size_kb,
-        "owner_followers": record.owner_followers,
-        "forks_total": record.forks_total,
-        "stars_total": record.stars_total,
-        "watchers_total": record.watchers_total,
-        "follower_ids": record.follower_ids,
-    }
 
 
 def scale_events(corpus: Corpus, k: int) -> Corpus:

@@ -227,8 +227,9 @@ class TestMalformedPayload:
         (lambda s: s.repo.update(size=-5), f"/repos/{OWNER}/{NAME}:"),
         (lambda s: s.repo.pop("id"), f"/repos/{OWNER}/{NAME}:"),
         (lambda s: s.user.update(followers="many"), f"/users/{OWNER}:"),
+        (lambda s: s.repo.update(forks_count=2**63), f"/repos/{OWNER}/{NAME}:"),
     ], ids=["bad-starred-at", "null-created-at", "null-size", "negative-size",
-            "missing-id", "followers-not-a-number"])
+            "missing-id", "followers-not-a-number", "forks-count-past-int64"])
     def test_fetch_exits_with_api_error(self, mock_api, tmp_path, capsys, breaks, endpoint):
         base_url, state = mock_api
         breaks(state)
@@ -277,6 +278,17 @@ class TestFetchCommand:
         assert sidecar["provenance"]["event_count"] == 5
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "fetched.jsonl", "fetched.jsonl.meta.json"]
+
+    def test_retry_after_beyond_the_hour_exits_with_api_error(self, mock_api, tmp_path, capsys):
+        base_url, state = mock_api
+        state.scripted.append((f"/repos/{OWNER}/{NAME}", 429, {"Retry-After": "1e12"}))
+        out = tmp_path / "fetched.jsonl"
+        assert self._fetch(base_url, out) == EXIT_API
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "RateLimited"
+        assert error["exit_code"] == EXIT_API
+        assert "Retry-After of 1e+12 s exceeds the 3600 s window" in error["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_history_is_warned_and_recorded(self, mock_api, tmp_path, capsys):
         base_url, state = mock_api
@@ -328,6 +340,25 @@ class TestErrorMapping:
         fetch_repo(_config(base_url, retry_limit=1), f"{OWNER}/{NAME}", sleep=sleeps.append)
         assert 60.0 in sleeps
         assert all(math.isfinite(s) for s in sleeps)
+
+    def test_retry_after_of_the_whole_hour_is_waited(self, mock_api):
+        base_url, state = mock_api
+        state.scripted.append((f"/users/{OWNER}", 429, {"Retry-After": "3600"}))
+        sleeps = []
+        fetch_repo(_config(base_url, retry_limit=1), f"{OWNER}/{NAME}", sleep=sleeps.append)
+        assert sleeps == [3600.0]
+
+    @pytest.mark.parametrize("header", ["3600.5", "1e12"])
+    def test_retry_after_beyond_the_hour_is_refused_without_sleeping(self, mock_api, header):
+        base_url, state = mock_api
+        state.scripted.append((f"/users/{OWNER}", 429, {"Retry-After": header}))
+
+        def sleep(seconds):
+            raise AssertionError(f"slept {seconds} s")
+
+        with pytest.raises(RateLimited, match="exceeds the 3600 s window") as excinfo:
+            fetch_repo(_config(base_url, retry_limit=2), f"{OWNER}/{NAME}", sleep=sleep)
+        assert excinfo.value.retry_after == float(header)
 
     def test_rate_limit_exhausts_retries(self, mock_api):
         base_url, state = mock_api

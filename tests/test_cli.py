@@ -31,7 +31,7 @@ from wtps.serialize import (
 import wtps
 from wtps import Indicator, bin_events, compute_weights, load_corpus, rank, score_all
 from wtps.dataset import save_corpus
-from wtps.model import Corpus
+from wtps.model import COUNT_FIELDS, Corpus
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE
 from synth import make_corpus
 from test_golden import DIGESTS, run_all
@@ -376,6 +376,52 @@ class TestRejectedRuns:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "DeltaOverflow"
         assert list(tmp_path.iterdir()) == [dataset]
 
+    @staticmethod
+    def _counts_dataset(tmp_path, **counts) -> Path:
+        """Two repositories with events; R1 takes its counts from ``counts``."""
+        repos = [{"repo_id": rid, "full_name": f"o/{rid}", "created_at": "2018-01-01T00:00:00Z",
+                  "primary_language": None, "size_kb": 1, "owner_followers": 1,
+                  "forks_total": 3, "stars_total": 2, "watchers_total": 1,
+                  "follower_ids": ["f1"]} for rid in ("R1", "R2")]
+        repos[0].update(counts)
+        events = [{"repo_id": rid, "kind": kind, "occurred_at": f"2018-01-0{day}T00:00:00Z"}
+                  for rid, kind, day in [("R1", "fork", 2), ("R2", "star", 3), ("R2", "fork", 4)]]
+        dataset = tmp_path / "counts.jsonl"
+        dataset.write_text("".join(json.dumps(o) + "\n" for o in [*repos, *events]),
+                           encoding="utf-8")
+        return dataset
+
+    @pytest.mark.parametrize("argv", [
+        ["summarize"], ["correlate"], ["sweep"],
+        ["graph-deletion", "--measure", "forks"], ["rank", "--indicator", "forks"],
+    ], ids=lambda argv: argv[0])
+    def test_count_past_int64_is_data_error(self, tmp_path, capsys, argv):
+        # Such a count used to reach float() and exit 1, or rank as is.
+        dataset = self._counts_dataset(tmp_path, forks_total=10**400)
+        code = main([*argv, "--input", str(dataset), "--output", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "ParseError"
+        assert error["message"] == "line 1: forks_total must be in [0, 2**63)"
+        assert list(tmp_path.iterdir()) == [dataset]
+
+    def test_largest_int64_count_loads_and_round_trips(self, tmp_path, capsys):
+        dataset = self._counts_dataset(tmp_path, **dict.fromkeys(COUNT_FIELDS, 2**63 - 1))
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        assert main(["ingest", "--input", str(dataset), "--output", str(first)]) == EXIT_OK
+        assert main(["ingest", "--input", str(first), "--output", str(second)]) == EXIT_OK
+        assert first.read_bytes() == second.read_bytes()
+        record = load_corpus(first).repos[0]
+        assert [getattr(record, name) for name in COUNT_FIELDS] == [2**63 - 1] * 5
+        out = tmp_path / "summary.csv"
+        assert main(["summarize", "--input", str(first), "--output", str(out)]) == EXIT_OK
+        forks = next(r for r in _read_csv(out)[1:] if r[0] == "forks_total")
+        assert float(forks[5]) == float(2**63 - 1)  # maximum
+        # One more is past the bound.
+        dataset = self._counts_dataset(tmp_path, watchers_total=2**63)
+        assert main(["ingest", "--input", str(dataset), "--output", str(first)]) == EXIT_DATA
+        assert "watchers_total must be in [0, 2**63)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sidecar", [False, True], ids=["data-file", "sidecar"])
     def test_output_onto_input_is_config_error(self, tmp_path, capsys, sidecar):
         dataset = tmp_path / "d.jsonl.meta.json" if sidecar else tmp_path / "d.jsonl"
@@ -633,12 +679,19 @@ class TestGraphCommands:
         assert series["measure"] == "stars"
         assert len(series["values"]) == 4
 
-    def test_graph_deletion_steps_validation(self, tmp_path, capsys):
+    def test_graph_deletion_steps_validation(self, tmp_path, capsys, monkeypatch):
+        # --steps is checked before any scoring work.
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored before the --steps check")
+
+        monkeypatch.setattr("wtps.cli.scores_for_measure", no_scoring)
         code = main(["graph-deletion", "--input", str(FOLLOWER_SAMPLE),
                      "--output", str(tmp_path / "d.csv"), "--measure", "stars",
                      "--steps", "9"])
         assert code == EXIT_CONFIG
-        capsys.readouterr()
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["message"] == "--steps 9 exceeds repository count 3"
+        assert list(tmp_path.iterdir()) == []
 
     def test_graph_deletion_deterministic(self, tmp_path):
         outs = []

@@ -10,7 +10,7 @@ from wtps.dataset import (
     parse_timestamp,
     save_corpus,
 )
-from wtps.model import Corpus, EventKind, PopularityEvent, RepoRecord
+from wtps.model import COUNT_FIELDS, Corpus, EventKind, PopularityEvent, RepoRecord
 from synth import BASE_TS, DAY, make_corpus
 
 
@@ -64,6 +64,39 @@ class TestTimestamps:
     ])
     def test_fractions_of_a_second_are_floored(self, text, floor):
         assert format_timestamp(parse_timestamp(text)) == floor
+
+    @pytest.mark.parametrize("text,instant", [
+        ("0001-01-01T00:00:00Z", "0001-01-01T00:00:00Z"),
+        ("0001-01-01T01:00:00+01:00", "0001-01-01T00:00:00Z"),
+        ("9999-12-31T23:59:59Z", "9999-12-31T23:59:59Z"),
+        ("9999-12-31T21:59:59-02:00", "9999-12-31T23:59:59Z"),
+    ])
+    def test_first_and_last_utc_second_are_accepted(self, text, instant):
+        assert format_timestamp(parse_timestamp(text)) == instant
+
+    @pytest.mark.parametrize("text", [
+        "0001-01-01T00:00:00+01:00", "0001-01-01T00:59:59+01:00",
+        "9999-12-31T23:00:00-02:00", "9999-12-31T22:00:00-02:00",
+    ])
+    def test_offset_beyond_the_utc_years_is_rejected(self, text):
+        # Either instant would be written back with year 0000 or 10000.
+        with pytest.raises(ValueError, match=r"outside UTC years 0001-9999$"):
+            parse_timestamp(text)
+
+    @pytest.mark.parametrize("created,at", [
+        ("0001-01-01T00:00:00+01:00", "0001-01-01T00:00:00+01:00"),
+        ("2018-01-01T00:00:00Z", "9999-12-31T23:00:00-02:00"),
+    ], ids=["year-0", "year-10000"])
+    def test_offset_beyond_the_utc_years_is_a_data_error(self, tmp_path, capsys, created, at):
+        from wtps.cli import EXIT_DATA, main
+
+        source = _write(tmp_path, _repo_line(created=created), _event_line(at=at))
+        out = tmp_path / "out.jsonl"
+        assert main(["ingest", "--input", str(source), "--output", str(out)]) == EXIT_DATA
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "ParseError"
+        assert error["message"].endswith("is outside UTC years 0001-9999")
+        assert list(tmp_path.iterdir()) == [source]
 
     def test_latest_fraction_ingests_and_reingests_alike(self, tmp_path):
         # A float timestamp rounds 9999-12-31T23:59:59.999999 up into year
@@ -187,9 +220,12 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="kind"):
             load_corpus(path)
 
-    def test_negative_count_rejected(self, tmp_path):
-        path = _write(tmp_path, _repo_line(stars_total=-4))
-        with pytest.raises(ParseError, match="stars_total"):
+    @pytest.mark.parametrize("value", [-4, 2**63])
+    @pytest.mark.parametrize("field", COUNT_FIELDS)
+    def test_negative_count_rejected(self, tmp_path, field, value):
+        # Counts are bounded like binned cells, to [0, 2**63).
+        path = _write(tmp_path, _repo_line(**{field: value}))
+        with pytest.raises(ParseError, match=rf"^line 1: {field} must be in \[0, 2\*\*63\)$"):
             load_corpus(path)
 
     def test_delta_defaults_to_one(self, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,6 +231,15 @@ class TestCorpusValidation:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             _repo(stars_total=-1)
+
+    @pytest.mark.parametrize("value", [2**63, 10**5000], ids=["2e63", "5001-digits"])
+    def test_counts_past_int64_rejected_without_the_value(self, value):
+        # A 5000-digit int cannot be formatted, so the message names the bound.
+        with pytest.raises(ValueError, match=r"^stars_total must be in \[0, 2\*\*63\)$"):
+            _repo(stars_total=value)
+        record = _repo(stars_total=2**63 - 1)
+        with pytest.raises(ValueError, match="stars_total"):
+            replace(record, stars_total=value)
 
     def test_empty_repo_id_rejected(self):
         with pytest.raises(ValueError):

@@ -12,8 +12,11 @@ from wtps import (
     compute_weights,
     score_all,
 )
-from wtps.model import Corpus, EventKind, PopularityEvent, RepoRecord
+from wtps.model import COUNT_FIELDS, Corpus, EventKind, PopularityEvent, RepoRecord
+from wtps.scoring import SNAPSHOT_FIELDS
 from wtps.stats import (
+    _PROPERTY_FIELDS,
+    _SUMMARY_FIELDS,
     correlate,
     interval_sweep,
     ols_line,
@@ -241,6 +244,14 @@ class TestCorrelate:
         corpus = Corpus.build([RepoRecord("R1", "o/r", BASE_TS)], [], interval_days=30)
         with pytest.raises(DegenerateInput):
             correlate(corpus)
+
+
+class TestFeatureTable:
+    def test_every_feature_list_is_the_counts_and_the_age(self, community_corpus):
+        assert set(SNAPSHOT_FIELDS.values()) <= set(COUNT_FIELDS)
+        features = sorted(COUNT_FIELDS + ("age_days",))
+        assert sorted(_SUMMARY_FIELDS) == sorted(_PROPERTY_FIELDS) == features
+        assert tuple(repo_features(community_corpus)) == _SUMMARY_FIELDS
 
 
 class TestRepoAge:
