@@ -329,7 +329,7 @@ def _write_sidecar(path: Path, args, corpus: Corpus, extra: dict) -> None:
             "input": getattr(args, "input", None),
             "captured_at": format_timestamp(corpus.captured_at),
             "repo_count": len(corpus.repos),
-            "event_count": len(corpus.event_time),
+            "event_count": corpus.event_count,
             "grid": {
                 "epoch": format_timestamp(corpus.grid.epoch),
                 "interval_days": corpus.grid.interval_days,

@@ -27,14 +27,12 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
-
-import numpy as np
 
 from .errors import ParseError
-from .model import (COUNT_FIELDS, EVENT_KINDS, Corpus, PopularityEvent, RepoRecord,
-                    format_timestamp)
+from .model import (COUNT_FIELDS, EVENT_KINDS, FIRST_SECOND, LAST_SECOND, Corpus,
+                    PopularityEvent, RepoRecord, format_timestamp, format_timestamps)
 
 SCHEMA_VERSION = 1
 
@@ -45,9 +43,6 @@ _EVENT_KEY_SETS = (set(_EVENT_KEYS), set(_EVENT_KEYS[:3]))
 _KIND_NAMES = tuple(kind.value for kind in EVENT_KINDS)
 _KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-# 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z, the first and last second
-# that ``format_timestamp`` writes with a four-digit year.
-_FIRST_SECOND, _LAST_SECOND = -62_135_596_800, 253_402_300_799
 
 # An event line as ``save_corpus`` writes it: a repo_id free of escapes, of
 # control characters and of undecodable bytes, an in-range UTC time of day
@@ -104,7 +99,7 @@ def parse_timestamp(text: str) -> int:
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=timezone.utc)
     seconds = (moment - _EPOCH) // timedelta(seconds=1)
-    if not _FIRST_SECOND <= seconds <= _LAST_SECOND:
+    if not FIRST_SECOND <= seconds <= LAST_SECOND:
         raise ValueError(f"timestamp {text!r} is outside UTC years 0001-9999")
     return seconds
 
@@ -319,17 +314,6 @@ def _repo_dict(r: RepoRecord) -> dict:
     return _line_dict(r, created_at=format_timestamp(r.created_at))
 
 
-# Times per batch when formatting timestamps on save.
-_CHUNK = 8192
-
-
-def _iso_seconds(times: np.ndarray) -> Iterator[str]:
-    """``format_timestamp`` without the "Z", ``_CHUNK`` times at a time."""
-    for start in range(0, len(times), _CHUNK):
-        batch = times[start:start + _CHUNK].astype("datetime64[s]")
-        yield from np.datetime_as_string(batch).tolist()
-
-
 def save_corpus(
     corpus: Corpus,
     path: str | Path,
@@ -354,10 +338,10 @@ def save_corpus(
         handle.writelines(_dump(_repo_dict(r)) + "\n" for r in corpus.repos)
         handle.writelines(
             f'{{"repo_id":{ids[row]},"kind":"{_KIND_NAMES[kind]}",'
-            f'"occurred_at":"{stamp}Z","delta":{delta}}}\n'
-            for row, kind, stamp, delta in zip(
-                corpus.event_repo.tolist(), corpus.event_kind.tolist(),
-                _iso_seconds(corpus.event_time), corpus.event_delta.tolist(),
+            f'"occurred_at":"{stamp}","delta":{delta}}}\n'
+            for (row, kind, _, delta), stamp in zip(
+                corpus.event_rows(),
+                format_timestamps(map(itemgetter(2), corpus.event_rows())),
             )
         )
     return manifest

@@ -4,15 +4,24 @@ Timestamps are integer UTC epoch seconds throughout; durations are whole
 days. "Months" are normalized to fixed 30-day windows so that every
 supported interval width (30/21/14/7 days) behaves uniformly; calendar-aware
 binning is deliberately not implemented.
+
+Nothing here imports numpy up front: event columns are ``array`` columns and
+binned counts are int lists, and only a large corpus is sorted, binned and
+scored by numpy (see ``_vectorized``). The documented ndarray attributes
+import numpy when they are first read.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from datetime import date
 from enum import Enum
-from typing import Iterable, Sequence
-
-import numpy as np
+from functools import cache
+from itertools import compress, islice, repeat
+from operator import le
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     DeltaOverflow,
@@ -25,7 +34,19 @@ from .errors import (
     WtpsError,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 SECONDS_PER_DAY = 86_400
+# 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z, the first and last second
+# with a four-digit UTC year: the range of every record time.
+FIRST_SECOND, LAST_SECOND = -62_135_596_800, 253_402_300_799
+
+
+def _check_time(name: str, value: int) -> None:
+    # The message leaves the value out: a huge int cannot be formatted.
+    if not FIRST_SECOND <= value <= LAST_SECOND:
+        raise ValueError(f"{name} must lie in UTC years 0001-9999")
 
 
 class EventKind(Enum):
@@ -62,6 +83,7 @@ class RepoRecord:
     def __post_init__(self) -> None:
         if not self.repo_id:
             raise ValueError("repo_id must be non-empty")
+        _check_time("created_at", self.created_at)
         object.__setattr__(self, "follower_ids", tuple(self.follower_ids))
         # Saved files and outputs are UTF-8, which has no lone surrogates.
         for name, text in (("repo_id", self.repo_id), ("full_name", self.full_name),
@@ -93,6 +115,7 @@ class PopularityEvent:
     def __post_init__(self) -> None:
         if self.delta == 0:
             raise ValueError("delta must be nonzero")
+        _check_time("occurred_at", self.occurred_at)
 
     def sort_key(self) -> tuple[int, str, str, int]:
         return (self.occurred_at, self.repo_id, self.kind.value, self.delta)
@@ -161,25 +184,84 @@ def grid_for_times(times: Iterable[int], interval_days: int) -> TimeGrid:
 
 # Kinds by the code stored in ``Corpus.event_kind``.
 EVENT_KINDS = (EventKind.FORK, EventKind.STAR)
-_COLUMNS = ("event_repo", "event_kind", "event_time", "event_delta")
+_UNIX_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+@cache
+def _clock() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """"HH:MM:" of each minute of a day and "SSZ" of each second of a minute."""
+    return (tuple(f"{m // 60:02d}:{m % 60:02d}:" for m in range(1440)),
+            tuple(f"{s:02d}Z" for s in range(60)))
+
+
+def format_timestamps(times: Iterable[int]) -> Iterator[str]:
+    """``format_timestamp`` of each time, formatting each date once."""
+    minutes, seconds = _clock()
+    dates: dict[int, str] = {}
+    for ts in times:
+        day = ts // SECONDS_PER_DAY
+        try:
+            text = dates[day]
+        except KeyError:
+            _check_time("timestamp", ts)
+            text = dates[day] = date.fromordinal(day + _UNIX_ORDINAL).isoformat() + "T"
+        yield text + minutes[ts // 60 % 1440] + seconds[ts % 60]
 
 
 def format_timestamp(ts: int) -> str:
     """Render UTC epoch seconds as canonical ISO-8601 ("YYYY-MM-DDTHH:MM:SSZ").
 
-    numpy's formatter pads the year to four digits; ``save_corpus`` runs the
-    same formatter over the event times in batches.
+    The year always has four digits; a time outside UTC years 0001-9999
+    raises ``ValueError``.
     """
-    return f"{np.datetime64(ts, 's')}Z"
+    return next(format_timestamps((ts,)))
 
 
-def _grid_rule(
-    repos: Sequence[RepoRecord], times: np.ndarray, interval_days: int
-) -> TimeGrid:
+def _grid_rule(repos: Sequence[RepoRecord], times: Sequence[int], interval_days: int) -> TimeGrid:
     """The grid covering the event times, else the repositories' creation times."""
-    if times.size:
-        return grid_for_times((int(times.min()), int(times.max())), interval_days)
+    if times:
+        return grid_for_times((min(times), max(times)), interval_days)
     return grid_for_times((r.created_at for r in repos), interval_days)
+
+
+# Sorting, binning and scoring in pure Python cost about 0.15 us per event and
+# per binned cell, 100 times numpy's kernels, and importing numpy about 0.15 s.
+# Sized by its events plus the cells of a weekly grid over its span, a corpus
+# from this size on is handed to numpy; below it, even ``sweep``, which bins
+# and scores five times at widths of a week or more, does less work in pure
+# Python than numpy's import costs.
+_NUMPY_FROM = 200_000
+_WEEK = 7 * SECONDS_PER_DAY
+
+
+def _vectorized(events: int, repos: int, span: int) -> bool:
+    """Whether numpy sorts, bins and scores a corpus of ``events`` events and
+    ``repos`` repositories whose latest event is ``span`` seconds after its
+    grid's epoch; regridding keeps the epoch, so the answer holds at every
+    width."""
+    return events + len(EVENT_KINDS) * repos * (span // _WEEK + 1) >= _NUMPY_FROM
+
+
+def _column_view(name: str, dtype: str, doc: str) -> property:
+    """A documented ndarray attribute over the array column ``name``: built
+    on first access, without a copy where the item sizes agree, read-only,
+    and kept."""
+
+    def view(self) -> np.ndarray:
+        column = self._views.get(name)
+        if column is None:
+            import numpy as np
+
+            # numpy's own int64 and intp, not an equal "q" dtype, which its
+            # kernels (np.add.at among them) take a slow casting path for.
+            source, want = getattr(self, name), np.dtype(dtype)
+            column = (np.frombuffer(source, dtype=want) if source.itemsize == want.itemsize
+                      else np.frombuffer(source, dtype=source.typecode).astype(want))
+            column.setflags(write=False)
+            self._views[name] = column
+        return column
+
+    return property(view, doc=doc)
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False)
@@ -190,10 +272,13 @@ class Corpus:
     ``(occurred_at, repo_id, kind, delta)``) and validates all cross-record
     invariants, so any Corpus in hand is known-good and safe to share.
 
-    Events are stored as four parallel columns in that order: ``event_repo``
-    (row into ``repos``), ``event_kind`` (0 fork, 1 star), ``event_time``
-    (epoch seconds) and ``event_delta`` (int64). ``events`` is the row view
-    of the same data as ``PopularityEvent`` objects, built on first use.
+    Events are stored as four parallel ``array`` columns in that order. The
+    documented ndarray attributes ``event_repo`` (row into ``repos``, intp),
+    ``event_kind`` (0 fork, 1 star, int8), ``event_time`` (epoch seconds,
+    int64) and ``event_delta`` (int64) view them; each is built on first
+    access, read-only, and kept. ``event_count`` and ``event_rows()`` read
+    the columns without numpy. ``events`` is the row view of the same data
+    as ``PopularityEvent`` objects, also built on first use.
 
     ``captured_at`` is the corpus capture timestamp; when not supplied it
     resolves to the later of the latest event time and the latest creation
@@ -203,11 +288,17 @@ class Corpus:
     repos: tuple[RepoRecord, ...]
     grid: TimeGrid
     captured_at: int | None
-    event_repo: np.ndarray = field(repr=False)
-    event_kind: np.ndarray = field(repr=False)
-    event_time: np.ndarray = field(repr=False)
-    event_delta: np.ndarray = field(repr=False)
+    _repo: array = field(repr=False)
+    _kind: array = field(repr=False)
+    _time: array = field(repr=False)
+    _delta: array = field(repr=False)
     _rows: tuple[PopularityEvent, ...] | None = field(repr=False)
+    _views: dict = field(repr=False)
+
+    event_repo = _column_view("_repo", "intp", "Row into ``repos`` of each event.")
+    event_kind = _column_view("_kind", "int8", "Kind code of each event: 0 fork, 1 star.")
+    event_time = _column_view("_time", "int64", "Epoch seconds of each event.")
+    event_delta = _column_view("_delta", "int64", "Signed delta of each event.")
 
     def __init__(
         self,
@@ -237,6 +328,8 @@ class Corpus:
         faulty event is reported by its earliest line in the loader's words;
         without, by its canonical position in the corpus's own words.
         """
+        if self.captured_at is not None:
+            _check_time("captured_at", self.captured_at)
         repos = tuple(sorted(self.repos, key=lambda r: r.repo_id))
         row_of: dict[str, int] = {}
         for row, record in enumerate(repos):
@@ -244,19 +337,22 @@ class Corpus:
                 raise DuplicateRepoId(f"duplicate repo_id {record.repo_id!r}")
             row_of[record.repo_id] = row
 
-        rows = np.fromiter((row_of.get(rid, -1) for rid in repo_ids), np.intp, len(repo_ids))
-        time = np.asarray(times, dtype=np.int64)
-        created = np.array([r.created_at for r in repos], dtype=np.int64)
-        unknown = rows < 0
-        early = np.zeros_like(unknown)
-        early[~unknown] = time[~unknown] < created[rows[~unknown]]
-        faulty = unknown | early | (time < self.grid.epoch) | (time >= self.grid.end)
-        if faulty.any():
-            at = np.flatnonzero(faulty).tolist()
-            i = at[0] if lines is not None else min(
-                at, key=lambda j: (times[j], repo_ids[j], kinds[j], deltas[j])
+        # An event is valid from its repository's creation and the grid's
+        # epoch up to the grid's end; an unknown repo_id gets the extra row
+        # ``len(repos)``, valid nowhere.
+        grid, end = self.grid, self.grid.end
+        unknown = len(repos)
+        rows = list(map(row_of.get, repo_ids, repeat(unknown)))
+        floor = [max(r.created_at, grid.epoch) for r in repos] + [end]
+        lows = list(map(floor.__getitem__, rows))
+        last = max(times, default=grid.epoch)
+        if not all(map(le, lows, times)) or last >= end:
+            faulty = [i for i, (low, time) in enumerate(zip(lows, times))
+                      if not low <= time < end]
+            i = faulty[0] if lines is not None else min(
+                faulty, key=lambda j: (times[j], repo_ids[j], kinds[j], deltas[j])
             )
-            raise _event_fault(repos, row_of, repo_ids[i], int(time[i]), self.grid,
+            raise _event_fault(repos, row_of, repo_ids[i], times[i], grid,
                                None if lines is None else lines[i])
         # Binned cells and interval totals are int64; bounding the summed
         # magnitudes bounds every one of them, so none can wrap around.
@@ -264,22 +360,30 @@ class Corpus:
         if activity >= 2**63:
             raise DeltaOverflow(f"event deltas sum to magnitude {activity} >= 2**63")
 
-        kind = np.asarray(kinds, dtype=np.int8)
-        delta = np.asarray(deltas, dtype=np.int64)
-        order = np.lexsort((delta, kind, rows, time))
-        self._set(
-            repos=repos,
-            event_repo=rows[order],
-            event_kind=kind[order],
-            event_time=time[order],
-            event_delta=delta[order],
-            _rows=None,
-        )
-        for name in _COLUMNS:
-            getattr(self, name).setflags(write=False)
+        # Saved files are in canonical order already; other input is sorted,
+        # by numpy when it will bin the corpus too (see ``bin_events``).
+        columns = rows, kinds, times, deltas
+        if not all(map(le, zip(times, rows, kinds, deltas),
+                       islice(zip(times, rows, kinds, deltas), 1, None))):
+            if _vectorized(len(times), len(repos), last - grid.epoch):
+                import numpy as np
+
+                columns = [np.asarray(column, dtype=np.int64) for column in columns]
+                row, kind, time, delta = columns
+                order = np.lexsort((delta, kind, row, time))
+                columns = [column[order].astype(code).tobytes()
+                           for code, column in zip("qbqq", columns)]
+            else:
+                time, row, kind, delta = zip(*sorted(zip(times, rows, kinds, deltas)))
+                columns = row, kind, time, delta
+        self._store(repos, *map(array, "qbqq", columns))
         if self.captured_at is None:
-            latest = (*self.event_time[-1:].tolist(), *created.tolist())
-            self._set(captured_at=max(latest, default=self.grid.epoch))
+            latest = (*self._time[-1:], *(r.created_at for r in repos))
+            self._set(captured_at=max(latest, default=grid.epoch))
+
+    def _store(self, repos, rows: array, kind: array, time: array, delta: array) -> None:
+        self._set(repos=repos, _repo=rows, _kind=kind, _time=time, _delta=delta,
+                  _rows=None, _views={})
 
     @classmethod
     def _from_columns(
@@ -295,7 +399,6 @@ class Corpus:
     ) -> "Corpus":
         """A corpus of event columns in input order, on the grid ``build`` derives."""
         corpus = object.__new__(cls)
-        times = np.asarray(times, dtype=np.int64)
         grid = _grid_rule(repos, times, interval_days)
         corpus._set(repos=repos, grid=grid, captured_at=captured_at)
         corpus.__post_init__(repo_ids, kinds, times, deltas, lines)
@@ -322,40 +425,28 @@ class Corpus:
         The grid is built to cover ``time``, so no event needs checking again.
         """
         corpus = object.__new__(Corpus)
-        for column in (rows, kind, time, delta):
-            column.setflags(write=False)
-        corpus._set(
-            repos=repos,
-            grid=_grid_rule(repos, time, interval_days),
-            captured_at=self.captured_at,
-            event_repo=rows,
-            event_kind=kind,
-            event_time=time,
-            event_delta=delta,
-            _rows=None,
-        )
+        # ``time`` is sorted, so its ends bound it.
+        corpus._set(grid=_grid_rule(repos, time[:1] + time[-1:], interval_days),
+                    captured_at=self.captured_at)
+        corpus._store(repos, rows, kind, time, delta)
         return corpus
 
     def regrid(self, interval_days: int) -> "Corpus":
         """Return a copy of this corpus re-binned onto a new interval width."""
-        return self._derive(self.repos, interval_days, self.event_repo,
-                            self.event_kind, self.event_time, self.event_delta)
+        return self._derive(self.repos, interval_days, self._repo, self._kind,
+                            self._time, self._delta)
 
     def subset(self, repo_ids: Iterable[str]) -> "Corpus":
         """The given repositories and their events, on a grid rebuilt by the
         ``build`` rule at the same width; the capture time is kept."""
         wanted = set(repo_ids)
-        keep = np.array([r.repo_id in wanted for r in self.repos], dtype=bool)
-        new_row = np.cumsum(keep) - 1
-        mask = keep[self.event_repo]
-        return self._derive(
-            tuple(r for r in self.repos if r.repo_id in wanted),
-            self.grid.interval_days,
-            new_row[self.event_repo[mask]],
-            self.event_kind[mask],
-            self.event_time[mask],
-            self.event_delta[mask],
-        )
+        kept_rows = [row for row, r in enumerate(self.repos) if r.repo_id in wanted]
+        new_row = {old: new for new, old in enumerate(kept_rows)}
+        keep = [row in new_row for row in self._repo]
+        rows, kind, time, delta = (array(column.typecode, compress(column, keep))
+                                   for column in (self._repo, self._kind, self._time, self._delta))
+        return self._derive(tuple(self.repos[row] for row in kept_rows), self.grid.interval_days,
+                            array("q", map(new_row.__getitem__, rows)), kind, time, delta)
 
     @property
     def events(self) -> tuple[PopularityEvent, ...]:
@@ -367,12 +458,18 @@ class Corpus:
             ids = [r.repo_id for r in self.repos]
             self._set(_rows=tuple(
                 PopularityEvent(ids[row], EVENT_KINDS[kind], time, delta)
-                for row, kind, time, delta in zip(
-                    self.event_repo.tolist(), self.event_kind.tolist(),
-                    self.event_time.tolist(), self.event_delta.tolist(),
-                )
+                for row, kind, time, delta in self.event_rows()
             ))
         return self._rows
+
+    @property
+    def event_count(self) -> int:
+        return len(self._time)
+
+    def event_rows(self) -> Iterator[tuple[int, int, int, int]]:
+        """``(row, kind code, time, delta)`` of each event in canonical order,
+        read from the columns without numpy."""
+        return zip(self._repo, self._kind, self._time, self._delta)
 
     @property
     def repo_ids(self) -> tuple[str, ...]:
@@ -388,10 +485,10 @@ class Corpus:
             self.repos == other.repos
             and self.grid == other.grid
             and self.captured_at == other.captured_at
-            and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in _COLUMNS
-            )
+            and self._repo == other._repo
+            and self._kind == other._kind
+            and self._time == other._time
+            and self._delta == other._delta
         )
 
 
@@ -435,32 +532,66 @@ def _event_fault(
     return EventOutsideGrid(f"timestamp {time} outside grid [{grid.epoch}, {grid.end})")
 
 
-@dataclass(frozen=True, eq=False)
+def _int64_view(values: Sequence, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only int64 ndarray of ``values``; numpy is imported here."""
+    import numpy as np
+
+    view = np.array(values, dtype=np.int64).reshape(shape)
+    view.setflags(write=False)
+    return view
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class BinnedCounts:
     """Signed fork/star delta totals per repository and grid interval.
 
     ``forks`` and ``stars`` are read-only int64 matrices of shape
     ``(len(repo_ids), interval_count)``; row order follows ``repo_ids``,
     which is sorted. Negative deltas pass through binning unchanged.
+
+    The counts are held either as int lists, one per repository, or, when
+    ``vectorized``, as the two matrices: numpy's binning kernel gives those,
+    and given ndarrays are made read-only and kept as they are. ``rows`` and
+    ``totals`` read either form without numpy; the matrices, and the
+    ``deltas`` rows and ``interval_totals`` read from them, are ndarrays built
+    from the lists on first access and kept.
     """
 
     repo_ids: tuple[str, ...]
     interval_count: int
-    forks: np.ndarray
-    stars: np.ndarray
-    _index: dict = field(init=False, repr=False)
+    vectorized: bool
+    _rows: dict = field(repr=False)  # EventKind -> one int list per repository
+    _index: dict = field(repr=False)
+    _views: dict = field(repr=False)
 
-    def __post_init__(self) -> None:
-        for matrix in (self.forks, self.stars):
-            if matrix.shape != (len(self.repo_ids), self.interval_count):
-                raise ValueError(
-                    f"matrix shape {matrix.shape} does not match "
-                    f"({len(self.repo_ids)}, {self.interval_count})"
-                )
+    def __init__(self, repo_ids: Sequence[str], interval_count: int,
+                 forks: np.ndarray, stars: np.ndarray) -> None:
+        shape = (len(repo_ids), interval_count)
+        for matrix in (forks, stars):
+            if matrix.shape != shape:
+                raise ValueError(f"matrix shape {matrix.shape} does not match {shape}")
             matrix.setflags(write=False)
-        object.__setattr__(
-            self, "_index", {rid: i for i, rid in enumerate(self.repo_ids)}
-        )
+        self._assign(repo_ids, interval_count, {}, {EventKind.FORK: forks, EventKind.STAR: stars})
+
+    def _assign(self, repo_ids: Sequence[str], interval_count: int, rows: dict,
+                matrices: dict) -> None:
+        for name, value in (
+            ("repo_ids", tuple(repo_ids)),
+            ("interval_count", interval_count),
+            ("vectorized", bool(matrices)),
+            ("_rows", rows),
+            ("_index", {rid: i for i, rid in enumerate(repo_ids)}),
+            ("_views", matrices),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def forks(self) -> np.ndarray:
+        return self.matrix(EventKind.FORK)
+
+    @property
+    def stars(self) -> np.ndarray:
+        return self.matrix(EventKind.STAR)
 
     def row_index(self, repo_id: str) -> int:
         try:
@@ -468,8 +599,24 @@ class BinnedCounts:
         except KeyError:
             raise UnknownRepo(f"unknown repo_id {repo_id!r}") from None
 
+    def rows(self, kind: EventKind) -> list[list[int]]:
+        """Each repository's per-interval counts of one kind as int lists, in
+        ``repo_ids`` order; the lists are shared, not copied."""
+        if kind not in self._rows:
+            self._rows[kind] = self._views[kind].tolist()
+        return self._rows[kind]
+
+    def totals(self, kind: EventKind) -> list[int]:
+        """Community-wide per-interval totals of one kind (column sums) as ints."""
+        if self.vectorized:
+            return self.matrix(kind).sum(axis=0).tolist()
+        return [sum(column) for column in zip(*self.rows(kind))]
+
     def matrix(self, kind: EventKind) -> np.ndarray:
-        return self.forks if kind is EventKind.FORK else self.stars
+        if kind not in self._views:
+            self._views[kind] = _int64_view(self._rows[kind],
+                                            (len(self.repo_ids), self.interval_count))
+        return self._views[kind]
 
     def deltas(self, repo_id: str, kind: EventKind) -> np.ndarray:
         """Per-interval signed deltas for one repository."""
@@ -477,7 +624,10 @@ class BinnedCounts:
 
     def interval_totals(self, kind: EventKind) -> np.ndarray:
         """Community-wide per-interval delta totals (column sums)."""
-        return self.matrix(kind).sum(axis=0)
+        key = (kind, "totals")
+        if key not in self._views:
+            self._views[key] = _int64_view(self.totals(kind), (self.interval_count,))
+        return self._views[key]
 
 
 def bin_events(corpus: Corpus) -> BinnedCounts:
@@ -485,17 +635,32 @@ def bin_events(corpus: Corpus) -> BinnedCounts:
 
     Pure function: counts[r][t][kind] is the sum of deltas of that kind for
     repo r in interval t, so per-repo totals are conserved under binning.
-    The sums stay in int64 throughout (``np.add.at``, not float weights).
+    The sums are exact and fit int64 by the corpus's ``Σ|delta|`` bound. A
+    corpus that ``_vectorized`` calls large is binned by numpy (``np.add.at``)
+    into ``vectorized`` counts, a smaller one by one pass over the events into
+    int lists.
     """
     grid = corpus.grid
-    shape = (len(EVENT_KINDS), len(corpus.repos), grid.interval_count)
-    interval = (corpus.event_time - grid.epoch) // grid.interval_seconds
-    cell = np.ravel_multi_index((corpus.event_kind, corpus.event_repo, interval), shape)
-    counts = np.zeros(shape, dtype=np.int64)
-    np.add.at(counts.reshape(-1), cell, corpus.event_delta)
-    return BinnedCounts(
-        repo_ids=corpus.repo_ids,
-        interval_count=grid.interval_count,
-        forks=counts[0],
-        stars=counts[1],
-    )
+    n, count = len(corpus.repos), grid.interval_count
+    span = corpus._time[-1] - grid.epoch if corpus.event_count else 0
+    if _vectorized(corpus.event_count, n, span):
+        import numpy as np
+
+        shape = (len(EVENT_KINDS), n, count)
+        interval = (corpus.event_time - grid.epoch) // grid.interval_seconds
+        cell = np.ravel_multi_index((corpus.event_kind, corpus.event_repo, interval), shape)
+        counts = np.zeros(shape, dtype=np.int64)
+        np.add.at(counts.reshape(-1), cell, corpus.event_delta)
+        return BinnedCounts(corpus.repo_ids, count, counts[0], counts[1])
+    rows = tuple([[0] * count for _ in range(n)] for _ in EVENT_KINDS)
+    # Events are sorted by time, so the events of each interval are one run.
+    start = 0
+    for t in range(count):
+        stop = bisect_left(corpus._time, grid.epoch + (t + 1) * grid.interval_seconds, start)
+        for row, kind, delta in zip(corpus._repo[start:stop], corpus._kind[start:stop],
+                                    corpus._delta[start:stop]):
+            rows[kind][row][t] += delta
+        start = stop
+    binned = object.__new__(BinnedCounts)
+    binned._assign(corpus.repo_ids, count, dict(zip(EVENT_KINDS, rows)), {})
+    return binned

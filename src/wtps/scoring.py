@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
-
-import numpy as np
+from functools import reduce
+from itertools import accumulate
+from operator import add, mul
+from typing import Mapping, Sequence
 
 from .errors import IntervalOutOfRange
 from .model import BinnedCounts, Corpus, EventKind, bin_events
@@ -67,15 +68,15 @@ def compute_weights(binned: BinnedCounts) -> WeightTable:
     rather than inventing uniform signal.
     """
 
-    def normalize(per_interval: np.ndarray) -> tuple[float, ...]:
-        total = int(per_interval.sum())
+    def normalize(per_interval: list[int]) -> tuple[float, ...]:
+        total = sum(per_interval)
         if total <= 0:
             return (0.0,) * len(per_interval)
-        return tuple(int(c) / total for c in per_interval)
+        return tuple(c / total for c in per_interval)
 
     return WeightTable(
-        fork_weights=normalize(binned.interval_totals(EventKind.FORK)),
-        star_weights=normalize(binned.interval_totals(EventKind.STAR)),
+        fork_weights=normalize(binned.totals(EventKind.FORK)),
+        star_weights=normalize(binned.totals(EventKind.STAR)),
     )
 
 
@@ -98,51 +99,86 @@ class ScoreCard:
     overall: float
 
 
-def _score_matrix(binned: BinnedCounts, weights: WeightTable) -> np.ndarray:
-    """Weighted scores per interval, one row per repository."""
+def _score_rows(
+    binned: BinnedCounts, weights: WeightTable, per_interval: bool = True
+) -> tuple[list[list[float]], list[float]]:
+    """Each repository's weighted score per interval, and overall, in
+    ``repo_ids`` order; without ``per_interval`` only the overall scores.
+
+    Each cell is ``forks * wf + stars * ws`` with the int count converted to
+    float first, and each overall score is the ``_row_sum`` of its row, as
+    numpy computes them; ``vectorized`` counts are scored by numpy itself.
+    """
     if weights.interval_count != binned.interval_count:
         raise ValueError(
             f"weight table covers {weights.interval_count} intervals, "
             f"binned counts cover {binned.interval_count}"
         )
-    wf = np.asarray(weights.fork_weights, dtype=np.float64)
-    ws = np.asarray(weights.star_weights, dtype=np.float64)
-    return binned.forks * wf + binned.stars * ws
+    if binned.vectorized:
+        import numpy as np
+
+        scores = (binned.forks * np.asarray(weights.fork_weights, dtype=np.float64)
+                  + binned.stars * np.asarray(weights.star_weights, dtype=np.float64))
+        return scores.tolist() if per_interval else [], scores.sum(axis=1).tolist()
+    wf, ws = list(map(float, weights.fork_weights)), list(map(float, weights.star_weights))
+    rows = [list(map(add, map(mul, forks, wf), map(mul, stars, ws)))
+            for forks, stars in zip(binned.rows(EventKind.FORK), binned.rows(EventKind.STAR))]
+    return rows, list(map(_row_sum, rows))
+
+
+def _pairwise_sum(row: Sequence[float], start: int, n: int) -> float:
+    """numpy's pairwise sum of ``row[start:start + n]``: a plain loop from
+    0.0 below 8 values; 8 accumulators up to a block of 128; above that, two
+    halves split at a multiple of 8."""
+    if n < 8:
+        total = 0.0
+        for value in row[start:start + n]:
+            total += value
+        return total
+    if n <= 128:
+        stop = start + n - n % 8
+        r = [reduce(add, row[start + j:stop:8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in row[stop:start + n]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(row, start, half) + _pairwise_sum(row, start + half, n - half)
+
+
+def _row_sum(row: Sequence[float]) -> float:
+    """The sum of a float row as ``np.add.reduce`` gives it, bit for bit: the
+    pairwise sum added to an initial 0.0 (so ``-0.0`` cells sum to 0.0).
+    Builtin ``sum`` starts from the int 0 and, from Python 3.12, compensates,
+    so it is not used."""
+    return 0.0 + _pairwise_sum(row, 0, len(row))
 
 
 def wtps_interval(
     binned: BinnedCounts, weights: WeightTable, repo_id: str, t: int
 ) -> float:
     """Weighted score of one repository in one interval."""
-    scores = _score_matrix(binned, weights)[binned.row_index(repo_id)]
+    scores = _score_rows(binned, weights)[0][binned.row_index(repo_id)]
     if not 0 <= t < binned.interval_count:
         raise IntervalOutOfRange(f"interval {t} outside [0, {binned.interval_count})")
-    return float(scores[t])
+    return scores[t]
 
 
 def wtps_overall(
     binned: BinnedCounts, weights: WeightTable, repo_id: str
 ) -> ScoreCard:
     """Overall weighted score: the sum of all interval scores."""
-    scores = _score_matrix(binned, weights)[binned.row_index(repo_id)]
-    return ScoreCard(
-        repo_id=repo_id,
-        interval_scores=tuple(float(v) for v in scores),
-        overall=float(scores.sum()),
-    )
+    scores, overall = _score_rows(binned, weights)
+    row = binned.row_index(repo_id)
+    return ScoreCard(repo_id=repo_id, interval_scores=tuple(scores[row]), overall=overall[row])
 
 
 def score_all(binned: BinnedCounts, weights: WeightTable) -> list[ScoreCard]:
     """Score every repository; output ordered by repo_id."""
-    scores = _score_matrix(binned, weights)
-    overall = scores.sum(axis=1)
     return [
-        ScoreCard(
-            repo_id=rid,
-            interval_scores=tuple(float(v) for v in scores[i]),
-            overall=float(overall[i]),
-        )
-        for i, rid in enumerate(binned.repo_ids)
+        ScoreCard(repo_id=rid, interval_scores=tuple(scores), overall=overall)
+        for rid, scores, overall in zip(binned.repo_ids, *_score_rows(binned, weights))
     ]
 
 
@@ -173,8 +209,7 @@ def indicator_values(
         binned = bin_events(corpus)
         if weights is None:
             weights = compute_weights(binned)
-        overall = _score_matrix(binned, weights).sum(axis=1)
-        return dict(zip(binned.repo_ids, overall.tolist()))
+        return dict(zip(binned.repo_ids, _score_rows(binned, weights, per_interval=False)[1]))
     attr = SNAPSHOT_FIELDS[indicator]
     return {r.repo_id: getattr(r, attr) for r in corpus.repos}
 
@@ -256,13 +291,13 @@ def classify_growth(
     if indicator not in (Indicator.FORKS, Indicator.STARS):
         raise ValueError("growth classification covers forks and stars only")
     kind = EventKind.FORK if indicator is Indicator.FORKS else EventKind.STAR
-    deltas = binned.deltas(repo_id, kind)
+    deltas = binned.rows(kind)[binned.row_index(repo_id)]
 
-    cumulative = np.cumsum(deltas)
-    peak = int(cumulative.max()) if len(cumulative) else 0
-    final = int(cumulative[-1]) if len(cumulative) else 0
-    active = int(np.count_nonzero(deltas))
-    positive = int(np.count_nonzero(deltas > 0))
+    cumulative = list(accumulate(deltas))
+    peak = max(cumulative, default=0)
+    final = cumulative[-1] if cumulative else 0
+    active = sum(1 for d in deltas if d)
+    positive = sum(1 for d in deltas if d > 0)
     positive_fraction = positive / active if active else 0.0
 
     def label(pattern: GrowthPattern) -> GrowthLabel:
@@ -275,7 +310,7 @@ def classify_growth(
             positive_fraction=positive_fraction,
         )
 
-    total_activity = int(np.abs(deltas).sum())
+    total_activity = sum(map(abs, deltas))
     if total_activity < thresholds.min_activity:
         return label(GrowthPattern.STAGNANT)
     if peak > 0 and (peak - final) / peak > thresholds.loss_fraction:

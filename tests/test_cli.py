@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wtps import serialize
+from wtps import model, serialize
 from wtps.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -31,9 +31,9 @@ from wtps.serialize import (
 import wtps
 from wtps import Indicator, bin_events, compute_weights, load_corpus, rank, score_all
 from wtps.dataset import save_corpus
-from wtps.model import COUNT_FIELDS, Corpus
+from wtps.model import COUNT_FIELDS, Corpus, EventKind, PopularityEvent, RepoRecord
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE
-from synth import make_corpus
+from synth import BASE_TS, DAY, make_corpus
 from test_golden import DIGESTS, run_all
 
 
@@ -135,6 +135,25 @@ class TestScoreCommand:
               "--format", "json"])
         records = json.loads(out.read_text())
         assert {r["repo_id"] for r in records} == {"R1", "R2", "R3", "R4"}
+
+    def test_nonpositive_totals_sum_negative_zero_cells_to_zero(self, tmp_path):
+        # Net totals of -9 forks and -9 stars give all-zero weights, so every
+        # cell is -1 * 0.0 = -0.0. numpy's row sum adds the pairwise sum to
+        # an initial 0.0, so the overall score is 0.0, not -0.0.
+        repo = RepoRecord("R1", "org/R1", BASE_TS)
+        events = [PopularityEvent("R1", kind, BASE_TS + week * 7 * DAY, -1)
+                  for week in range(9) for kind in EventKind]
+        data = tmp_path / "negative.jsonl"
+        save_corpus(Corpus.build([repo], events, interval_days=7), data)
+        scores, ranks = tmp_path / "scores.csv", tmp_path / "ranks.csv"
+        assert main(["score", "--input", str(data), "--output", str(scores),
+                     "--interval-days", "7"]) == EXIT_OK
+        rows = _read_csv(scores)[1:]
+        assert [r[3] for r in rows if r[2] != "overall"] == ["-0.0"] * 9
+        assert [r[3] for r in rows if r[2] == "overall"] == ["0.0"]
+        assert main(["rank", "--input", str(data), "--output", str(ranks),
+                     "--interval-days", "7", "--indicator", "wtps"]) == EXIT_OK
+        assert _read_csv(ranks)[1] == ["R1", "wtps", "0.0", "1"]
 
 
 @pytest.fixture(scope="module")
@@ -630,6 +649,30 @@ class TestImportSurface:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
 
+    def test_commands_and_library_load_run_without_numpy(self, tmp_path):
+        # numpy is made unimportable: every golden run (each command but
+        # fetch) must still give its golden output, and the library must
+        # still load a file, while a documented ndarray attribute needs it.
+        src = str(Path(wtps.__file__).resolve().parents[1])
+        probe = (
+            "import json, pathlib, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "sys.path[:0] = sys.argv[1:3]\n"
+            "import wtps\n"
+            "from test_golden import DATA_DIR, run_all\n"
+            "corpus = wtps.load_corpus(DATA_DIR / 'community_sample.jsonl')\n"
+            "try:\n"
+            "    corpus.event_time\n"
+            "    sys.exit('event_time was built without numpy')\n"
+            "except ImportError:\n"
+            "    pass\n"
+            "print(json.dumps(run_all(pathlib.Path(sys.argv[3]))))\n"
+        )
+        tests = str(Path(__file__).resolve().parent)
+        result = subprocess.run([sys.executable, "-c", probe, src, tests, str(tmp_path)],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == json.loads(DIGESTS.read_text(encoding="utf-8"))
 
     def test_traced_layers_resolve(self, monkeypatch):
         # perfbench/spans.py wraps these functions by name: a rename must fail
@@ -645,6 +688,12 @@ class TestImportSurface:
 
 
 class TestColumnarCorpus:
+    def test_golden_runs_through_numpy_kernels(self, tmp_path, monkeypatch):
+        # With every corpus counted as large, numpy sorts, bins and scores:
+        # every golden run must still give its golden output.
+        monkeypatch.setattr(model, "_NUMPY_FROM", 0)
+        assert run_all(tmp_path) == json.loads(DIGESTS.read_text(encoding="utf-8"))
+
     def test_commands_read_columns_not_event_rows(self, tmp_path, monkeypatch):
         # Every golden run gives its golden output with the row view of the
         # events made unavailable, so no command builds it.

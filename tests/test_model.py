@@ -12,7 +12,10 @@ from wtps import (
     EventOutsideGrid,
     UnknownRepo,
     bin_events,
+    load_corpus,
 )
+from wtps import model
+from wtps.dataset import format_timestamp, save_corpus
 from wtps.model import (
     Corpus,
     EventKind,
@@ -255,3 +258,116 @@ class TestCorpusValidation:
                 forks=np.zeros((1, 2), dtype=np.int64),
                 stars=np.zeros((1, 3), dtype=np.int64),
             )
+
+
+FIRST_SECOND = -62_135_596_800  # 0001-01-01T00:00:00Z
+LAST_SECOND = 253_402_300_799  # 9999-12-31T23:59:59Z
+
+
+class TestTimeBounds:
+    # Record times lie in UTC years 0001-9999, the range a saved file can
+    # spell with a four-digit year and the columns and views hold as int64.
+    @pytest.mark.parametrize("value", [FIRST_SECOND - 1, LAST_SECOND + 1, 10**12, 2**63,
+                                       -(2**63) - 1])
+    def test_times_outside_the_years_rejected(self, value):
+        with pytest.raises(ValueError, match="^created_at must lie in UTC years 0001-9999$"):
+            _repo(created=value)
+        with pytest.raises(ValueError, match="^occurred_at must lie in UTC years 0001-9999$"):
+            _event(at=value)
+        with pytest.raises(ValueError, match="^captured_at must lie in UTC years 0001-9999$"):
+            Corpus.build([_repo()], [_event()], interval_days=30, captured_at=value)
+        with pytest.raises(ValueError, match="^timestamp must lie in UTC years 0001-9999$"):
+            format_timestamp(value)
+
+    def test_both_ends_round_trip(self, tmp_path):
+        repo = _repo(created=FIRST_SECOND)
+        events = [_event(at=FIRST_SECOND), _event(kind=EventKind.STAR, at=LAST_SECOND)]
+        corpus = Corpus.build([repo], events, interval_days=30, captured_at=LAST_SECOND)
+        assert format_timestamp(FIRST_SECOND) == "0001-01-01T00:00:00Z"
+        assert format_timestamp(LAST_SECOND) == "9999-12-31T23:59:59Z"
+        path = tmp_path / "ends.jsonl"
+        save_corpus(corpus, path)
+        text = path.read_text(encoding="utf-8")
+        assert '"occurred_at":"0001-01-01T00:00:00Z"' in text
+        assert '"occurred_at":"9999-12-31T23:59:59Z"' in text
+        assert load_corpus(path) == corpus
+        assert corpus.event_time.tolist() == [FIRST_SECOND, LAST_SECOND]
+
+    def test_formatter_matches_numpy(self):
+        rng = random.Random(5)
+        times = [FIRST_SECOND, LAST_SECOND, 0, -1, *(rng.randint(FIRST_SECOND, LAST_SECOND)
+                                                    for _ in range(500))]
+        expected = [f"{np.datetime64(t, 's')}Z" for t in times]
+        assert [format_timestamp(t) for t in times] == expected
+
+
+class TestNdarrayViews:
+    # The documented ndarray attributes are built on first access from the
+    # pure-Python columns and cells: numpy dtypes, shapes, read-only, kept.
+    def test_corpus_columns(self, community_corpus):
+        n = len(community_corpus.events)
+        for name, dtype in (("event_repo", np.intp), ("event_kind", np.int8),
+                            ("event_time", np.int64), ("event_delta", np.int64)):
+            column = getattr(community_corpus, name)
+            assert isinstance(column, np.ndarray)
+            assert column.dtype == dtype and column.shape == (n,)
+            # numpy's own type, not an equal one its kernels cast from.
+            assert column.dtype.char == np.dtype(dtype).char
+            assert getattr(community_corpus, name) is column
+            with pytest.raises(ValueError):
+                column[0] = 0
+        events, ids = community_corpus.events, community_corpus.repo_ids
+        assert community_corpus.event_repo.tolist() == [ids.index(e.repo_id) for e in events]
+        assert community_corpus.event_kind.tolist() == [
+            0 if e.kind is EventKind.FORK else 1 for e in events
+        ]
+        assert community_corpus.event_time.tolist() == [e.occurred_at for e in events]
+        assert community_corpus.event_delta.tolist() == [e.delta for e in events]
+
+    def test_empty_corpus_columns(self):
+        corpus = Corpus.build([_repo()], [], interval_days=30)
+        assert corpus.event_time.shape == (0,) and corpus.event_time.dtype == np.int64
+        assert corpus.event_repo.dtype == np.intp
+
+    def test_binned_matrices(self, community_corpus):
+        binned = bin_events(community_corpus)
+        shape = (len(binned.repo_ids), binned.interval_count)
+        for kind, matrix in ((EventKind.FORK, binned.forks), (EventKind.STAR, binned.stars)):
+            assert matrix.dtype == np.int64 and matrix.shape == shape
+            assert binned.matrix(kind) is matrix
+            totals = binned.interval_totals(kind)
+            assert totals.dtype == np.int64 and totals.shape == (binned.interval_count,)
+            assert totals.tolist() == matrix.sum(axis=0).tolist()
+            assert binned.interval_totals(kind) is totals
+            row = binned.deltas("R1", kind)
+            assert row.tolist() == matrix[0].tolist()
+            for array_view in (matrix, totals, row):
+                with pytest.raises(ValueError):
+                    array_view[0] = 0
+
+    def test_given_matrices_are_kept(self):
+        from wtps.model import BinnedCounts
+
+        forks = np.array([[1, -2, 3]], dtype=np.int64)
+        stars = np.zeros((1, 3), dtype=np.int64)
+        binned = BinnedCounts(("R1",), 3, forks, stars)
+        assert binned.forks is forks and not forks.flags.writeable
+        assert binned.interval_totals(EventKind.FORK).tolist() == [1, -2, 3]
+
+
+class TestNumpyFromSize:
+    # Three repositories with events over 20 days: a weekly grid over that
+    # span has 3 intervals, so 2 * 3 * 3 = 18 cells, plus 21 events.
+    SIZE = 21 + 18
+
+    def _corpus(self):
+        repos = [_repo(f"R{i}") for i in range(3)]
+        events = [_event(rid=f"R{i % 3}", at=BASE_TS + i * DAY) for i in range(21)]
+        return Corpus.build(repos, events, interval_days=30)
+
+    @pytest.mark.parametrize("threshold, vectorized", [(SIZE, True), (SIZE + 1, False)])
+    def test_one_path_at_every_width(self, monkeypatch, threshold, vectorized):
+        monkeypatch.setattr(model, "_NUMPY_FROM", threshold)
+        corpus = self._corpus()
+        for days in (30, 14, 7, 1):
+            assert bin_events(corpus.regrid(days)).vectorized is vectorized

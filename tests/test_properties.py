@@ -16,8 +16,11 @@ exit with a typed code and to leave no output when it fails.
 import json
 import math
 import random
+import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,12 +46,22 @@ from wtps.graph import (  # noqa: E402
     _exact,
     deletion_experiment,
 )
+from wtps import model  # noqa: E402
 from wtps.model import (  # noqa: E402
     BinnedCounts,
     Corpus,
     EventKind,
     PopularityEvent,
     RepoRecord,
+)
+from wtps.scoring import (  # noqa: E402
+    Indicator,
+    WeightTable,
+    _row_sum,
+    classify_growth,
+    indicator_values,
+    score_all,
+    unit_weights,
 )
 from wtps.serialize import _CHUNK_ROWS, to_csv, to_json, write_table  # noqa: E402
 from wtps.stats import DEFAULT_SWEEP_DAYS  # noqa: E402
@@ -385,6 +398,43 @@ def test_regrid_and_subset_equal_build(data, choice):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(corpora(max_events=30), st.sampled_from([1, 7, 30]), st.data())
+def test_numpy_kernels_equal_pure_python(data, days, choice):
+    # A corpus at least ``_NUMPY_FROM`` in size is sorted, binned and scored
+    # by numpy, a smaller one in pure Python: both must give the same
+    # columns, counts, weights, scores and labels, bit for bit. Copies of
+    # some events with other deltas tie on (time, repo, kind), so the
+    # delta decides their order.
+    repos, events = data
+    if events:
+        copies = choice.draw(st.lists(st.sampled_from(events), max_size=4))
+        events = events + [replace(e, delta=choice.draw(st.integers(-3, 3).filter(bool)))
+                           for e in copies]
+    pure = Corpus.build(repos, events, days)
+    reference = bin_events(pure)
+    with mock.patch.object(model, "_NUMPY_FROM", 0):
+        vector = Corpus.build(repos, events, days)
+        binned = bin_events(vector)
+    assert vector == pure and vector.events == pure.events
+    assert binned.vectorized and not reference.vectorized
+    for kind in EventKind:
+        assert np.array_equal(binned.matrix(kind), reference.matrix(kind))
+        assert binned.totals(kind) == reference.totals(kind)
+        assert binned.rows(kind) == reference.rows(kind)
+    weights = compute_weights(binned)
+    assert weights == compute_weights(reference)
+    for table in (weights, unit_weights(binned.interval_count)):
+        for got, want in zip(score_all(binned, table), score_all(reference, table), strict=True):
+            assert got.repo_id == want.repo_id
+            assert all(map(_same_float, got.interval_scores, want.interval_scores))
+            assert _same_float(got.overall, want.overall)
+    for rid in binned.repo_ids:
+        for indicator in (Indicator.FORKS, Indicator.STARS):
+            assert (classify_growth(binned, rid, indicator)
+                    == classify_growth(reference, rid, indicator))
+
+
 # --- weights -----------------------------------------------------------------
 
 @st.composite
@@ -413,6 +463,75 @@ def test_weights_are_shares_of_the_net_total(binned):
             assert abs(math.fsum(weights) - 1.0) <= 1e-12
         else:
             assert weights == (0.0,) * binned.interval_count
+
+
+# --- row sums -----------------------------------------------------------------
+
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def float_rows(draw, count: int):
+    """``count`` rows of one length in 1-1000: floats of any magnitude, with
+    a drawn share of zeros of both signs, subnormals, extremes, inf and nan."""
+    n = draw(st.integers(1, 1000))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    special = draw(st.sampled_from([0.0, 0.01, 0.2]))
+
+    def value() -> float:
+        if rng.random() < special:
+            return rng.choice(_SPECIAL_FLOATS)
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308)
+
+    return [[value() for _ in range(n)] for _ in range(count)]
+
+
+def _same_float(got: float, want: float) -> bool:
+    """Bit-identical, except that any NaN matches any NaN: which operand's
+    NaN an addition returns is up to the compiler, and every NaN is written
+    as the same text."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_rows(count=3))
+@example([[-0.0] * 9, [-0.0, 5e-324, -0.0, 0.0, -5e-324, -0.0, -0.0, -0.0, -0.0], [-0.0] * 9])
+def test_row_sum_is_numpy_add_reduce(rows):
+    with np.errstate(all="ignore"):
+        want = np.add.reduce(np.array(rows, dtype=np.float64), axis=1).tolist()
+    for row, expected in zip(rows, want):
+        assert _same_float(_row_sum(row), expected)
+        with np.errstate(all="ignore"):
+            alone = float(np.add.reduce(np.array(row)))
+        assert _same_float(_row_sum(row), alone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_rows(count=2), st.integers(0, 2**32))
+def test_scores_are_numpy_row_sums_of_the_score_matrix(weight_rows, seed):
+    # One repository with a nonzero fork and star delta in each of n daily
+    # intervals, scored under arbitrary float weights.
+    n = len(weight_rows[0])
+    rng = random.Random(seed)
+    cells = [rng.randint(-(2**40), 2**40) or 1 for _ in range(2 * n)]
+    weights = weight_rows[0] + weight_rows[1]
+    events = [PopularityEvent("r", kind, t * 86_400, delta)
+              for kind, row in ((EventKind.FORK, cells[:n]), (EventKind.STAR, cells[n:]))
+              for t, delta in enumerate(row)]
+    corpus = Corpus.build([RepoRecord("r", "o/r", 0)], events, interval_days=1)
+    binned = bin_events(corpus)
+    table = WeightTable(tuple(weights[:n]), tuple(weights[n:]))
+    with np.errstate(all="ignore"):
+        matrix = binned.forks * np.array(weights[:n]) + binned.stars * np.array(weights[n:])
+        overall = float(np.add.reduce(matrix, axis=1)[0])
+    card, = score_all(binned, table)
+    assert all(map(_same_float, card.interval_scores, matrix[0].tolist()))
+    assert _same_float(card.overall, overall)
+    value = indicator_values(corpus, Indicator.WTPS, weights=table)["r"]
+    assert _same_float(value, card.overall)
 
 
 # --- deletion experiment -----------------------------------------------------
