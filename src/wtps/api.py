@@ -247,28 +247,29 @@ def fetch_repo(
     repo_path = f"/repos/{owner}/{name}"
     with _payload_of(repo_path):
         repo_json = client.get_json(repo_path)
+        # RepoRecord checks the payload's values; only an integer id is converted.
+        repo_id = repo_json["id"]
         record = RepoRecord(
-            repo_id=str(repo_json["id"]),
-            full_name=str(repo_json["full_name"]),
+            repo_id=str(repo_id) if type(repo_id) is int else repo_id,
+            full_name=repo_json["full_name"],
             created_at=parse_timestamp(repo_json["created_at"]),
             primary_language=repo_json.get("language"),
-            size_kb=int(repo_json.get("size", 0)),
-            forks_total=int(repo_json.get("forks_count", 0)),
-            stars_total=int(repo_json.get("stargazers_count", 0)),
-            watchers_total=int(
-                repo_json.get("subscribers_count", repo_json.get("watchers_count", 0))
-            ),
+            size_kb=repo_json.get("size", 0),
+            forks_total=repo_json.get("forks_count", 0),
+            stars_total=repo_json.get("stargazers_count", 0),
+            watchers_total=repo_json.get("subscribers_count",
+                                         repo_json.get("watchers_count", 0)),
         )
     # Fields from the other endpoints go in through ``replace``, which runs
     # RepoRecord's checks again inside the block of the endpoint they came from.
     user_path = f"/users/{owner}"
     with _payload_of(user_path):
         user_json = client.get_json(user_path)
-        record = replace(record, owner_followers=int(user_json.get("followers", 0)))
+        record = replace(record, owner_followers=user_json.get("followers", 0))
     if config.fetch_follower_ids:
         with _payload_of(f"{user_path}/followers"):
             record = replace(record, follower_ids=tuple(
-                str(entry["login"]) for entry in client.paginate(f"{user_path}/followers")
+                entry["login"] for entry in client.paginate(f"{user_path}/followers")
             ))
 
     def timeline(path: str, kind: EventKind, key: str, **kwargs) -> list[PopularityEvent]:

@@ -31,8 +31,9 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import ParseError
-from .model import (COUNT_FIELDS, EVENT_KINDS, FIRST_SECOND, LAST_SECOND, Corpus,
-                    PopularityEvent, RepoRecord, format_timestamp, format_timestamps)
+from .model import (EVENT_KINDS, FIRST_SECOND, LAST_SECOND, Corpus, EventKind,
+                    PopularityEvent, RepoRecord, _integer_field, format_timestamp,
+                    format_timestamps)
 
 SCHEMA_VERSION = 1
 
@@ -72,6 +73,10 @@ class DatasetManifest:
     captured_at: int
     repo_count: int
     source: DatasetSource
+
+    def __post_init__(self) -> None:
+        for name in ("schema_version", "captured_at", "repo_count"):
+            _integer_field(self, name)
 
     def to_json_dict(self) -> dict:
         """The manifest line as written to a dataset file, in key order."""
@@ -119,13 +124,6 @@ def _parse_stamp(text, line_no: int) -> int:
         raise ParseError(line_no, str(exc)) from exc
 
 
-def _require_int(obj: dict, key: str, line_no: int) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(line_no, f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _require_str(obj: dict, key: str, line_no: int) -> str:
     value = obj[key]
     if not isinstance(value, str):
@@ -144,61 +142,48 @@ def _check_keys(obj: dict, expected: tuple[str, ...], optional: frozenset[str],
         raise ParseError(line_no, f"{what} line has unknown keys: {sorted(extra)}")
 
 
-def _parse_repo(obj: dict, line_no: int) -> RepoRecord:
-    _check_keys(obj, _REPO_KEYS, frozenset(), line_no, "repository")
-    language = obj["primary_language"]
-    if language is not None and not isinstance(language, str):
-        raise ParseError(line_no, "primary_language must be a string or null")
-    follower_ids = obj["follower_ids"]
-    if not isinstance(follower_ids, list) or not all(
-        isinstance(f, str) for f in follower_ids
-    ):
-        raise ParseError(line_no, "follower_ids must be a list of strings")
-    repo_id = _require_str(obj, "repo_id", line_no)
-    full_name = _require_str(obj, "full_name", line_no)
-    created_at = _parse_stamp(obj["created_at"], line_no)
-    counts = {name: _require_int(obj, name, line_no) for name in COUNT_FIELDS}
+def _record(record_type, line_no: int, **values):
+    """``record_type(**values)``, its ValueError a ParseError of the line."""
     try:
-        return RepoRecord(repo_id, full_name, created_at, language, **counts,
-                          follower_ids=tuple(follower_ids))
+        return record_type(**values)
     except ValueError as exc:
         raise ParseError(line_no, str(exc)) from exc
 
 
-def _parse_event(obj: dict, line_no: int) -> tuple[str, int, int, int]:
-    """One event line as (repo_id, kind code, epoch seconds, delta)."""
+def _parse_repo(obj: dict, line_no: int) -> RepoRecord:
+    _check_keys(obj, _REPO_KEYS, frozenset(), line_no, "repository")
+    if not isinstance(obj["follower_ids"], list):
+        raise ParseError(line_no, "follower_ids must be a list of strings")
+    created_at = _parse_stamp(obj["created_at"], line_no)
+    return _record(RepoRecord, line_no, **{**obj, "created_at": created_at})
+
+
+def _parse_event(obj: dict, line_no: int) -> PopularityEvent:
     if obj.keys() not in _EVENT_KEY_SETS:
         _check_keys(obj, _EVENT_KEYS, frozenset({"delta"}), line_no, "event")
     kind = _require_str(obj, "kind", line_no)
-    code = _KIND_CODES.get(kind)
-    if code is None:
+    if kind not in _KIND_CODES:
         raise ParseError(line_no, f"unknown event kind {kind!r}")
-    delta = _require_int(obj, "delta", line_no) if "delta" in obj else 1
-    repo_id = _require_str(obj, "repo_id", line_no)
-    time = _parse_stamp(obj["occurred_at"], line_no)
-    if delta == 0:
-        raise ParseError(line_no, "delta must be nonzero")
-    return repo_id, code, time, delta
+    occurred_at = _parse_stamp(obj["occurred_at"], line_no)
+    return _record(PopularityEvent, line_no, **{**obj, "kind": EventKind(kind),
+                                                "occurred_at": occurred_at})
 
 
 def _parse_manifest(obj: dict, line_no: int) -> DatasetManifest:
     if line_no != 1:
         raise ParseError(line_no, "manifest line allowed only as line 1")
     _check_keys(obj, _MANIFEST_KEYS, frozenset(), line_no, "manifest")
-    version = _require_int(obj, "schema_version", line_no)
-    if version != SCHEMA_VERSION:
-        raise ParseError(line_no, f"unsupported schema_version {version}")
     source_text = _require_str(obj, "source", line_no)
     try:
         source = DatasetSource(source_text)
     except ValueError:
         raise ParseError(line_no, f"unknown source {source_text!r}") from None
-    return DatasetManifest(
-        schema_version=version,
-        captured_at=_parse_stamp(obj["captured_at"], line_no),
-        repo_count=_require_int(obj, "repo_count", line_no),
-        source=source,
-    )
+    captured_at = _parse_stamp(obj["captured_at"], line_no)
+    manifest = _record(DatasetManifest, line_no,
+                       **{**obj, "captured_at": captured_at, "source": source})
+    if manifest.schema_version != SCHEMA_VERSION:
+        raise ParseError(line_no, f"unsupported schema_version {manifest.schema_version}")
+    return manifest
 
 
 def load_corpus(path: str | Path, interval_days: int = 30) -> Corpus:
@@ -265,12 +250,12 @@ def load_corpus(path: str | Path, interval_days: int = 30) -> Corpus:
             if "schema_version" in obj:
                 manifest = _parse_manifest(obj, line_no)
             elif "kind" in obj:
-                repo_id, kind, time, delta = _parse_event(obj, line_no)
+                event = _parse_event(obj, line_no)
                 lines.append(line_no)
-                repo_ids.append(shared_ids.setdefault(repo_id, repo_id))
-                kinds.append(kind)
-                times.append(time)
-                deltas.append(delta)
+                repo_ids.append(shared_ids.setdefault(event.repo_id, event.repo_id))
+                kinds.append(_KIND_CODES[event.kind.value])
+                times.append(event.occurred_at)
+                deltas.append(event.delta)
             elif "full_name" in obj:
                 repos.append(_parse_repo(obj, line_no))
             else:

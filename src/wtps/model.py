@@ -20,7 +20,7 @@ from datetime import date
 from enum import Enum
 from functools import cache
 from itertools import compress, islice, repeat
-from operator import le
+from operator import index, le
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -47,6 +47,27 @@ def _check_time(name: str, value: int) -> None:
     # The message leaves the value out: a huge int cannot be formatted.
     if not FIRST_SECOND <= value <= LAST_SECOND:
         raise ValueError(f"{name} must lie in UTC years 0001-9999")
+
+
+def _integer_field(record, name: str) -> int:
+    """The field ``name`` of ``record`` as an int, stored back when it was
+    another integer type, such as numpy's; a bool or a non-integer raises
+    ``ValueError``."""
+    value = getattr(record, name)
+    if type(value) is not int:
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            value = index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(record, name, value)
+    return value
+
+
+def _check_string(name: str, value) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
 
 
 class EventKind(Enum):
@@ -81,10 +102,16 @@ class RepoRecord:
     follower_ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_string("repo_id", self.repo_id)
+        _check_string("full_name", self.full_name)
+        if self.primary_language is not None and not isinstance(self.primary_language, str):
+            raise ValueError("primary_language must be a string or null")
+        object.__setattr__(self, "follower_ids", tuple(self.follower_ids))
+        if not all(isinstance(follower, str) for follower in self.follower_ids):
+            raise ValueError("follower_ids must be a list of strings")
         if not self.repo_id:
             raise ValueError("repo_id must be non-empty")
-        _check_time("created_at", self.created_at)
-        object.__setattr__(self, "follower_ids", tuple(self.follower_ids))
+        _check_time("created_at", _integer_field(self, "created_at"))
         # Saved files and outputs are UTF-8, which has no lone surrogates.
         for name, text in (("repo_id", self.repo_id), ("full_name", self.full_name),
                            ("primary_language", self.primary_language or ""),
@@ -95,7 +122,7 @@ class RepoRecord:
                 raise ValueError(f"{name} is not encodable as UTF-8: {text!r}") from None
         # The message leaves the value out: a huge int cannot be formatted.
         for name in COUNT_FIELDS:
-            if not 0 <= getattr(self, name) < 2**63:
+            if not 0 <= _integer_field(self, name) < 2**63:
                 raise ValueError(f"{name} must be in [0, 2**63)")
 
 
@@ -113,9 +140,12 @@ class PopularityEvent:
     delta: int = 1
 
     def __post_init__(self) -> None:
-        if self.delta == 0:
+        _check_string("repo_id", self.repo_id)
+        if not isinstance(self.kind, EventKind):
+            raise ValueError(f"kind must be an EventKind, got {self.kind!r}")
+        _check_time("occurred_at", _integer_field(self, "occurred_at"))
+        if _integer_field(self, "delta") == 0:
             raise ValueError("delta must be nonzero")
-        _check_time("occurred_at", self.occurred_at)
 
     def sort_key(self) -> tuple[int, str, str, int]:
         return (self.occurred_at, self.repo_id, self.kind.value, self.delta)
@@ -135,9 +165,10 @@ class TimeGrid:
     interval_count: int
 
     def __post_init__(self) -> None:
-        if self.interval_days <= 0:
+        _integer_field(self, "epoch")
+        if _integer_field(self, "interval_days") <= 0:
             raise ValueError("interval_days must be positive")
-        if self.interval_count <= 0:
+        if _integer_field(self, "interval_count") <= 0:
             raise ValueError("interval_count must be positive")
 
     @property
@@ -179,7 +210,7 @@ def grid_for_times(times: Iterable[int], interval_days: int) -> TimeGrid:
     epoch = earliest - earliest % SECONDS_PER_DAY
     span = latest - epoch
     count = span // (interval_days * SECONDS_PER_DAY) + 1
-    return TimeGrid(epoch=epoch, interval_days=interval_days, interval_count=int(count))
+    return TimeGrid(epoch=epoch, interval_days=interval_days, interval_count=count)
 
 
 # Kinds by the code stored in ``Corpus.event_kind``.
@@ -329,7 +360,7 @@ class Corpus:
         without, by its canonical position in the corpus's own words.
         """
         if self.captured_at is not None:
-            _check_time("captured_at", self.captured_at)
+            _check_time("captured_at", _integer_field(self, "captured_at"))
         repos = tuple(sorted(self.repos, key=lambda r: r.repo_id))
         row_of: dict[str, int] = {}
         for row, record in enumerate(repos):

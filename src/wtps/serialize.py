@@ -2,7 +2,8 @@
 
 Column orders are part of the public contract and never change within a
 schema version: downstream plotting and diffing rely on byte-stable output.
-Floats serialize at full precision via ``repr``.
+Floats serialize at full precision via ``repr``. The sweep, classify,
+correlate and summarize columns are the fields of their result records.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import fields
+from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -19,20 +23,6 @@ from .stats import DistributionSummary, RegressionResult, SweepEntry
 
 SCORE_COLUMNS = ("repo_id", "indicator", "interval_index", "value")
 RANK_COLUMNS = ("repo_id", "indicator", "value", "rank")
-SWEEP_COLUMNS = (
-    "indicator", "interval_days", "slope", "intercept", "pearson_r", "sample_count",
-)
-GROWTH_COLUMNS = (
-    "repo_id", "indicator", "pattern",
-    "peak_cumulative", "final_cumulative", "positive_fraction",
-)
-CORRELATION_COLUMNS = (
-    "property", "slope", "intercept", "pearson_r", "sample_count",
-)
-SUMMARY_COLUMNS = (
-    "feature", "minimum", "first_quartile", "median", "third_quartile",
-    "maximum", "mean", "outlier_count",
-)
 DELETION_COLUMNS = ("step", "removed_repo_id", "coefficient")
 
 Row = list
@@ -54,51 +44,35 @@ def rank_table(entries: Iterable[RankEntry], indicator: str) -> Table:
     return RANK_COLUMNS, rows
 
 
-def _line_cells(r: RegressionResult) -> list:
-    """The cells every regression row ends with."""
-    return [r.slope, r.intercept, r.pearson_r, r.sample_count]
+def _record_table(record_type: type, records: Iterable, key: str | None = None) -> Table:
+    """One row per dataclass record of ``record_type``, whose fields are the
+    columns, enums written by value. With ``key``, ``records`` maps the cells
+    of a first column of that name to the records."""
+    names = tuple(f.name for f in fields(record_type))
+    cells = attrgetter(*names)
+
+    def row(record) -> Row:
+        return [v.value if isinstance(v, Enum) else v for v in cells(record)]
+
+    if key is None:
+        return names, [row(r) for r in records]
+    return (key, *names), [[k, *row(r)] for k, r in records.items()]
 
 
 def sweep_table(entries: Iterable[SweepEntry]) -> Table:
-    rows = [[e.indicator.value, e.interval_days, *_line_cells(e.result)] for e in entries]
-    return SWEEP_COLUMNS, rows
+    return _record_table(SweepEntry, entries)
 
 
 def growth_table(labels: Iterable[GrowthLabel]) -> Table:
-    rows = [
-        [
-            label.repo_id,
-            label.indicator.value,
-            label.pattern.value,
-            label.peak_cumulative,
-            label.final_cumulative,
-            label.positive_fraction,
-        ]
-        for label in labels
-    ]
-    return GROWTH_COLUMNS, rows
+    return _record_table(GrowthLabel, labels)
 
 
 def correlation_table(fitted: Mapping[str, RegressionResult]) -> Table:
-    rows = [[prop, *_line_cells(result)] for prop, result in fitted.items()]
-    return CORRELATION_COLUMNS, rows
+    return _record_table(RegressionResult, fitted, key="property")
 
 
 def summary_table(summaries: Mapping[str, DistributionSummary]) -> Table:
-    rows = [
-        [
-            feature,
-            s.minimum,
-            s.first_quartile,
-            s.median,
-            s.third_quartile,
-            s.maximum,
-            s.mean,
-            s.outlier_count,
-        ]
-        for feature, s in summaries.items()
-    ]
-    return SUMMARY_COLUMNS, rows
+    return _record_table(DistributionSummary, summaries, key="feature")
 
 
 def deletion_table(series: DeletionSeries) -> Table:

@@ -9,11 +9,11 @@ returning a silent zero that would corrupt correlation reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateInput, EmptyInput, LengthMismatch
-from .model import COUNT_FIELDS, Corpus
+from .model import COUNT_FIELDS, SECONDS_PER_DAY, Corpus
 from .scoring import Indicator, SNAPSHOT_FIELDS, indicator_values
 
 DEFAULT_SWEEP_DAYS: tuple[int, ...] = (30, 21, 14, 7)
@@ -35,9 +35,12 @@ class RegressionResult:
     sample_count: int
 
 
-def _centered_sums(
-    x: Sequence[float], y: Sequence[float]
+def _correlated(
+    x: Sequence[float], y: Sequence[float], what: str
 ) -> tuple[float, float, float, float, float, int]:
+    """The means, ``sxx``, ``sxy``, the product-moment r clamped to [-1, 1]
+    and the sample count of paired series; constant input raises
+    DegenerateInput, saying that ``what`` is undefined."""
     if len(x) != len(y):
         raise LengthMismatch(f"series lengths differ: {len(x)} vs {len(y)}")
     n = len(x)
@@ -48,7 +51,10 @@ def _centered_sums(
     sxx = math.fsum((xi - mean_x) ** 2 for xi in x)
     syy = math.fsum((yi - mean_y) ** 2 for yi in y)
     sxy = math.fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
-    return mean_x, mean_y, sxx, syy, sxy, n
+    if sxx == 0.0 or syy == 0.0:
+        raise DegenerateInput(f"{what} is undefined for a constant series")
+    r = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+    return mean_x, mean_y, sxx, sxy, r, n
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -58,11 +64,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         LengthMismatch: series lengths differ.
         DegenerateInput: fewer than 2 samples, or either series is constant.
     """
-    _, _, sxx, syy, sxy, _ = _centered_sums(x, y)
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateInput("correlation is undefined for a constant series")
-    r = sxy / math.sqrt(sxx * syy)
-    return max(-1.0, min(1.0, r))
+    return _correlated(x, y, "correlation")[4]
 
 
 def ols_line(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
@@ -71,12 +73,9 @@ def ols_line(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     Error behaviour matches :func:`pearson`: constant input on either side is
     rejected because the attached coefficient would be undefined.
     """
-    mean_x, mean_y, sxx, syy, sxy, n = _centered_sums(x, y)
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateInput("regression is undefined for a constant series")
+    mean_x, mean_y, sxx, sxy, r, n = _correlated(x, y, "regression")
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x
-    r = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
     return RegressionResult(
         slope=slope, intercept=intercept, pearson_r=r, sample_count=n
     )
@@ -114,11 +113,15 @@ def correlate(corpus: Corpus) -> tuple[dict[str, RegressionResult], dict[str, st
 @dataclass(frozen=True, slots=True)
 class SweepEntry:
     """Regression of one snapshot indicator on the weighted score for one
-    interval width."""
+    interval width: the indicator and width, then ``RegressionResult``'s
+    fields."""
 
     indicator: Indicator
     interval_days: int
-    result: RegressionResult
+    slope: float
+    intercept: float
+    pearson_r: float
+    sample_count: int
 
 
 def interval_sweep(
@@ -136,7 +139,7 @@ def interval_sweep(
     entries: list[SweepEntry] = []
     for days in interval_days_list:
         fitted, _ = _fit_on_wtps(corpus.regrid(days), columns)
-        entries.extend(SweepEntry(ind, days, result) for ind, result in fitted.items())
+        entries.extend(SweepEntry(ind, days, *astuple(result)) for ind, result in fitted.items())
     return entries
 
 
@@ -196,7 +199,7 @@ def repo_age_days(corpus: Corpus) -> dict[str, float]:
     captured = corpus.captured_at
     assert captured is not None  # resolved at construction
     return {
-        r.repo_id: (captured - r.created_at) / 86_400.0 for r in corpus.repos
+        r.repo_id: (captured - r.created_at) / SECONDS_PER_DAY for r in corpus.repos
     }
 
 

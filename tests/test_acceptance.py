@@ -252,7 +252,7 @@ def test_criterion_7_interval_robustness():
     corpus = make_heavy_tailed_corpus(random.Random(42), n_repos=200)
     entries = interval_sweep(corpus, [30, 21, 14, 7])
     stars_r = [
-        e.result.pearson_r for e in entries if e.indicator is Indicator.STARS
+        e.pearson_r for e in entries if e.indicator is Indicator.STARS
     ]
     elapsed = time.perf_counter() - start
     assert len(stars_r) == 4

@@ -228,8 +228,13 @@ class TestMalformedPayload:
         (lambda s: s.repo.pop("id"), f"/repos/{OWNER}/{NAME}:"),
         (lambda s: s.user.update(followers="many"), f"/users/{OWNER}:"),
         (lambda s: s.repo.update(forks_count=2**63), f"/repos/{OWNER}/{NAME}:"),
+        (lambda s: s.repo.update(language=False), f"/repos/{OWNER}/{NAME}:"),
+        (lambda s: s.repo.update(size=1.5), f"/repos/{OWNER}/{NAME}:"),
+        (lambda s: s.repo.update(full_name=None), f"/repos/{OWNER}/{NAME}:"),
+        (lambda s: s.repo.update(id=None), f"/repos/{OWNER}/{NAME}:"),
     ], ids=["bad-starred-at", "null-created-at", "null-size", "negative-size",
-            "missing-id", "followers-not-a-number", "forks-count-past-int64"])
+            "missing-id", "followers-not-a-number", "forks-count-past-int64",
+            "language-false", "fractional-size", "null-full-name", "null-id"])
     def test_fetch_exits_with_api_error(self, mock_api, tmp_path, capsys, breaks, endpoint):
         base_url, state = mock_api
         breaks(state)

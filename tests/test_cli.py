@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -640,6 +641,17 @@ class TestImportSurface:
         assert set(wtps.__all__) - errors == {
             "load_corpus", "bin_events", "compute_weights", "score_all", "rank", "Indicator",
         }
+
+    def test_readme_module_table_names_import(self):
+        # The README's module table is the documented library API.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = re.findall(r"^\| `(wtps\.\w+)` \| (.+) \|$", readme, flags=re.MULTILINE)
+        assert [module for module, _ in table] == [
+            "wtps.model", "wtps.dataset", "wtps.scoring", "wtps.stats", "wtps.graph", "wtps.api",
+        ]
+        for module, names in table:
+            for name in re.findall(r"`(\w+)`", names):
+                assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
     def test_cli_import_does_not_load_requests(self):
         src = str(Path(wtps.__file__).resolve().parents[1])

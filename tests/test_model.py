@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -299,6 +300,63 @@ class TestTimeBounds:
                                                     for _ in range(500))]
         expected = [f"{np.datetime64(t, 's')}Z" for t in times]
         assert [format_timestamp(t) for t in times] == expected
+
+
+# Each integer field of a record, with a builder that sets only that field.
+_INTEGER_FIELDS = [
+    ("created_at", lambda v: _repo(created=v)),
+    *((name, lambda v, name=name: _repo(**{name: v})) for name in model.COUNT_FIELDS),
+    ("occurred_at", lambda v: _event(at=v)),
+    ("delta", lambda v: _event(delta=v)),
+    ("epoch", lambda v: TimeGrid(v, 30, 1)),
+    ("interval_days", lambda v: TimeGrid(BASE_TS, v, 1)),
+    ("interval_count", lambda v: TimeGrid(BASE_TS, 30, v)),
+    ("captured_at", lambda v: Corpus.build([_repo()], [_event()], captured_at=v)),
+]
+
+
+class TestFieldTypes:
+    # Each record checks the types of its own fields, so every record the
+    # library builds saves to a file that loads back.
+    @pytest.mark.parametrize("name,build,value", [
+        pytest.param(name, build, value, id=f"{name}-{value!r}")
+        for name, build in _INTEGER_FIELDS
+        for value in (True, 1.5, "3", None)
+        if (name, value) != ("captured_at", None)  # None asks for the derived capture time
+    ])
+    def test_integer_fields_refuse_other_values(self, name, build, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            build(value)
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: _repo(primary_language=False), "primary_language must be a string or null"),
+        (lambda: _repo(primary_language=0), "primary_language must be a string or null"),
+        (lambda: _repo(primary_language=[]), "primary_language must be a string or null"),
+        (lambda: _repo(follower_ids=("f", 5)), "follower_ids must be a list of strings"),
+        (lambda: _repo(full_name=None), "full_name must be a string, got None"),
+        (lambda: _repo(rid=7), "repo_id must be a string, got 7"),
+        (lambda: _event(rid=7), "repo_id must be a string, got 7"),
+        (lambda: _event(kind="star"), "kind must be an EventKind, got 'star'"),
+    ], ids=["language-false", "language-0", "language-list", "follower-id-int",
+            "full-name-none", "repo-id-int", "event-repo-id-int", "kind-string"])
+    def test_other_fields_refuse_wrong_types(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_numpy_integers_are_stored_as_int_and_round_trip(self, tmp_path):
+        i64 = np.int64
+        repo = _repo(created=i64(BASE_TS), **{name: i64(3) for name in model.COUNT_FIELDS})
+        events = [_event(at=i64(BASE_TS + DAY), delta=i64(2)),
+                  _event(kind=EventKind.STAR, at=i64(BASE_TS + 9 * DAY), delta=i64(-1))]
+        corpus = Corpus.build([repo], events, interval_days=i64(7),
+                              captured_at=i64(BASE_TS + 10 * DAY))
+        values = [repo.created_at, *(getattr(repo, name) for name in model.COUNT_FIELDS),
+                  *(e.occurred_at for e in events), *(e.delta for e in events),
+                  corpus.captured_at, corpus.grid.epoch, corpus.grid.interval_days]
+        assert {type(v) for v in values} == {int}
+        path = tmp_path / "numpy.jsonl"
+        save_corpus(corpus, path)
+        assert load_corpus(path, interval_days=7) == corpus
 
 
 class TestNdarrayViews:

@@ -204,7 +204,7 @@ class TestIntervalSweep:
     def test_sample_shape_skips_constant_watchers(self, community_corpus):
         entries = interval_sweep(community_corpus, [30, 21])
         assert len(entries) == 4
-        assert all(e.result.sample_count == 4 for e in entries)
+        assert all(e.sample_count == 4 for e in entries)
         assert {e.indicator for e in entries} == {Indicator.FORKS, Indicator.STARS}
         assert sorted({e.interval_days for e in entries}) == [21, 30]
 
@@ -213,7 +213,7 @@ class TestIntervalSweep:
         entries = interval_sweep(corpus, [30, 21, 14, 7])
         assert len(entries) == 12
         for entry in entries:
-            assert entry.result.pearson_r == pytest.approx(1.0, abs=1e-9)
+            assert entry.pearson_r == pytest.approx(1.0, abs=1e-9)
 
     def test_correlations_stable_across_widths(self):
         rng = random.Random(8)
@@ -221,7 +221,7 @@ class TestIntervalSweep:
         entries = interval_sweep(corpus, [30, 21, 14, 7])
         by_indicator = {}
         for entry in entries:
-            by_indicator.setdefault(entry.indicator, []).append(entry.result.pearson_r)
+            by_indicator.setdefault(entry.indicator, []).append(entry.pearson_r)
         for indicator in (Indicator.FORKS, Indicator.STARS):
             rs = by_indicator[indicator]
             assert len(rs) == 4
