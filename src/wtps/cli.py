@@ -26,6 +26,7 @@ import random
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .dataset import (
@@ -45,15 +46,7 @@ from .errors import (
     ParseError,
     WtpsError,
 )
-from .graph import (
-    CoefficientKind,
-    FollowerGraph,
-    build_graph,
-    deletion_experiment,
-    format_edge_list,
-    scores_for_measure,
-)
-from .model import SECONDS_PER_DAY, Corpus, bin_events
+from .model import DEFAULT_SWEEP_DAYS, SECONDS_PER_DAY, CoefficientKind, Corpus, bin_events
 from .scoring import (
     GrowthThresholds,
     Indicator,
@@ -64,23 +57,11 @@ from .scoring import (
     score_all,
     unit_weights,
 )
-from .serialize import (
-    correlation_table,
-    deletion_table,
-    growth_table,
-    rank_table,
-    score_table,
-    summary_table,
-    sweep_table,
-    write_table,
-)
-from .stats import (
-    DEFAULT_SWEEP_DAYS,
-    correlate,
-    interval_sweep,
-    repo_features,
-    summarize,
-)
+
+# The handlers import ``graph``, ``stats``, ``serialize`` and ``api`` where
+# they use them, so each command loads only the modules it needs.
+if TYPE_CHECKING:
+    from .graph import FollowerGraph
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -364,7 +345,6 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_fetch(args) -> int:
-    # Imported here so that only fetch loads the HTTP client library.
     from .api import ApiClientConfig, fetch_repo, split_repo_spec
 
     _check_width(args.interval_days, "--interval-days must be positive")
@@ -396,6 +376,8 @@ def _cmd_fetch(args) -> int:
 
 
 def _cmd_score(args, corpus: Corpus):
+    from .serialize import score_table
+
     binned = bin_events(corpus)
     weights = _unit_weights(args, corpus) or compute_weights(binned)
     return score_table(score_all(binned, weights)), {
@@ -407,12 +389,17 @@ def _cmd_score(args, corpus: Corpus):
 
 
 def _cmd_rank(args, corpus: Corpus):
+    from .serialize import rank_table
+
     indicator = Indicator(args.indicator)
     entries = rank(corpus, indicator, weights=_unit_weights(args, corpus))
     return rank_table(entries, indicator.value), {}
 
 
 def _cmd_correlate(args, corpus: Corpus):
+    from .serialize import correlation_table
+    from .stats import correlate
+
     fitted, skipped = correlate(corpus)
     return correlation_table(fitted), {
         "skipped": [{"property": p, "reason": r} for p, r in skipped.items()],
@@ -420,10 +407,15 @@ def _cmd_correlate(args, corpus: Corpus):
 
 
 def _cmd_sweep(args, corpus: Corpus):
+    from .serialize import sweep_table
+    from .stats import interval_sweep
+
     return sweep_table(interval_sweep(corpus, _sweep_days(args))), {}
 
 
 def _cmd_classify(args, corpus: Corpus):
+    from .serialize import growth_table
+
     thresholds = _thresholds(args)
     binned = bin_events(corpus)
     indicator = Indicator(args.indicator)
@@ -435,11 +427,16 @@ def _cmd_classify(args, corpus: Corpus):
 
 
 def _cmd_graph_build(args, corpus: Corpus):
+    from .graph import build_graph, format_edge_list
+
     graph = build_graph(corpus)
     return format_edge_list(graph), {"graph": _graph_block(graph)}
 
 
 def _cmd_graph_deletion(args, corpus: Corpus):
+    from .graph import build_graph, deletion_experiment, scores_for_measure
+    from .serialize import deletion_table
+
     measure = Indicator(args.measure)
     kind = CoefficientKind(args.coefficient)
     weights = _unit_weights(args, corpus)
@@ -458,6 +455,9 @@ def _cmd_graph_deletion(args, corpus: Corpus):
 
 
 def _cmd_summarize(args, corpus: Corpus):
+    from .serialize import summary_table
+    from .stats import repo_features, summarize
+
     summaries = {
         name: summarize(values) for name, values in repo_features(corpus).items()
     }
@@ -491,6 +491,8 @@ def _run_report(args, handler) -> int:
         if isinstance(result, str):
             data_path.write_text(result, encoding="utf-8", newline="")
         else:
+            from .serialize import write_table
+
             write_table(data_path, *result, args.format)
         _write_sidecar(sidecar_path, args, corpus, extra)
     return EXIT_OK

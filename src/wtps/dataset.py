@@ -77,6 +77,8 @@ class DatasetManifest:
     def __post_init__(self) -> None:
         for name in ("schema_version", "captured_at", "repo_count"):
             _integer_field(self, name)
+        if not isinstance(self.source, DatasetSource):
+            raise ValueError(f"source must be a DatasetSource, got {self.source!r}")
 
     def to_json_dict(self) -> dict:
         """The manifest line as written to a dataset file, in key order."""
@@ -317,9 +319,10 @@ def save_corpus(
         repo_count=len(corpus.repos),
         source=source,
     )
+    header = _dump(manifest.to_json_dict()) + "\n"
     ids = [encode_basestring(r.repo_id) for r in corpus.repos]
     with path.open("w", encoding="utf-8", newline="") as handle:
-        handle.write(_dump(manifest.to_json_dict()) + "\n")
+        handle.write(header)
         handle.writelines(_dump(_repo_dict(r)) + "\n" for r in corpus.repos)
         handle.writelines(
             f'{{"repo_id":{ids[row]},"kind":"{_KIND_NAMES[kind]}",'

@@ -12,20 +12,11 @@ two-mode graphs and is the default for deletion experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping
 
 from .errors import EmptyGraph, StepsExceedRepoCount
-from .model import Corpus
+from .model import CoefficientKind, Corpus
 from .scoring import Indicator, WeightTable, indicator_values
-
-
-class CoefficientKind(Enum):
-    """Clustering-coefficient definitions supported on the follower graph."""
-
-    GLOBAL_TRANSITIVITY = "global_transitivity"
-    AVERAGE_LOCAL = "average_local"
-    BIPARTITE_LATAPY = "bipartite_latapy"
 
 
 @dataclass(frozen=True)

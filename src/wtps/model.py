@@ -38,6 +38,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 SECONDS_PER_DAY = 86_400
+# The interval widths ``wtps.stats.interval_sweep`` bins at by default.
+DEFAULT_SWEEP_DAYS: tuple[int, ...] = (30, 21, 14, 7)
 # 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z, the first and last second
 # with a four-digit UTC year: the range of every record time.
 FIRST_SECOND, LAST_SECOND = -62_135_596_800, 253_402_300_799
@@ -49,18 +51,25 @@ def _check_time(name: str, value: int) -> None:
         raise ValueError(f"{name} must lie in UTC years 0001-9999")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int: any integer type but ``bool`` converts, such as
+    numpy's; anything else raises ``ValueError`` naming ``name``."""
+    if type(value) is int:
+        return value
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _integer_field(record, name: str) -> int:
-    """The field ``name`` of ``record`` as an int, stored back when it was
-    another integer type, such as numpy's; a bool or a non-integer raises
-    ``ValueError``."""
+    """The field ``name`` of ``record`` as an int by ``_integer``, stored back
+    when it was another integer type."""
     value = getattr(record, name)
     if type(value) is not int:
-        try:
-            if isinstance(value, bool):
-                raise TypeError
-            value = index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        value = _integer(name, value)
         object.__setattr__(record, name, value)
     return value
 
@@ -68,6 +77,15 @@ def _integer_field(record, name: str) -> int:
 def _check_string(name: str, value) -> None:
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {value!r}")
+
+
+class CoefficientKind(Enum):
+    """Clustering-coefficient definitions supported on the follower graph
+    (``wtps.graph``)."""
+
+    GLOBAL_TRANSITIVITY = "global_transitivity"
+    AVERAGE_LOCAL = "average_local"
+    BIPARTITE_LATAPY = "bipartite_latapy"
 
 
 class EventKind(Enum):
@@ -106,9 +124,11 @@ class RepoRecord:
         _check_string("full_name", self.full_name)
         if self.primary_language is not None and not isinstance(self.primary_language, str):
             raise ValueError("primary_language must be a string or null")
-        object.__setattr__(self, "follower_ids", tuple(self.follower_ids))
-        if not all(isinstance(follower, str) for follower in self.follower_ids):
+        followers = self.follower_ids
+        if not (isinstance(followers, (list, tuple))
+                and all(isinstance(follower, str) for follower in followers)):
             raise ValueError("follower_ids must be a list of strings")
+        object.__setattr__(self, "follower_ids", tuple(followers))
         if not self.repo_id:
             raise ValueError("repo_id must be non-empty")
         _check_time("created_at", _integer_field(self, "created_at"))
@@ -204,7 +224,7 @@ def grid_for_times(times: Iterable[int], interval_days: int) -> TimeGrid:
     ts = list(times)
     if not ts:
         raise EmptyEventSet("cannot build a grid from an empty timestamp set")
-    if interval_days <= 0:
+    if _integer("interval_days", interval_days) <= 0:
         raise ValueError("interval_days must be positive")
     earliest, latest = min(ts), max(ts)
     epoch = earliest - earliest % SECONDS_PER_DAY

@@ -13,13 +13,18 @@ import io
 import json
 from dataclasses import fields
 from enum import Enum
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .graph import DeletionSeries
 from .scoring import GrowthLabel, RankEntry, ScoreCard
-from .stats import DistributionSummary, RegressionResult, SweepEntry
+
+# The graph and stats record types are imported where they are used, so
+# rendering a score or rank table loads neither module.
+if TYPE_CHECKING:
+    from .graph import DeletionSeries
+    from .stats import DistributionSummary, RegressionResult, SweepEntry
 
 SCORE_COLUMNS = ("repo_id", "indicator", "interval_index", "value")
 RANK_COLUMNS = ("repo_id", "indicator", "value", "rank")
@@ -33,9 +38,9 @@ def score_table(cards: Iterable[ScoreCard]) -> Table:
     """Interval rows per repository followed by one "overall" row."""
     rows: list[Row] = []
     for card in cards:
-        for t, value in enumerate(card.interval_scores):
-            rows.append([card.repo_id, "wtps", t, value])
-        rows.append([card.repo_id, "wtps", "overall", card.overall])
+        repo_id = card.repo_id
+        rows += [[repo_id, "wtps", t, value] for t, value in enumerate(card.interval_scores)]
+        rows.append([repo_id, "wtps", "overall", card.overall])
     return SCORE_COLUMNS, rows
 
 
@@ -60,6 +65,8 @@ def _record_table(record_type: type, records: Iterable, key: str | None = None) 
 
 
 def sweep_table(entries: Iterable[SweepEntry]) -> Table:
+    from .stats import SweepEntry
+
     return _record_table(SweepEntry, entries)
 
 
@@ -68,10 +75,14 @@ def growth_table(labels: Iterable[GrowthLabel]) -> Table:
 
 
 def correlation_table(fitted: Mapping[str, RegressionResult]) -> Table:
+    from .stats import RegressionResult
+
     return _record_table(RegressionResult, fitted, key="property")
 
 
 def summary_table(summaries: Mapping[str, DistributionSummary]) -> Table:
+    from .stats import DistributionSummary
+
     return _record_table(DistributionSummary, summaries, key="feature")
 
 
@@ -94,20 +105,31 @@ def to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def to_json(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    r"""The records as ``json.dumps(records, indent=2, ensure_ascii=False)``.
+    """The records as ``json.dumps(records, indent=2, ensure_ascii=False)``.
 
-    ``indent`` makes ``json`` fall back to its pure-Python encoder, so the
-    text comes from one pass of the C encoder with the field separator of
-    the indented form; every raw newline in it is a separator (strings
-    escape theirs), so each record boundary reads ``},\n    {`` and is
-    rewritten to the indented layout.
+    ``indent`` makes ``json`` fall back to its pure-Python encoder, so a
+    regular table is rendered by one pass of the C encoder over its cells,
+    separated by raw newlines (no scalar's encoding holds one), poured into
+    one record template built from the header. A table that is not regular
+    (no header, a repeated key, a row of another length, a cell that is a
+    list or an object, or no rows) goes through ``json.dumps`` itself.
     """
+    rows = list(rows)
+    keys = tuple(header)
+    if rows and keys and len(set(keys)) == len(keys) and set(map(len, rows)) == {len(keys)}:
+        flat = json.dumps(list(chain.from_iterable(rows)), separators=("\n", ":"),
+                          ensure_ascii=False)
+        # A list or object cell opens with "[" or "{" and would need the
+        # indented layout inside it.
+        if flat[1] not in "[{" and "\n[" not in flat and "\n{" not in flat:
+            # Each key as json writes it, from its '"<key>":0' item.
+            names = json.dumps(dict.fromkeys(keys, 0), separators=("\n", ":"),
+                               ensure_ascii=False)[1:-1].replace("%", "%%").split("\n")
+            record = "  {\n    " + ",\n    ".join(n[:-1] + " %s" for n in names) + "\n  }"
+            body = ",\n".join([record] * len(rows)) % tuple(flat[1:-1].split("\n"))
+            return f"[\n{body}\n]\n"
     records = [dict(zip(header, row)) for row in rows]
-    if not records or not all(records):
-        return json.dumps(records, indent=2, ensure_ascii=False) + "\n"
-    flat = json.dumps(records, separators=(",\n    ", ": "), ensure_ascii=False)
-    body = flat[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
-    return f"[\n  {{\n    {body}\n  }}\n]\n"
+    return json.dumps(records, indent=2, ensure_ascii=False) + "\n"
 
 
 # Rows per call of to_csv / to_json when write_table writes a table.

@@ -13,10 +13,9 @@ from dataclasses import astuple, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateInput, EmptyInput, LengthMismatch
-from .model import COUNT_FIELDS, SECONDS_PER_DAY, Corpus
+from .model import COUNT_FIELDS, DEFAULT_SWEEP_DAYS, SECONDS_PER_DAY, Corpus
 from .scoring import Indicator, SNAPSHOT_FIELDS, indicator_values
 
-DEFAULT_SWEEP_DAYS: tuple[int, ...] = (30, 21, 14, 7)
 # The repository features, ``COUNT_FIELDS`` and "age_days", in the report
 # order of ``repo_features`` (and so of summarize) and of ``correlate``.
 _SUMMARY_FIELDS = ("forks_total", "stars_total", "watchers_total", "age_days", "size_kb",

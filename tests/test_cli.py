@@ -661,6 +661,16 @@ class TestImportSurface:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
 
+    def test_cli_import_does_not_load_graph_stats_or_serialize(self):
+        # Each handler imports the modules its command uses.
+        src = str(Path(wtps.__file__).resolve().parents[1])
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import wtps.cli; "
+                 "print(sorted(m for m in ('wtps.graph', 'wtps.stats', 'wtps.serialize') "
+                 "if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", probe, src],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
     def test_commands_and_library_load_run_without_numpy(self, tmp_path):
         # numpy is made unimportable: every golden run (each command but
         # fetch) must still give its golden output, and the library must
@@ -745,7 +755,7 @@ class TestGraphCommands:
         def no_scoring(*args, **kwargs):
             raise AssertionError("scored before the --steps check")
 
-        monkeypatch.setattr("wtps.cli.scores_for_measure", no_scoring)
+        monkeypatch.setattr("wtps.graph.scores_for_measure", no_scoring)
         code = main(["graph-deletion", "--input", str(FOLLOWER_SAMPLE),
                      "--output", str(tmp_path / "d.csv"), "--measure", "stars",
                      "--steps", "9"])

@@ -318,6 +318,12 @@ class TestSaveCorpus:
         assert manifest.source is DatasetSource.FILE
         assert load_corpus(out, interval_days=30) == community_corpus
 
+    def test_source_must_be_a_dataset_source(self, community_corpus, tmp_path):
+        out = tmp_path / "copy.jsonl"
+        with pytest.raises(ValueError, match="^source must be a DatasetSource, got 'file'$"):
+            save_corpus(community_corpus, out, source="file")
+        assert list(tmp_path.iterdir()) == []
+
     def test_resave_is_byte_identical(self, community_corpus, tmp_path):
         first = tmp_path / "one.jsonl"
         second = tmp_path / "two.jsonl"

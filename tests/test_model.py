@@ -333,15 +333,29 @@ class TestFieldTypes:
         (lambda: _repo(primary_language=0), "primary_language must be a string or null"),
         (lambda: _repo(primary_language=[]), "primary_language must be a string or null"),
         (lambda: _repo(follower_ids=("f", 5)), "follower_ids must be a list of strings"),
+        (lambda: _repo(follower_ids="abc"), "follower_ids must be a list of strings"),
+        (lambda: _repo(follower_ids=5), "follower_ids must be a list of strings"),
         (lambda: _repo(full_name=None), "full_name must be a string, got None"),
         (lambda: _repo(rid=7), "repo_id must be a string, got 7"),
         (lambda: _event(rid=7), "repo_id must be a string, got 7"),
         (lambda: _event(kind="star"), "kind must be an EventKind, got 'star'"),
     ], ids=["language-false", "language-0", "language-list", "follower-id-int",
-            "full-name-none", "repo-id-int", "event-repo-id-int", "kind-string"])
+            "follower-ids-string", "follower-ids-int", "full-name-none", "repo-id-int", "event-repo-id-int", "kind-string"])
     def test_other_fields_refuse_wrong_types(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+    @pytest.mark.parametrize("build", [
+        lambda v: grid_for_times([BASE_TS], v),
+        lambda v: Corpus.build([_repo()], [_event()], interval_days=v),
+        lambda v: Corpus.build([_repo()], [_event()]).regrid(v),
+    ], ids=["grid_for_times", "build", "regrid"])
+    @pytest.mark.parametrize("value", [True, 1.5, "3", None])
+    def test_interval_width_is_checked_before_it_is_compared(self, build, value):
+        # A width is a type fault, not a bare TypeError from ``<=``.
+        message = f"^interval_days must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            build(value)
 
     def test_numpy_integers_are_stored_as_int_and_round_trip(self, tmp_path):
         i64 = np.int64

@@ -250,6 +250,12 @@ _cells = st.one_of(
 @example((["value"], [[float("nan")], [float("inf")], [float("-inf")], [-0.0]]))
 @example((["repo_id", "value"], [['"},\n    {"', 1.5], ["\ud800", "é\x01"]]))
 @example((["repo_id"], []))
+@example((["%", "k%s"], [["%s", "%"], ["100%", "%%s"]]))
+@example((["k", "k"], [[1, 2], [3, 4]]))
+@example((["a", "b"], [[1, 2], [3]]))
+@example((["v", "w"], [[float("nan"), float("inf")], [float("-inf"), -0.0]]))
+@example((["a", "b"], [[[1], 2]]))
+@example((["a", "b"], [[0, {"c": [3, 4]}], [[], {}]]))
 def test_to_json_matches_indented_dumps(table):
     header, rows = table
     records = [dict(zip(header, row)) for row in rows]
@@ -281,6 +287,12 @@ _file_cells = st.one_of(
 @example(header=["value"], pool=[[float("nan")], [float("inf")], [float("-inf")], [-0.0]],
          count=_CHUNK_ROWS + 1)
 @example(header=["repo_id", "v"], pool=[['"},\n    {"', "é"]], count=_CHUNK_ROWS)
+# A regular table in three slices: format characters in keys and cells, and
+# the floats json spells its own way.
+@example(header=["i", "%", "k%s", "value"],
+         pool=[["%s", "100%", float("nan")], ["%%s", "%", float("inf")],
+               ["é", "", float("-inf")], ["a", "%d", -0.0]],
+         count=2 * _CHUNK_ROWS + 1)
 def test_chunked_table_file_matches_whole_rendering(header, pool, count):
     # Each row leads with its index, so a slice written twice, dropped or out
     # of order shows.
