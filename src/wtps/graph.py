@@ -11,7 +11,11 @@ two-mode graphs and is the default for deletion experiments.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 from .errors import EmptyGraph, StepsExceedRepoCount
@@ -97,8 +101,8 @@ def _require_nodes(g: FollowerGraph) -> None:
         raise EmptyGraph("coefficient undefined on a graph with no nodes")
 
 
-# Every finite double is an integer multiple of 2**-1074, so a term scaled by
-# 2**1074 is an exact int and sums of scaled terms never round.
+# Every finite double is an integer multiple of 2**-1074, so a value scaled by
+# 2**1074 is an exact int and sums of scaled values never round.
 _SCALE = 1 << 1074
 
 
@@ -120,34 +124,52 @@ class _Overlap:
     Repos and followers are numbered by sorted id, and on each side nodes
     with identical neighbour sets form one twin class of multiplicity m.
     Classes are indexed together, repo classes first; a class's neighbours
-    are whole classes of the other side. A member's peers are its m - 1
-    classmates (term 1.0 each, when it has neighbours) and the members of
-    every other class at distance 2. Each class keeps the exact int sum of
-    one member's peer terms and its peer count, so its value
-    ``total / 2**1074 / peers`` is bit for bit ``fsum(terms) / len(terms)``
-    (int/int division and fsum both round correctly). The node mean keeps
-    one exact int total of m * value over the classes the same way.
+    are whole classes of the other side, in ascending order. A member's
+    peers are its m - 1 classmates (term 1.0 each, when it has neighbours)
+    and the members of every other class at distance 2. The build walks each
+    unordered pair of classes once, from the lower index, and credits the
+    term to both ends.
+
+    Each class keeps the exact int sum of one member's peer terms, scaled by
+    ``2**shift``, and its peer count, so its value ``total / 2**shift /
+    peers`` is bit for bit ``fsum(terms) / len(terms)`` (int/int division and
+    fsum both round correctly). The shift is ``53 + (2 * D).bit_length()``
+    for the graph's largest degree D. A union is at most 2D - 1 < 2**b for
+    b = (2 * D).bit_length(), so a term fl(s/u) is at least 2**-b, and a
+    double that large is a multiple of 2**(-b - 52): scaled by 2**shift it is
+    an exact int. Degrees only fall as repos are removed, so the bound holds
+    for every step; were it ever broken, the shift in ``_term`` would turn
+    negative and raise rather than round. A class value can be far smaller
+    than a term, so the node mean keeps one exact int total of m * value,
+    scaled by 2**1074, over the classes.
     """
 
     def __init__(self, g: FollowerGraph) -> None:
         self.class_of, self.mult, self.adj, self.deg = _twin_classes(g)
+        self.shift = 53 + (2 * max(self.deg, default=0)).bit_length()
+        self.one = one = 1 << self.shift
         self.terms: dict[tuple[int, int], int] = {}
-        self.total: list[int] = []
-        self.peers: list[int] = []
-        mult, deg, term = self.mult, self.deg, self._term
-        for c in range(len(mult)):
-            shared = self._walk(c)
-            shared.pop(c, None)
-            dc = deg[c]
-            total = peers = 0
-            for d, s in shared.items():
-                total += mult[d] * term(s, dc + deg[d] - s)
-                peers += mult[d]
+        mult, deg, terms, term = self.mult, self.deg, self.terms, self._term
+        self.total = total = [0] * len(mult)
+        self.peers = peers = [0] * len(mult)
+        for c, (mc, dc) in enumerate(zip(mult, deg)):
+            tc = pc = 0
             if dc:
-                total += (mult[c] - 1) * _SCALE
-                peers += mult[c] - 1
-            self.total.append(total)
-            self.peers.append(peers)
+                tc = (mc - 1) * one
+                pc = mc - 1
+            for d, s in self._walk(c, above=c).items():
+                u = dc + deg[d] - s
+                # _term's cache read inline: this runs once per class pair.
+                t = terms.get((s, u))
+                if t is None:
+                    t = term(s, u)
+                md = mult[d]
+                tc += md * t
+                pc += md
+                total[d] += mc * t
+                peers[d] += mc
+            total[c] += tc
+            peers[c] += pc
         self.val = [self._class_value(c) for c in range(len(mult))]
         self.node_total = sum(m * _exact(v) for m, v in zip(mult, self.val))
         self.node_count = g.node_count
@@ -167,7 +189,7 @@ class _Overlap:
         each end, and drops out when nothing is left shared.
         """
         mult, deg, adj, total, peers = self.mult, self.deg, self.adj, self.total, self.peers
-        term = self._term
+        term, one = self._term, self.one
         r = self.class_of[repo_id]
         hit = set(adj[r])
         touched = {r, *hit}
@@ -176,7 +198,7 @@ class _Overlap:
             del shared[f]
             df, mf = deg[f], mult[f]
             if df == 1 and mf > 1:
-                total[f] -= (mf - 1) * _SCALE
+                total[f] -= (mf - 1) * one
                 peers[f] -= mf - 1
             for p, s in shared.items():
                 dp, mp = deg[p], mult[p]
@@ -198,7 +220,7 @@ class _Overlap:
             peers[d] -= 1
             touched.add(d)
         if deg[r] and mult[r] > 1:
-            total[r] -= _SCALE
+            total[r] -= one
             peers[r] -= 1
         for f in hit:
             deg[f] -= 1
@@ -214,26 +236,42 @@ class _Overlap:
             self.node_total += mult[c] * (_exact(v) - _exact(self.val[c]))
             self.val[c] = v
 
-    def _walk(self, c: int) -> dict[int, int]:
-        """Shared-neighbour count with every class at distance 2 or 0."""
-        shared: dict[int, int] = {}
-        for x in self.adj[c]:
-            m = self.mult[x]
-            for d in self.adj[x]:
-                shared[d] = shared.get(d, 0) + m
+    def _walk(self, c: int, above: int | None = None) -> Counter[int]:
+        """Shared-neighbour count with every class at distance 2 or 0, or
+        only with those numbered above ``above``.
+
+        The 2-paths through middles of multiplicity 1 are counted in one
+        pass in C; each other middle adds its multiplicity per path.
+        """
+        adj, mult = self.adj, self.mult
+        ones, heavy = [], []
+        for x in adj[c]:
+            nbrs = adj[x]
+            if above is not None:
+                nbrs = nbrs[bisect_right(nbrs, above):]
+            if mult[x] == 1:
+                ones.append(nbrs)
+            else:
+                heavy.append((mult[x], nbrs))
+        shared = Counter(chain.from_iterable(ones))
+        for m, nbrs in heavy:
+            for d in nbrs:
+                shared[d] += m
         return shared
 
     def _term(self, shared: int, union: int) -> int:
+        """``fl(shared / union) * 2**shift`` as an exact int."""
         key = (shared, union)
         term = self.terms.get(key)
         if term is None:
-            term = self.terms[key] = _exact(shared / union)
+            n, d = (shared / union).as_integer_ratio()
+            term = self.terms[key] = n << (self.shift + 1 - d.bit_length())
         return term
 
     def _class_value(self, c: int) -> float:
         if not self.peers[c]:
             return 0.0
-        return self.total[c] / _SCALE / self.peers[c]
+        return self.total[c] / self.one / self.peers[c]
 
 
 def _twin_classes(
@@ -242,7 +280,7 @@ def _twin_classes(
     """The graph's twin classes, numbered in sorted id order, repo classes first.
 
     Returns each repo's class, and per class its multiplicity, its
-    neighbour classes and its members' degree.
+    neighbour classes in ascending order and its members' degree.
     """
     repo_nbrs: dict[str, list[str]] = {r: [] for r in sorted(g.repo_nodes)}
     follower_nbrs: dict[str, list[str]] = {f: [] for f in sorted(g.follower_nodes)}
@@ -257,8 +295,8 @@ def _twin_classes(
         mult[c] += 1
     for c in follower_class.values():
         mult[offset + c] += 1
-    adj = [list({offset + follower_class[f] for f in key}) for key in repo_keys]
-    adj += [list({repo_class[r] for r in key}) for key in follower_keys]
+    adj = [sorted({offset + follower_class[f] for f in key}) for key in repo_keys]
+    adj += [sorted({repo_class[r] for r in key}) for key in follower_keys]
     return repo_class, mult, adj, [len(key) for key in repo_keys + follower_keys]
 
 
@@ -293,7 +331,7 @@ class DeletionSeries:
 
 def deletion_experiment(
     g: FollowerGraph,
-    scores: Mapping[str, float],
+    scores: Mapping[str, int | float],
     steps: int,
     kind: CoefficientKind = CoefficientKind.BIPARTITE_LATAPY,
     measure: Indicator = Indicator.WTPS,
@@ -307,7 +345,8 @@ def deletion_experiment(
 
     Raises:
         StepsExceedRepoCount: ``steps`` exceeds the number of repo nodes.
-        ValueError: a repo node is missing from ``scores``.
+        ValueError: a repo node is missing from ``scores`` or has a NaN or
+            infinite score, which has no place in the order.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -318,6 +357,10 @@ def deletion_experiment(
     missing = sorted(g.repo_nodes - set(scores))
     if missing:
         raise ValueError(f"missing scores for repo nodes: {missing[:5]}")
+    # Compared, not converted: an int of any size is finite and stays exact.
+    unordered = sorted(r for r in g.repo_nodes if not -math.inf < scores[r] < math.inf)
+    if unordered:
+        raise ValueError(f"non-finite scores for repo nodes: {unordered[:5]}")
 
     _require_nodes(g)
     removed = sorted(g.repo_nodes, key=lambda rid: (-scores[rid], rid))[:steps]
@@ -345,7 +388,10 @@ def format_edge_list(g: FollowerGraph) -> str:
 
 def scores_for_measure(
     corpus: Corpus, measure: Indicator, *, weights: WeightTable | None = None
-) -> dict[str, float]:
-    """Per-repo score mapping used to drive a deletion experiment."""
-    values = indicator_values(corpus, measure, weights=weights)
-    return {rid: float(value) for rid, value in values.items()}
+) -> dict[str, int | float]:
+    """Per-repo score mapping used to drive a deletion experiment.
+
+    The values are :func:`indicator_values`' own: exact ints for the count
+    indicators, so the removal order is the ``rank`` order even above 2**53.
+    """
+    return indicator_values(corpus, measure, weights=weights)

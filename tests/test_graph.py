@@ -1,5 +1,7 @@
+import math
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,11 +17,44 @@ from wtps.graph import (
     format_edge_list,
     scores_for_measure,
 )
+from wtps.model import Corpus
+from wtps.scoring import rank
 from synth import fsum_overlap_reference, make_bipartite_graph, overlap_oracle
 
 # Exhaustively precomputed overlap coefficient for the shipped 3-repo sample
 # (see synth.overlap_oracle): mean of per-node overlap means = 61/126.
 FOLLOWER_SAMPLE_OVERLAP = Fraction(61, 126)
+
+
+def _graph(adjacency: dict[str, list[str]], *isolated_followers: str) -> FollowerGraph:
+    """Graph from each repo's followers, plus followers with no repo."""
+    edges = {(repo, f) for repo, followers in adjacency.items() for f in followers}
+    followers = {f for _, f in edges} | set(isolated_followers)
+    return FollowerGraph(frozenset(adjacency), frozenset(followers), frozenset(edges))
+
+
+def _two_hubs(a: int, b: int) -> FollowerGraph:
+    """Repos of degree a and b sharing one follower: the hub pair's union is
+    a + b - 1, up to 2 * max degree - 1."""
+    return _graph({"h0": ["shared", *(f"a{i}" for i in range(a - 1))],
+                   "h1": ["shared", *(f"b{i}" for i in range(b - 1))]})
+
+
+# Graphs at the edges of the overlap kernel's integer scale and pair walk.
+# The hub degrees sit around 256 and 1024; for 255/255, 257/261, 1020/1023
+# and 1024/1028 the hub term fl(1/u) has an odd 53-bit mantissa in the
+# lowest binade the scale allows, so it needs all but one bit of the scale.
+SCALE_BOUND_GRAPHS = {
+    **{f"hubs-{a}-{b}": _two_hubs(a, b) for a, b in
+       [(255, 255), (256, 256), (257, 257), (257, 261),
+        (1020, 1023), (1023, 1024), (1024, 1028)]},
+    # r0/r1 and r2/r3 are repo twins; f1/f5 and f4/f6 are follower twins.
+    "twins": _graph({"r0": ["f0", "f1", "f2", "f5"], "r1": ["f0", "f1", "f2", "f5"],
+                     "r2": ["f2", "f3"], "r3": ["f2", "f3"],
+                     "r4": ["f0", "f3", "f4", "f6"]}),
+    "edgeless": _graph({"r0": [], "r1": []}, "f0"),
+    "isolated": _graph({"r0": ["f0", "f1"], "r1": ["f1"], "r2": []}, "f2", "f3"),
+}
 
 
 def _pareto_graph(rng: random.Random) -> FollowerGraph:
@@ -242,6 +277,49 @@ class TestDeletionExperiment:
             current = current.remove_repo(repo)
             expected.append(fsum_overlap_reference(current))
         assert list(series.values) == expected
+
+    @pytest.mark.parametrize("name", SCALE_BOUND_GRAPHS)
+    def test_every_step_equals_reference_at_the_scale_bound(self, name):
+        # The hub pairs' terms 1/(a + b - 1) need the whole scale around
+        # powers of two; every class pair is walked from its lower index.
+        graph = SCALE_BOUND_GRAPHS[name]
+        order = sorted(graph.repo_nodes)
+        scores = {repo: -i for i, repo in enumerate(order)}
+        series = deletion_experiment(graph, scores, steps=len(order))
+        assert list(series.removed) == order
+        expected = [fsum_overlap_reference(graph)]
+        for repo in order:
+            graph = graph.remove_repo(repo)
+            expected.append(fsum_overlap_reference(graph))
+        assert list(series.values) == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, sample_graph, bad):
+        # NaN does not order, so the removal order would follow set iteration.
+        with pytest.raises(ValueError, match="R2"):
+            deletion_experiment(sample_graph, {"R1": 1.0, "R2": bad, "R3": 2.0}, steps=1)
+
+    def test_huge_int_scores_are_ordered_exactly(self, sample_graph):
+        # The finiteness check compares: float(10**400) would overflow.
+        series = deletion_experiment(
+            sample_graph, {"R1": 10**400, "R2": 10**400 + 1, "R3": 0}, steps=3
+        )
+        assert series.removed == ("R2", "R1", "R3")
+
+    def test_removal_order_equals_rank_order_above_2_53(self, follower_corpus):
+        # 2**53 and 2**53 + 1 are one double; the counts stay exact ints.
+        stars = {"R1": 2**53, "R2": 2**53 + 1}
+        corpus = Corpus(
+            repos=[replace(r, stars_total=stars.get(r.repo_id, r.stars_total))
+                   for r in follower_corpus.repos],
+            events=follower_corpus.events,
+            grid=follower_corpus.grid,
+            captured_at=follower_corpus.captured_at,
+        )
+        scores = scores_for_measure(corpus, Indicator.STARS)
+        series = deletion_experiment(build_graph(corpus), scores, steps=3)
+        ranked = [entry.repo_id for entry in rank(corpus, Indicator.STARS)]
+        assert list(series.removed) == ranked == ["R2", "R1", "R3"]
 
     def test_series_json_round_trip(self, sample_graph, follower_corpus):
         series = deletion_experiment(
