@@ -115,15 +115,19 @@ class RestClient:
             NotFound: HTTP 404.
             AuthFailure: HTTP 401, or 403 without rate-limit markers.
             RateLimited: rate limits past retry_limit, or a Retry-After over an hour.
-            ApiError: any other non-2xx status, or a body that is not JSON.
+            ApiError: any other non-2xx status, a body that is not JSON, or a
+                request that fails without a response.
         """
         url = self.config.base_url.rstrip("/") + path
         attempts = self.config.retry_limit + 1
         for attempt in range(attempts):
             self._throttle()
-            response = self._session.get(
-                url, params=params, headers=self._headers(media_type)
-            )
+            try:
+                response = self._session.get(
+                    url, params=params, headers=self._headers(media_type)
+                )
+            except requests.RequestException as exc:
+                raise ApiError(f"request to {path} failed: {exc}") from None
             if 200 <= response.status_code < 300:
                 try:
                     return response.json()
@@ -203,12 +207,9 @@ class FetchResult:
 @contextmanager
 def _payload_of(path: str):
     """Report a payload from ``path`` that lacks a field, or has one of the
-    wrong type or value, as an ApiError naming the endpoint. Errors from
-    ``requests`` are OSErrors (some also ValueErrors) and pass unchanged."""
+    wrong type or value, as an ApiError naming the endpoint."""
     try:
         yield
-    except OSError:
-        raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ApiError(
             f"malformed response from {path}: {type(exc).__name__}: {exc}"

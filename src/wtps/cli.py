@@ -12,7 +12,7 @@ Exit codes:
   1  unexpected internal error
   2  configuration error (bad flags, missing input path)
   3  dataset error (parse failures, integrity violations)
-  4  API error (not found, auth, rate limiting)
+  4  API error (not found, auth, rate limiting, network failure)
   5  domain error (degenerate statistics, unknown repo, graph limits)
   6  filesystem error
 """
@@ -46,7 +46,7 @@ from .errors import (
     ParseError,
     WtpsError,
 )
-from .model import DEFAULT_SWEEP_DAYS, SECONDS_PER_DAY, CoefficientKind, Corpus, bin_events
+from .model import DEFAULT_SWEEP_DAYS, CoefficientKind, Corpus, TimeGrid, bin_events
 from .scoring import (
     GrowthThresholds,
     Indicator,
@@ -208,11 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_width(days: int, message: str) -> None:
     """Reject an interval width that is not positive (with ``message``), or
-    whose length in seconds does not fit the int64 arithmetic of binning."""
+    that ``TimeGrid`` refuses (with its message)."""
     if days <= 0:
         raise ConfigError(message)
-    if days * SECONDS_PER_DAY >= 2**63:
-        raise ConfigError(f"interval width of {days} days overflows 64-bit seconds")
+    try:
+        TimeGrid(0, days, 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _sweep_days(args) -> list[int]:
@@ -347,7 +349,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_fetch(args) -> int:
     from .api import ApiClientConfig, fetch_repo, split_repo_spec
 
-    _check_width(args.interval_days, "--interval-days must be positive")
+    _check_flags(args)
     try:
         split_repo_spec(args.repo)
         config = ApiClientConfig(

@@ -270,9 +270,6 @@ def load_corpus(path: str | Path, interval_days: int = 30) -> Corpus:
         raise ParseError(
             1, f"manifest repo_count {manifest.repo_count} != {len(repos)} repository lines"
         )
-    newest = max(repos, key=lambda r: r.created_at)
-    if manifest is not None and manifest.captured_at < newest.created_at:
-        raise ParseError(1, f"manifest captured_at precedes the creation of {newest.repo_id!r}")
     return Corpus._from_columns(
         tuple(repos),
         repo_ids,
@@ -312,7 +309,6 @@ def save_corpus(
     re-saving an unchanged corpus is byte-identical.
     """
     path = Path(path)
-    assert corpus.captured_at is not None
     manifest = DatasetManifest(
         schema_version=SCHEMA_VERSION,
         captured_at=corpus.captured_at,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
 from functools import cache
@@ -51,25 +51,18 @@ def _check_time(name: str, value: int) -> None:
         raise ValueError(f"{name} must lie in UTC years 0001-9999")
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int: any integer type but ``bool`` converts, such as
-    numpy's; anything else raises ``ValueError`` naming ``name``."""
-    if type(value) is int:
-        return value
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _integer_field(record, name: str) -> int:
-    """The field ``name`` of ``record`` as an int by ``_integer``, stored back
-    when it was another integer type."""
+    """The field ``name`` of ``record`` as an int: any integer type but
+    ``bool`` converts, such as numpy's, and is stored back; anything else
+    raises ``ValueError`` naming ``name``."""
     value = getattr(record, name)
     if type(value) is not int:
-        value = _integer(name, value)
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            value = index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
         object.__setattr__(record, name, value)
     return value
 
@@ -177,7 +170,8 @@ class TimeGrid:
 
     Interval ``i`` covers ``[epoch + i*w, epoch + (i+1)*w)`` where ``w`` is
     ``interval_days`` in seconds, so every covered timestamp lands in exactly
-    one bin.
+    one bin. A width's length in seconds fits int64, so both binning
+    kernels take every width a grid holds.
     """
 
     epoch: int
@@ -186,8 +180,11 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         _integer_field(self, "epoch")
-        if _integer_field(self, "interval_days") <= 0:
+        days = _integer_field(self, "interval_days")
+        if days <= 0:
             raise ValueError("interval_days must be positive")
+        if days * SECONDS_PER_DAY >= 2**63:
+            raise ValueError(f"interval width of {days} days overflows 64-bit seconds")
         if _integer_field(self, "interval_count") <= 0:
             raise ValueError("interval_count must be positive")
 
@@ -224,13 +221,10 @@ def grid_for_times(times: Iterable[int], interval_days: int) -> TimeGrid:
     ts = list(times)
     if not ts:
         raise EmptyEventSet("cannot build a grid from an empty timestamp set")
-    if _integer("interval_days", interval_days) <= 0:
-        raise ValueError("interval_days must be positive")
     earliest, latest = min(ts), max(ts)
     epoch = earliest - earliest % SECONDS_PER_DAY
-    span = latest - epoch
-    count = span // (interval_days * SECONDS_PER_DAY) + 1
-    return TimeGrid(epoch=epoch, interval_days=interval_days, interval_count=count)
+    grid = TimeGrid(epoch, interval_days, 1)  # checks the width
+    return replace(grid, interval_count=(latest - epoch) // grid.interval_seconds + 1)
 
 
 # Kinds by the code stored in ``Corpus.event_kind``.
@@ -331,14 +325,14 @@ class Corpus:
     the columns without numpy. ``events`` is the row view of the same data
     as ``PopularityEvent`` objects, also built on first use.
 
-    ``captured_at`` is the corpus capture timestamp; when not supplied it
-    resolves to the later of the latest event time and the latest creation
-    time, so that no repository is captured before it exists.
+    ``captured_at`` is the corpus capture timestamp. A given one must not
+    precede any repository's creation; when not supplied it resolves to the
+    later of the latest event time and the latest creation time.
     """
 
     repos: tuple[RepoRecord, ...]
     grid: TimeGrid
-    captured_at: int | None
+    captured_at: int
     _repo: array = field(repr=False)
     _kind: array = field(repr=False)
     _time: array = field(repr=False)
@@ -376,11 +370,16 @@ class Corpus:
         """Sort, validate and store the event columns, given in input order.
 
         ``lines`` are the source line numbers of a loaded file: with them, a
-        faulty event is reported by its earliest line in the loader's words;
-        without, by its canonical position in the corpus's own words.
+        faulty event is reported by its earliest line, and a capture time
+        before a creation as the manifest's, in the loader's words; without,
+        by its canonical position in the corpus's own words.
         """
         if self.captured_at is not None:
             _check_time("captured_at", _integer_field(self, "captured_at"))
+            newest = max(self.repos, key=lambda r: r.created_at, default=None)
+            if newest is not None and self.captured_at < newest.created_at:
+                message = f"captured_at precedes the creation of {newest.repo_id!r}"
+                raise ValueError(message) if lines is None else ParseError(1, f"manifest {message}")
         repos = tuple(sorted(self.repos, key=lambda r: r.repo_id))
         row_of: dict[str, int] = {}
         for row, record in enumerate(repos):

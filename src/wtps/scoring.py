@@ -300,21 +300,19 @@ def classify_growth(
     positive = sum(1 for d in deltas if d > 0)
     positive_fraction = positive / active if active else 0.0
 
-    def label(pattern: GrowthPattern) -> GrowthLabel:
-        return GrowthLabel(
-            repo_id=repo_id,
-            indicator=indicator,
-            pattern=pattern,
-            peak_cumulative=peak,
-            final_cumulative=final,
-            positive_fraction=positive_fraction,
-        )
-
-    total_activity = sum(map(abs, deltas))
-    if total_activity < thresholds.min_activity:
-        return label(GrowthPattern.STAGNANT)
-    if peak > 0 and (peak - final) / peak > thresholds.loss_fraction:
-        return label(GrowthPattern.GAINED_THEN_LOST)
-    if positive_fraction >= thresholds.growth_fraction:
-        return label(GrowthPattern.SUSTAINED_GROWTH)
-    return label(GrowthPattern.STAGNANT)
+    if sum(map(abs, deltas)) < thresholds.min_activity:
+        pattern = GrowthPattern.STAGNANT
+    elif peak > 0 and (peak - final) / peak > thresholds.loss_fraction:
+        pattern = GrowthPattern.GAINED_THEN_LOST
+    elif positive_fraction >= thresholds.growth_fraction:
+        pattern = GrowthPattern.SUSTAINED_GROWTH
+    else:
+        pattern = GrowthPattern.STAGNANT
+    return GrowthLabel(
+        repo_id=repo_id,
+        indicator=indicator,
+        pattern=pattern,
+        peak_cumulative=peak,
+        final_cumulative=final,
+        positive_fraction=positive_fraction,
+    )

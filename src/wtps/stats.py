@@ -195,10 +195,8 @@ def summarize(values: Iterable[float]) -> DistributionSummary:
 
 def repo_age_days(corpus: Corpus) -> dict[str, float]:
     """Age of each repository in days at the corpus capture time."""
-    captured = corpus.captured_at
-    assert captured is not None  # resolved at construction
     return {
-        r.repo_id: (captured - r.created_at) / SECONDS_PER_DAY for r in corpus.repos
+        r.repo_id: (corpus.captured_at - r.created_at) / SECONDS_PER_DAY for r in corpus.repos
     }
 
 

@@ -267,6 +267,21 @@ class TestFetchCommand:
         return main(["fetch", "--repo", f"{OWNER}/{NAME}", "--output", str(out),
                      "--base-url", base_url])
 
+    def test_failed_request_exits_with_api_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(session, url, **kwargs):
+            raise requests.ConnectionError("connection refused")
+
+        monkeypatch.setattr(requests.Session, "get", refuse)
+        out = tmp_path / "fetched.jsonl"
+        assert main(["fetch", "--repo", f"{OWNER}/{NAME}", "--output", str(out),
+                     "--base-url", "http://127.0.0.1:9", "--retry-limit", "0"]) == EXIT_API
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "ApiError",
+            "exit_code": EXIT_API,
+            "message": f"request to /repos/{OWNER}/{NAME} failed: connection refused",
+        }
+        assert list(tmp_path.iterdir()) == []
+
     def test_fetched_repository_is_saved_with_its_sidecar(self, mock_api, tmp_path, capsys):
         base_url, _ = mock_api
         out = tmp_path / "fetched.jsonl"
@@ -318,6 +333,31 @@ class TestErrorMapping:
         state.scripted.append((f"/repos/{OWNER}/{NAME}", 401, {}))
         with pytest.raises(AuthFailure):
             fetch_repo(_config(base_url), f"{OWNER}/{NAME}")
+
+    def test_server_error_is_api_error(self, mock_api):
+        base_url, state = mock_api
+        state.scripted.append((f"/repos/{OWNER}/{NAME}", 500, {}))
+        with pytest.raises(ApiError) as caught:
+            fetch_repo(_config(base_url), f"{OWNER}/{NAME}")
+        assert str(caught.value) == f"unexpected status 500 for /repos/{OWNER}/{NAME}"
+
+    def test_failed_request_is_api_error(self):
+        # requests' errors are OSErrors; they must not pass as filesystem errors.
+        class UnreachableSession:
+            def get(self, url, params=None, headers=None):
+                raise requests.ConnectionError("connection refused")
+
+        with pytest.raises(ApiError) as caught:
+            fetch_repo(_config("http://127.0.0.1:9"), f"{OWNER}/{NAME}",
+                       session=UnreachableSession())
+        assert type(caught.value) is ApiError
+        assert str(caught.value) == f"request to /repos/{OWNER}/{NAME} failed: connection refused"
+
+    def test_page_that_is_not_an_array_is_api_error(self, mock_api):
+        base_url, _ = mock_api
+        with requests.Session() as session, pytest.raises(ApiError) as caught:
+            list(RestClient(_config(base_url), session=session).paginate(f"/users/{OWNER}"))
+        assert str(caught.value) == f"expected a JSON array from /users/{OWNER}"
 
     def test_forbidden_without_rate_markers_is_auth_failure(self, mock_api):
         base_url, state = mock_api

@@ -542,9 +542,10 @@ class TestRejectedRuns:
         ["sweep", "--interval-days-list", "30,0"],
         ["rank", "--indicator", "forks", "--weights-one"],
         ["graph-build", "--sample-repos", "0"],
+        ["sweep", "--interval-days-list", ","],
     ], ids=["classify-loss-nan", "deletion-steps-negative", "deletion-weights-one-forks",
             "sweep-list-not-int", "sweep-list-width-0", "rank-weights-one-forks",
-            "graph-build-sample-0"])
+            "graph-build-sample-0", "sweep-list-empty"])
     def test_bad_flag_is_rejected_before_the_input_is_read(
         self, tmp_path, capsys, monkeypatch, argv
     ):
@@ -586,6 +587,30 @@ class TestRejectedRuns:
             assert code == expected
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
         assert [p.name for p in tmp_path.iterdir() if p.suffix == ".csv"] == [f"{widest}.csv"]
+
+    def test_widest_interval_is_the_last_accepted_by_the_library(self, monkeypatch):
+        # TimeGrid holds the bound, so each way to build a grid takes the same
+        # widths on both binning kernels, and they score alike.
+        widest = (2**63 - 1) // 86_400
+        base = load_corpus(COMMUNITY_SAMPLE)
+        builds = (
+            lambda days: load_corpus(COMMUNITY_SAMPLE, interval_days=days),
+            lambda days: Corpus.build(base.repos, base.events, days, base.captured_at),
+            base.regrid,
+        )
+        scores = []
+        for numpy_from in (model._NUMPY_FROM, 0):
+            monkeypatch.setattr(model, "_NUMPY_FROM", numpy_from)
+            for build in builds:
+                binned = bin_events(build(widest))
+                assert binned.vectorized == (numpy_from == 0)
+                scores.append([(s.repo_id, list(s.interval_scores), s.overall)
+                               for s in score_all(binned, compute_weights(binned))])
+                with pytest.raises(ValueError, match=f"^interval width of {widest + 1} days "
+                                                     "overflows 64-bit seconds$"):
+                    build(widest + 1)
+        assert all(each == scores[0] for each in scores)
+        assert sum(overall for _, _, overall in scores[0]) == 380.0
 
     @pytest.mark.parametrize("field", ["repo_id", "full_name", "primary_language",
                                        "follower_ids"])

@@ -210,6 +210,18 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="^line 2: Invalid isoformat string"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("line,message", [
+        ("[1, 2]", "line 1: line is not a JSON object"),
+        ('{"repo_id": "R1"}', "line 1: unrecognized line type"),
+        ('{"schema_version": 1, "captured_at": "2018-05-01T00:00:00Z", "repo_count": 1,'
+         ' "source": "ftp"}', "line 1: unknown source 'ftp'"),
+    ], ids=["not-an-object", "no-type-key", "unknown-source"])
+    def test_line_of_unknown_shape_rejected(self, tmp_path, line, message):
+        path = _write(tmp_path, line, _repo_line())
+        with pytest.raises(ParseError) as caught:
+            load_corpus(path)
+        assert str(caught.value) == message
+
     def test_zero_delta_rejected(self, tmp_path):
         path = _write(tmp_path, _repo_line(), _event_line(delta=0))
         with pytest.raises(ParseError, match="delta"):

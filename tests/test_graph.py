@@ -106,12 +106,23 @@ class TestBuildGraph:
         assert followers("R9") == followers("R1") == {"f1", "f2", "f4"}
 
     def test_edges_must_reference_known_nodes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^edge references unknown follower node 'f1'$"):
             FollowerGraph(
                 repo_nodes=frozenset({"r1"}),
                 follower_nodes=frozenset(),
                 edges=frozenset({("r1", "f1")}),
             )
+        with pytest.raises(ValueError, match="^edge references unknown repo node 'r2'$"):
+            FollowerGraph(
+                repo_nodes=frozenset({"r1"}),
+                follower_nodes=frozenset({"f1"}),
+                edges=frozenset({("r2", "f1")}),
+            )
+
+    def test_only_a_repo_node_can_be_removed(self, sample_graph):
+        follower = min(sample_graph.follower_nodes)
+        with pytest.raises(ValueError, match=f"^'{follower}' is not a repo node$"):
+            sample_graph.remove_repo(follower)
 
 
 class TestClusteringCoefficients:
@@ -259,6 +270,10 @@ class TestDeletionExperiment:
     def test_steps_beyond_repo_count_rejected(self, sample_graph, follower_corpus):
         with pytest.raises(StepsExceedRepoCount):
             deletion_experiment(sample_graph, self._star_scores(follower_corpus), steps=4)
+
+    def test_negative_steps_rejected(self, sample_graph, follower_corpus):
+        with pytest.raises(ValueError, match="^steps must be non-negative$"):
+            deletion_experiment(sample_graph, self._star_scores(follower_corpus), steps=-1)
 
     def test_missing_scores_rejected(self, sample_graph):
         with pytest.raises(ValueError):

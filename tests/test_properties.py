@@ -348,14 +348,24 @@ def _reference_counts(corpus):
 
 
 @settings(max_examples=60, deadline=None)
-@given(corpora(spans=(40 * 86_400, LAST_TS - FIRST_TS)), st.randoms(use_true_random=False))
+@given(corpora(spans=(40 * 86_400, LAST_TS - FIRST_TS)), st.randoms(use_true_random=False),
+       st.none() | st.integers(FIRST_TS, LAST_TS))
 # Two events that differ only in delta; this shuffle swaps their lines.
 @example(data=([RepoRecord("r", "org/r", 0)],
                [PopularityEvent("r", EventKind.STAR, 5, d) for d in (2, -1)]),
-         rng=random.Random(1))
-def test_save_load_save_is_byte_identical(tmp_path_factory, data, rng):
+         rng=random.Random(1), captured_at=None)
+# A capture time one second before a creation.
+@example(data=([RepoRecord("r", "org/r", 0)], []), rng=random.Random(1), captured_at=-1)
+def test_save_load_save_is_byte_identical(tmp_path_factory, data, rng, captured_at):
+    # A given capture time in years 0001-9999 either builds a corpus that
+    # round-trips, or is refused because it precedes a creation.
     repos, events = data
-    corpus = Corpus.build(repos, events, interval_days=30)
+    try:
+        corpus = Corpus.build(repos, events, interval_days=30, captured_at=captured_at)
+    except ValueError as exc:
+        assert str(exc).startswith("captured_at precedes the creation of ")
+        assert captured_at < max(r.created_at for r in repos)
+        return
     folder = tmp_path_factory.mktemp("round_trip")
     first = folder / "first.jsonl"
     save_corpus(corpus, first)
