@@ -378,11 +378,9 @@ def _cmd_fetch(args) -> int:
 
 
 def _cmd_score(args, corpus: Corpus):
-    from .serialize import score_table
-
     binned = bin_events(corpus)
     weights = _unit_weights(args, corpus) or compute_weights(binned)
-    return score_table(score_all(binned, weights)), {
+    return score_all(binned, weights), {
         "weights": {
             "fork_weights": list(weights.fork_weights),
             "star_weights": list(weights.star_weights),
@@ -481,8 +479,9 @@ _REPORTS = {
 def _run_report(args, handler) -> int:
     """Run one report command: load the corpus, draw the ``--sample-repos``
     sample where the command has one, call ``handler(args, corpus)`` for the
-    command's table (or graph-build's text) and the sidecar's extra blocks,
-    and write the data file, the table in ``--format``, and the sidecar."""
+    command's table (or graph-build's text, or score's cards) and the
+    sidecar's extra blocks, and write the data file, the table in
+    ``--format``, and the sidecar."""
     corpus = _load(args)
     sample = getattr(args, "sample_repos", None)
     if sample is not None and sample < len(corpus.repos):
@@ -492,10 +491,14 @@ def _run_report(args, handler) -> int:
     with _staged_outputs(Path(args.output)) as (data_path, sidecar_path):
         if isinstance(result, str):
             data_path.write_text(result, encoding="utf-8", newline="")
-        else:
+        elif isinstance(result, tuple):
             from .serialize import write_table
 
             write_table(data_path, *result, args.format)
+        else:
+            from .serialize import write_score_table
+
+            write_score_table(data_path, result, args.format)
         _write_sidecar(sidecar_path, args, corpus, extra)
     return EXIT_OK
 

@@ -38,6 +38,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 SECONDS_PER_DAY = 86_400
+# The widest interval whose length in seconds fits int64.
+_WIDEST_DAYS = (2**63 - 1) // SECONDS_PER_DAY
 # The interval widths ``wtps.stats.interval_sweep`` bins at by default.
 DEFAULT_SWEEP_DAYS: tuple[int, ...] = (30, 21, 14, 7)
 # 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z, the first and last second
@@ -183,8 +185,11 @@ class TimeGrid:
         days = _integer_field(self, "interval_days")
         if days <= 0:
             raise ValueError("interval_days must be positive")
-        if days * SECONDS_PER_DAY >= 2**63:
-            raise ValueError(f"interval width of {days} days overflows 64-bit seconds")
+        if days > _WIDEST_DAYS:
+            # The message leaves the width out: a huge int cannot be formatted.
+            raise ValueError(
+                f"interval width of more than {_WIDEST_DAYS} days overflows 64-bit seconds"
+            )
         if _integer_field(self, "interval_count") <= 0:
             raise ValueError("interval_count must be positive")
 
@@ -408,7 +413,7 @@ class Corpus:
         # magnitudes bounds every one of them, so none can wrap around.
         activity = sum(map(abs, deltas))
         if activity >= 2**63:
-            raise DeltaOverflow(f"event deltas sum to magnitude {activity} >= 2**63")
+            raise DeltaOverflow("event delta magnitudes sum to 2**63 or more")
 
         # Saved files are in canonical order already; other input is sorted,
         # by numpy when it will bin the corpus too (see ``bin_events``).

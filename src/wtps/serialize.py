@@ -4,6 +4,13 @@ Column orders are part of the public contract and never change within a
 schema version: downstream plotting and diffing rely on byte-stable output.
 Floats serialize at full precision via ``repr``. The sweep, classify,
 correlate and summarize columns are the fields of their result records.
+
+Each ``*_table`` function gives its table as a header and a list of rows,
+which ``to_csv`` / ``to_json`` render whole and ``write_table`` writes a
+slice at a time. ``score_table`` is the reference row form of the score
+table: the CLI writes that table, by far the largest, with
+``write_score_table`` straight from the score cards, one repository at a
+time, to the same bytes.
 """
 
 from __future__ import annotations
@@ -13,10 +20,11 @@ import io
 import json
 from dataclasses import fields
 from enum import Enum
+from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .scoring import GrowthLabel, RankEntry, ScoreCard
 
@@ -158,3 +166,75 @@ def write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence], fmt
                 text = to_json(header, rows[start:start + _CHUNK_ROWS])
                 out.write(",\n" + text[2:-3] if start else text[:-3])
             out.write("\n]\n")
+
+
+def write_score_table(path: Path, cards: Iterable[ScoreCard], fmt: str) -> None:
+    r"""Write ``to_csv(*score_table(cards))`` or ``to_json(*score_table(cards))``
+    to ``path``, one repository at a time, without building the rows.
+
+    The text between the file's framing (the CSV header line; JSON's
+    brackets and the ``,\n`` between records) comes from ``_score_pieces``.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        if fmt == "csv":
+            out.write(_csv_line(SCORE_COLUMNS))
+            out.writelines(_score_pieces(cards, fmt))
+            return
+        before = "[\n"
+        for piece in _score_pieces(cards, fmt):
+            out.write(before + piece)
+            before = ",\n"
+        out.write("[]\n" if before == "[\n" else "\n]\n")
+
+
+def _score_pieces(cards: Iterable[ScoreCard], fmt: str) -> Iterator[str]:
+    """The score table's rows in ``fmt``, one piece per repository, or per
+    ``_CHUNK_ROWS`` rows of a repository that has more.
+
+    A repository's id is encoded once, as JSON or as the CSV cells
+    ``repo_id,wtps,``, and poured with its values into the row template of
+    ``_score_template``. A JSON piece's values take one ``json.dumps`` pass;
+    a CSV value is its ``repr``, as ``csv`` writes a float.
+    """
+    for card in cards:
+        if fmt == "csv":
+            lead = _csv_line((card.repo_id, "wtps"))[:-1] + ","
+        else:
+            lead = json.dumps(card.repo_id, ensure_ascii=False)
+        lead = lead.replace("%", "%%")
+        scores = card.interval_scores
+        values = (*scores, card.overall)
+        for start in range(0, len(values), _CHUNK_ROWS):
+            block = values[start:start + _CHUNK_ROWS]
+            if fmt == "csv":
+                texts = tuple(map(repr, block))
+            else:
+                texts = tuple(json.dumps(block, separators=("\n", ":"),
+                                         ensure_ascii=False)[1:-1].split("\n"))
+            template = _score_template(fmt, len(scores), start, start + len(block))
+            yield template.replace("\0", lead) % texts
+
+
+# A wider repository's pieces each take their own template, so only a few
+# are kept: the cache holds a few slices' text, not a whole repository's.
+@lru_cache(maxsize=8)
+def _score_template(fmt: str, intervals: int, start: int, stop: int) -> str:
+    r"""Rows ``start``..``stop - 1`` of a repository with ``intervals``
+    intervals (row ``intervals`` is its "overall" row), with ``\0`` for the
+    repository's lead and ``%s`` for each value."""
+    labels = [str(t) for t in range(start, min(stop, intervals))]
+    if stop > intervals:
+        labels.append('"overall"' if fmt == "json" else "overall")
+    if fmt == "csv":
+        return "".join(f"\0{label},%s\n" for label in labels)
+    keys = [json.dumps(name) for name in SCORE_COLUMNS]
+    cells = ("\0", '"wtps"', "%s", "%%s")
+    record = "  {\n" + ",\n".join(f"    {k}: {c}" for k, c in zip(keys, cells)) + "\n  }"
+    return ",\n".join(record % label for label in labels)
+
+
+def _csv_line(cells: Sequence) -> str:
+    """One row as ``csv`` writes it, newline included."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(cells)
+    return buffer.getvalue()

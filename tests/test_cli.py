@@ -166,11 +166,22 @@ def wide_dataset(tmp_path_factory):
     return path
 
 
-class TestChunkedOutput:
-    """Report tables are rendered and written ``_CHUNK_ROWS`` rows at a time."""
+@pytest.fixture(scope="module")
+def long_dataset(tmp_path_factory):
+    """Two repositories over 2,100 days, so that at a width of one day each
+    has more score rows than one slice of the table writer holds."""
+    path = tmp_path_factory.mktemp("long") / "long.jsonl"
+    save_corpus(make_corpus(random.Random(7), n_repos=2, n_intervals=70), path)
+    return path
 
-    def _score(self, dataset, out, fmt):
-        return main(["score", "--input", str(dataset), "--output", str(out), "--format", fmt])
+
+class TestChunkedOutput:
+    """Report tables are rendered and written ``_CHUNK_ROWS`` rows at a time,
+    the score table one repository, or one slice of one, at a time."""
+
+    def _score(self, dataset, out, fmt, *flags):
+        return main(["score", "--input", str(dataset), "--output", str(out), "--format", fmt,
+                     *flags])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_multi_chunk_score_matches_whole_rendering(self, tmp_path, wide_dataset, fmt):
@@ -184,48 +195,52 @@ class TestChunkedOutput:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failure_on_a_later_chunk_leaves_no_output(
-        self, tmp_path, capsys, monkeypatch, wide_dataset, fmt
+        self, tmp_path, capsys, monkeypatch, long_dataset, fmt
     ):
-        render = getattr(serialize, f"to_{fmt}")
+        pieces_of = serialize._score_pieces
         calls = []
 
-        def fail_second(header, rows):
-            calls.append(len(rows))
-            if len(calls) == 2:
-                raise OSError("no space left on device")
-            return render(header, rows)
+        def fail_second(cards, form):
+            for piece in pieces_of(cards, form):
+                calls.append(piece)
+                if len(calls) == 2:
+                    raise OSError("no space left on device")
+                yield piece
 
-        monkeypatch.setattr(serialize, f"to_{fmt}", fail_second)
+        monkeypatch.setattr(serialize, "_score_pieces", fail_second)
         out = tmp_path / f"scores.{fmt}"
-        assert self._score(wide_dataset, out, fmt) == EXIT_IO
+        assert self._score(long_dataset, out, fmt, "--interval-days", "1") == EXIT_IO
         assert len(calls) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "OSError"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_no_rendered_piece_holds_more_than_one_chunk(
-        self, tmp_path, monkeypatch, wide_dataset, fmt
+        self, tmp_path, monkeypatch, long_dataset, fmt
     ):
-        render = getattr(serialize, f"to_{fmt}")
+        pieces_of = serialize._score_pieces
         pieces = []
 
-        def record(header, rows):
-            pieces.append(render(header, rows))
-            return pieces[-1]
+        def record(cards, form):
+            for piece in pieces_of(cards, form):
+                pieces.append(piece)
+                yield piece
 
-        monkeypatch.setattr(serialize, f"to_{fmt}", record)
+        monkeypatch.setattr(serialize, "_score_pieces", record)
         out = tmp_path / f"scores.{fmt}"
-        assert self._score(wide_dataset, out, fmt) == EXIT_OK
+        assert self._score(long_dataset, out, fmt, "--interval-days", "1") == EXIT_OK
         if fmt == "json":
-            sizes = [len(json.loads(piece)) for piece in pieces]
-            assert max(sizes) <= _CHUNK_ROWS
+            sizes = [len(json.loads(f"[{piece}]")) for piece in pieces]
+            # The pieces are the file's records.
+            text = "[\n" + ",\n".join(pieces) + "\n]\n"
         else:
-            # A header line, or a slice's first row in its place, plus the rest.
             sizes = [len(list(csv.reader(io.StringIO(piece)))) for piece in pieces]
-            assert max(sizes) <= _CHUNK_ROWS + 1
-            # No header is rendered twice: the pieces are the file.
-            assert "".join(pieces).encode("utf-8") == out.read_bytes()
-        assert len(pieces) == 3
+            text = to_csv(SCORE_COLUMNS, []) + "".join(pieces)
+        assert text.encode("utf-8") == out.read_bytes()
+        # Each of the two repositories has more rows than one chunk holds.
+        assert len(pieces) == 4
+        assert max(sizes) == _CHUNK_ROWS
+        assert sizes[0] + sizes[1] == sizes[2] + sizes[3] > _CHUNK_ROWS
 
 
 class TestRankCommand:
@@ -378,8 +393,8 @@ class TestAnalysisCommands:
 class TestRejectedRuns:
     """Inputs and flag combinations refused before any output is written."""
 
-    @pytest.mark.parametrize("deltas", [[2**62, 2**62], [2**63]],
-                             ids=["two-2e62-in-one-cell", "one-2e63"])
+    @pytest.mark.parametrize("deltas", [[2**62, 2**62], [2**63], [int("9" * 4299)] * 12],
+                             ids=["two-2e62-in-one-cell", "one-2e63", "past-the-int-str-limit"])
     def test_delta_overflow_is_data_error(self, tmp_path, capsys, deltas):
         dataset = tmp_path / "huge.jsonl"
         repo = {"repo_id": "R1", "full_name": "o/r", "created_at": "2018-01-01T00:00:00Z",
@@ -606,9 +621,10 @@ class TestRejectedRuns:
                 assert binned.vectorized == (numpy_from == 0)
                 scores.append([(s.repo_id, list(s.interval_scores), s.overall)
                                for s in score_all(binned, compute_weights(binned))])
-                with pytest.raises(ValueError, match=f"^interval width of {widest + 1} days "
-                                                     "overflows 64-bit seconds$"):
-                    build(widest + 1)
+                for days in (widest + 1, 10**5000):
+                    with pytest.raises(ValueError, match=f"^interval width of more than {widest} "
+                                                         "days overflows 64-bit seconds$"):
+                        build(days)
         assert all(each == scores[0] for each in scores)
         assert sum(overall for _, _, overall in scores[0]) == 380.0
 

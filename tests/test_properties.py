@@ -56,6 +56,7 @@ from wtps.model import (  # noqa: E402
 )
 from wtps.scoring import (  # noqa: E402
     Indicator,
+    ScoreCard,
     WeightTable,
     _row_sum,
     classify_growth,
@@ -63,7 +64,14 @@ from wtps.scoring import (  # noqa: E402
     score_all,
     unit_weights,
 )
-from wtps.serialize import _CHUNK_ROWS, to_csv, to_json, write_table  # noqa: E402
+from wtps.serialize import (  # noqa: E402
+    _CHUNK_ROWS,
+    score_table,
+    to_csv,
+    to_json,
+    write_score_table,
+    write_table,
+)
 from wtps.stats import DEFAULT_SWEEP_DAYS  # noqa: E402
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE  # noqa: E402
 from synth import fsum_overlap_reference  # noqa: E402
@@ -305,6 +313,45 @@ def test_chunked_table_file_matches_whole_rendering(header, pool, count):
         for fmt, text in expected.items():
             write_table(path, header, rows, fmt)
             assert path.read_bytes() == text.encode("utf-8"), fmt
+
+
+# Repository ids with every character class that CSV quotes, JSON escapes or
+# a format string reads.
+_score_ids = st.one_of(
+    _file_text,
+    st.sampled_from(["%s", "100%", 'a"b', '"', "a,b", "a\r\nb", "\n", "\r", " lead",
+                     "trail ", " é 漢 ", ""]),
+)
+_score_values = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+                     2.225073858507201e-308]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    repos=st.lists(st.tuples(_score_ids, st.sampled_from(
+        [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])), min_size=1, max_size=5),
+    pool=st.lists(_score_values, min_size=1, max_size=4),
+)
+@example(repos=[("%s", 1), ('a"b', _CHUNK_ROWS - 1), ("a,b", _CHUNK_ROWS),
+                ("a\r\nb", _CHUNK_ROWS + 1), (" é 漢 ", 1)],
+         pool=[float("nan"), float("inf"), float("-inf"), -0.0, 5e-324])
+def test_score_file_matches_reference_rendering(repos, pool):
+    # Each repository starts at its own place in the pool, so that values
+    # swapped between repositories or rows show.
+    cards = [
+        ScoreCard(repo_id, tuple(pool[(i + t) % len(pool)] for t in range(intervals)),
+                  pool[i % len(pool)])
+        for i, (repo_id, intervals) in enumerate(repos)
+    ]
+    table = score_table(cards)
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "scores"
+        for fmt, render in (("csv", to_csv), ("json", to_json)):
+            write_score_table(path, cards, fmt)
+            assert path.read_bytes() == render(*table).encode("utf-8"), fmt
 
 
 # --- corpora -----------------------------------------------------------------
