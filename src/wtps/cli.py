@@ -480,8 +480,10 @@ def _run_report(args, handler) -> int:
     """Run one report command: load the corpus, draw the ``--sample-repos``
     sample where the command has one, call ``handler(args, corpus)`` for the
     command's table (or graph-build's text, or score's cards) and the
-    sidecar's extra blocks, and write the data file, the table in
-    ``--format``, and the sidecar."""
+    sidecar's extra blocks, and write the data file and the sidecar. A table
+    is rendered whole in ``--format`` by ``serialize.write_table``; score's
+    cards are streamed one repository at a time by
+    ``serialize.write_score_table``."""
     corpus = _load(args)
     sample = getattr(args, "sample_repos", None)
     if sample is not None and sample < len(corpus.repos):

@@ -154,8 +154,6 @@ def _record(record_type, line_no: int, **values):
 
 def _parse_repo(obj: dict, line_no: int) -> RepoRecord:
     _check_keys(obj, _REPO_KEYS, frozenset(), line_no, "repository")
-    if not isinstance(obj["follower_ids"], list):
-        raise ParseError(line_no, "follower_ids must be a list of strings")
     created_at = _parse_stamp(obj["created_at"], line_no)
     return _record(RepoRecord, line_no, **{**obj, "created_at": created_at})
 

@@ -6,11 +6,10 @@ Floats serialize at full precision via ``repr``. The sweep, classify,
 correlate and summarize columns are the fields of their result records.
 
 Each ``*_table`` function gives its table as a header and a list of rows,
-which ``to_csv`` / ``to_json`` render whole and ``write_table`` writes a
-slice at a time. ``score_table`` is the reference row form of the score
-table: the CLI writes that table, by far the largest, with
-``write_score_table`` straight from the score cards, one repository at a
-time, to the same bytes.
+which ``to_csv`` / ``to_json`` render whole and ``write_table`` writes.
+``score_table`` is the reference row form of the score table: the CLI
+writes that table, by far the largest, with ``write_score_table`` straight
+from the score cards, one repository at a time, to the same bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import json
 from dataclasses import fields
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -113,59 +111,15 @@ def to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def to_json(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """The records as ``json.dumps(records, indent=2, ensure_ascii=False)``.
-
-    ``indent`` makes ``json`` fall back to its pure-Python encoder, so a
-    regular table is rendered by one pass of the C encoder over its cells,
-    separated by raw newlines (no scalar's encoding holds one), poured into
-    one record template built from the header. A table that is not regular
-    (no header, a repeated key, a row of another length, a cell that is a
-    list or an object, or no rows) goes through ``json.dumps`` itself.
-    """
-    rows = list(rows)
-    keys = tuple(header)
-    if rows and keys and len(set(keys)) == len(keys) and set(map(len, rows)) == {len(keys)}:
-        flat = json.dumps(list(chain.from_iterable(rows)), separators=("\n", ":"),
-                          ensure_ascii=False)
-        # A list or object cell opens with "[" or "{" and would need the
-        # indented layout inside it.
-        if flat[1] not in "[{" and "\n[" not in flat and "\n{" not in flat:
-            # Each key as json writes it, from its '"<key>":0' item.
-            names = json.dumps(dict.fromkeys(keys, 0), separators=("\n", ":"),
-                               ensure_ascii=False)[1:-1].replace("%", "%%").split("\n")
-            record = "  {\n    " + ",\n    ".join(n[:-1] + " %s" for n in names) + "\n  }"
-            body = ",\n".join([record] * len(rows)) % tuple(flat[1:-1].split("\n"))
-            return f"[\n{body}\n]\n"
     records = [dict(zip(header, row)) for row in rows]
     return json.dumps(records, indent=2, ensure_ascii=False) + "\n"
 
 
-# Rows per call of to_csv / to_json when write_table writes a table.
-_CHUNK_ROWS = 2048
-
-
 def write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> None:
-    r"""Write ``to_csv(header, rows)`` or ``to_json(header, rows)`` to
-    ``path``, rendering ``_CHUNK_ROWS`` rows at a time, so the text held in
-    memory is one slice whatever the size of the table.
-
-    A later CSV slice passes its first row in the header's place, so it
-    renders no header line of its own. A JSON slice renders as
-    ``[\n  <records>\n]\n``; the file joins the slices' records with
-    ``,\n`` inside one pair of brackets.
-    """
+    """Write ``to_csv(header, rows)`` or ``to_json(header, rows)`` to ``path``."""
+    render = to_csv if fmt == "csv" else to_json
     with open(path, "w", encoding="utf-8", newline="") as out:
-        if fmt == "csv":
-            out.write(to_csv(header, rows[:_CHUNK_ROWS]))
-            for start in range(_CHUNK_ROWS, len(rows), _CHUNK_ROWS):
-                out.write(to_csv(rows[start], rows[start + 1:start + _CHUNK_ROWS]))
-        elif not rows:
-            out.write(to_json(header, rows))
-        else:
-            for start in range(0, len(rows), _CHUNK_ROWS):
-                text = to_json(header, rows[start:start + _CHUNK_ROWS])
-                out.write(",\n" + text[2:-3] if start else text[:-3])
-            out.write("\n]\n")
+        out.write(render(header, rows))
 
 
 def write_score_table(path: Path, cards: Iterable[ScoreCard], fmt: str) -> None:
@@ -188,8 +142,7 @@ def write_score_table(path: Path, cards: Iterable[ScoreCard], fmt: str) -> None:
 
 
 def _score_pieces(cards: Iterable[ScoreCard], fmt: str) -> Iterator[str]:
-    """The score table's rows in ``fmt``, one piece per repository, or per
-    ``_CHUNK_ROWS`` rows of a repository that has more.
+    """The score table's rows in ``fmt``, one piece per repository.
 
     A repository's id is encoded once, as JSON or as the CSV cells
     ``repo_id,wtps,``, and poured with its values into the row template of
@@ -197,34 +150,25 @@ def _score_pieces(cards: Iterable[ScoreCard], fmt: str) -> Iterator[str]:
     a CSV value is its ``repr``, as ``csv`` writes a float.
     """
     for card in cards:
+        values = (*card.interval_scores, card.overall)
         if fmt == "csv":
             lead = _csv_line((card.repo_id, "wtps"))[:-1] + ","
+            texts = tuple(map(repr, values))
         else:
             lead = json.dumps(card.repo_id, ensure_ascii=False)
-        lead = lead.replace("%", "%%")
-        scores = card.interval_scores
-        values = (*scores, card.overall)
-        for start in range(0, len(values), _CHUNK_ROWS):
-            block = values[start:start + _CHUNK_ROWS]
-            if fmt == "csv":
-                texts = tuple(map(repr, block))
-            else:
-                texts = tuple(json.dumps(block, separators=("\n", ":"),
-                                         ensure_ascii=False)[1:-1].split("\n"))
-            template = _score_template(fmt, len(scores), start, start + len(block))
-            yield template.replace("\0", lead) % texts
+            texts = tuple(json.dumps(values, separators=("\n", ":"),
+                                     ensure_ascii=False)[1:-1].split("\n"))
+        template = _score_template(fmt, len(card.interval_scores))
+        yield template.replace("\0", lead.replace("%", "%%")) % texts
 
 
-# A wider repository's pieces each take their own template, so only a few
-# are kept: the cache holds a few slices' text, not a whole repository's.
-@lru_cache(maxsize=8)
-def _score_template(fmt: str, intervals: int, start: int, stop: int) -> str:
-    r"""Rows ``start``..``stop - 1`` of a repository with ``intervals``
-    intervals (row ``intervals`` is its "overall" row), with ``\0`` for the
-    repository's lead and ``%s`` for each value."""
-    labels = [str(t) for t in range(start, min(stop, intervals))]
-    if stop > intervals:
-        labels.append('"overall"' if fmt == "json" else "overall")
+# Every repository of a table has the same number of intervals.
+@lru_cache(maxsize=2)
+def _score_template(fmt: str, intervals: int) -> str:
+    r"""The rows of a repository with ``intervals`` intervals and its
+    "overall" row, with ``\0`` for the repository's lead and ``%s`` for
+    each value."""
+    labels = [*map(str, range(intervals)), '"overall"' if fmt == "json" else "overall"]
     if fmt == "csv":
         return "".join(f"\0{label},%s\n" for label in labels)
     keys = [json.dumps(name) for name in SCORE_COLUMNS]

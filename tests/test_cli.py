@@ -21,7 +21,6 @@ from wtps.cli import (
     main,
 )
 from wtps.serialize import (
-    _CHUNK_ROWS,
     RANK_COLUMNS,
     SCORE_COLUMNS,
     rank_table,
@@ -159,8 +158,7 @@ class TestScoreCommand:
 
 @pytest.fixture(scope="module")
 def wide_dataset(tmp_path_factory):
-    """A dataset whose 4,900-row score table spans three slices of the
-    table writer."""
+    """A dataset whose score table has 4,900 rows, 7 per repository."""
     path = tmp_path_factory.mktemp("wide") / "wide.jsonl"
     save_corpus(make_corpus(random.Random(7), n_repos=700, n_intervals=6), path)
     return path
@@ -169,15 +167,15 @@ def wide_dataset(tmp_path_factory):
 @pytest.fixture(scope="module")
 def long_dataset(tmp_path_factory):
     """Two repositories over 2,100 days, so that at a width of one day each
-    has more score rows than one slice of the table writer holds."""
+    has more than 2,048 score rows."""
     path = tmp_path_factory.mktemp("long") / "long.jsonl"
     save_corpus(make_corpus(random.Random(7), n_repos=2, n_intervals=70), path)
     return path
 
 
 class TestChunkedOutput:
-    """Report tables are rendered and written ``_CHUNK_ROWS`` rows at a time,
-    the score table one repository, or one slice of one, at a time."""
+    """The score table is written one chunk at a time, a chunk being all of
+    one repository's rows, to the bytes of its whole rendering."""
 
     def _score(self, dataset, out, fmt, *flags):
         return main(["score", "--input", str(dataset), "--output", str(out), "--format", fmt,
@@ -187,7 +185,7 @@ class TestChunkedOutput:
     def test_multi_chunk_score_matches_whole_rendering(self, tmp_path, wide_dataset, fmt):
         binned = bin_events(load_corpus(wide_dataset, interval_days=30))
         header, rows = score_table(score_all(binned, compute_weights(binned)))
-        assert len(rows) > 2 * _CHUNK_ROWS
+        assert len(rows) == 4_900
         out = tmp_path / f"scores.{fmt}"
         assert self._score(wide_dataset, out, fmt) == EXIT_OK
         render = to_json if fmt == "json" else to_csv
@@ -210,14 +208,14 @@ class TestChunkedOutput:
         monkeypatch.setattr(serialize, "_score_pieces", fail_second)
         out = tmp_path / f"scores.{fmt}"
         assert self._score(long_dataset, out, fmt, "--interval-days", "1") == EXIT_IO
+        # The second piece is the second repository's.
         assert len(calls) == 2
+        assert calls[1].startswith('  {\n    "repo_id": "repo0001"' if fmt == "json" else "repo0001,")
         assert json.loads(capsys.readouterr().err.strip())["error"] == "OSError"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_no_rendered_piece_holds_more_than_one_chunk(
-        self, tmp_path, monkeypatch, long_dataset, fmt
-    ):
+    def test_one_piece_per_repository(self, tmp_path, monkeypatch, long_dataset, fmt):
         pieces_of = serialize._score_pieces
         pieces = []
 
@@ -230,17 +228,20 @@ class TestChunkedOutput:
         out = tmp_path / f"scores.{fmt}"
         assert self._score(long_dataset, out, fmt, "--interval-days", "1") == EXIT_OK
         if fmt == "json":
-            sizes = [len(json.loads(f"[{piece}]")) for piece in pieces]
+            rows = [[list(r.values()) for r in json.loads(f"[{piece}]")] for piece in pieces]
             # The pieces are the file's records.
             text = "[\n" + ",\n".join(pieces) + "\n]\n"
         else:
-            sizes = [len(list(csv.reader(io.StringIO(piece)))) for piece in pieces]
+            rows = [list(csv.reader(io.StringIO(piece))) for piece in pieces]
             text = to_csv(SCORE_COLUMNS, []) + "".join(pieces)
         assert text.encode("utf-8") == out.read_bytes()
-        # Each of the two repositories has more rows than one chunk holds.
-        assert len(pieces) == 4
-        assert max(sizes) == _CHUNK_ROWS
-        assert sizes[0] + sizes[1] == sizes[2] + sizes[3] > _CHUNK_ROWS
+        assert len(pieces) == 2
+        binned = bin_events(load_corpus(long_dataset, interval_days=1))
+        intervals = binned.interval_count
+        assert intervals > 2_048
+        for repo_id, repo_rows in zip(binned.repo_ids, rows):
+            assert [row[0] for row in repo_rows] == [repo_id] * (intervals + 1)
+            assert [str(row[2]) for row in repo_rows] == [*map(str, range(intervals)), "overall"]
 
 
 class TestRankCommand:
@@ -703,11 +704,12 @@ class TestImportSurface:
         assert result.stdout.strip() == "False"
 
     def test_cli_import_does_not_load_graph_stats_or_serialize(self):
-        # Each handler imports the modules its command uses.
+        # Each handler imports the modules its command uses. numbers, which
+        # only GrowthThresholds reads, would add to every command's memory.
         src = str(Path(wtps.__file__).resolve().parents[1])
         probe = ("import sys; sys.path.insert(0, sys.argv[1]); import wtps.cli; "
-                 "print(sorted(m for m in ('wtps.graph', 'wtps.stats', 'wtps.serialize') "
-                 "if m in sys.modules))")
+                 "print(sorted(m for m in ('wtps.graph', 'wtps.stats', 'wtps.serialize', "
+                 "'numbers') if m in sys.modules))")
         result = subprocess.run([sys.executable, "-c", probe, src],
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
@@ -748,6 +750,44 @@ class TestImportSurface:
             if owner_name:
                 owner = getattr(owner, owner_name)
             assert callable(getattr(owner, attr, None)), (module_name, owner_name, attr)
+
+    def test_tracer_wraps_every_layer_and_restores_it(self, tmp_path, monkeypatch):
+        # A traced benchmark run installs every span of perfbench/spans.py,
+        # records the layers a command goes through, and leaves wtps as it
+        # found it.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        spans = importlib.import_module("spans")
+        owners = []
+        for module_name, owner_name, attr, _, _ in spans.LAYERS:
+            owner = importlib.import_module(module_name)
+            owners.append((getattr(owner, owner_name) if owner_name else owner, attr))
+        modules = [m for name, m in sys.modules.items()
+                   if m is not None and (name == "wtps" or name.startswith("wtps."))]
+        before = [dict(vars(m)) for m in modules]
+        originals = [getattr(owner, attr) for owner, attr in owners]
+
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            for (owner, attr), fn in zip(owners, originals):
+                assert getattr(owner, attr) is not fn, attr
+            table = tmp_path / "table"
+            for fmt in ("csv", "json"):
+                serialize.write_table(table, *rank_table([], "wtps"), fmt)
+            for command in (["score"], ["rank", "--indicator", "wtps"]):
+                assert wtps.cli.main([*command, "--input", str(COMMUNITY_SAMPLE), "--output",
+                                      str(tmp_path / f"{command[0]}.csv")]) == EXIT_OK
+        finally:
+            tracer.uninstall()
+
+        assert [getattr(owner, attr) for owner, attr in owners] == originals
+        assert [dict(vars(m)) for m in modules] == before
+        names = [record["name"] for record in tracer.records()]
+        # write_table renders through the module's to_csv and to_json.
+        assert names[:2] == ["serialize.render", "serialize.render"]
+        for name in ("cli.main", "dataset.load", "scoring.score_all", "scoring.rank",
+                     "serialize.table"):
+            assert name in names, name
 
 
 class TestColumnarCorpus:

@@ -240,6 +240,26 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match=rf"^line 1: {field} must be in \[0, 2\*\*63\)$"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("followers", ["abc", 5, {"a": 1}, ["f", 5]],
+                             ids=["string", "int", "object", "list-with-int"])
+    def test_follower_ids_not_a_list_of_strings_is_a_data_error(
+        self, tmp_path, capsys, followers
+    ):
+        from wtps.cli import EXIT_DATA, main
+
+        source = _write(tmp_path, _repo_line(), _repo_line("R2", follower_ids=followers))
+        out = tmp_path / "out.jsonl"
+        assert main(["ingest", "--input", str(source), "--output", str(out)]) == EXIT_DATA
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "ParseError"
+        assert error["message"] == "line 2: follower_ids must be a list of strings"
+        assert list(tmp_path.iterdir()) == [source]
+
+    def test_bad_creation_time_is_reported_before_bad_follower_ids(self, tmp_path):
+        path = _write(tmp_path, _repo_line(created="yesterday", follower_ids="abc"))
+        with pytest.raises(ParseError, match=r"^line 1: .*yesterday"):
+            load_corpus(path)
+
     def test_delta_defaults_to_one(self, tmp_path):
         obj = json.loads(_event_line())
         del obj["delta"]

@@ -3,8 +3,8 @@
 Each property has a plain reference beside it: ``parse_timestamp`` for the
 event times ``load_corpus`` reads, the same lines spelled with spaces (so
 decoded as JSON) for canonical event lines, ``json.dumps(indent=2)`` for
-``to_json`` and for the chunked table writer (with the whole-table
-``to_csv`` for its CSV), a loop over ``PopularityEvent`` rows for binning,
+``to_json`` and for the table writers (with the whole-table
+``to_csv`` for their CSV), a loop over ``PopularityEvent`` rows for binning,
 ``Corpus.build`` for regrid and subset, exact integer shares for the
 weights, the former fsum kernel (``synth.fsum_overlap_reference``) on chained
 ``FollowerGraph.remove_repo`` calls for the deletion series, and
@@ -65,7 +65,6 @@ from wtps.scoring import (  # noqa: E402
     unit_weights,
 )
 from wtps.serialize import (  # noqa: E402
-    _CHUNK_ROWS,
     score_table,
     to_csv,
     to_json,
@@ -271,8 +270,8 @@ def test_to_json_matches_indented_dumps(table):
     assert to_json(header, rows) == expected
 
 
-# Row counts on either side of each slice boundary of the chunked writer.
-_CHUNK_COUNTS = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]
+# Row counts from none to a few thousand, on either side of powers of two.
+_ROW_COUNTS = [0, 1, 2_047, 2_048, 2_049, 4_097]
 # Cells a UTF-8 data file can hold: no lone surrogates.
 _file_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
 _file_cells = st.one_of(
@@ -289,20 +288,19 @@ _file_cells = st.one_of(
 @given(
     header=st.lists(_file_text, max_size=3),
     pool=st.lists(st.lists(_file_cells, max_size=3), min_size=1, max_size=4),
-    count=st.sampled_from(_CHUNK_COUNTS),
+    count=st.sampled_from(_ROW_COUNTS),
 )
-@example(header=[], pool=[[1.5]], count=2 * _CHUNK_ROWS + 1)
+@example(header=[], pool=[[1.5]], count=4_097)
 @example(header=["value"], pool=[[float("nan")], [float("inf")], [float("-inf")], [-0.0]],
-         count=_CHUNK_ROWS + 1)
-@example(header=["repo_id", "v"], pool=[['"},\n    {"', "é"]], count=_CHUNK_ROWS)
-# A regular table in three slices: format characters in keys and cells, and
-# the floats json spells its own way.
+         count=2_049)
+@example(header=["repo_id", "v"], pool=[['"},\n    {"', "é"]], count=2_048)
+# Format characters in keys and cells, and the floats json spells its own way.
 @example(header=["i", "%", "k%s", "value"],
          pool=[["%s", "100%", float("nan")], ["%%s", "%", float("inf")],
                ["é", "", float("-inf")], ["a", "%d", -0.0]],
-         count=2 * _CHUNK_ROWS + 1)
+         count=4_097)
 def test_chunked_table_file_matches_whole_rendering(header, pool, count):
-    # Each row leads with its index, so a slice written twice, dropped or out
+    # Each row leads with its index, so a row written twice, dropped or out
     # of order shows.
     rows = [[i, *pool[i % len(pool)]] for i in range(count)]
     records = [dict(zip(header, row)) for row in rows]
@@ -332,11 +330,11 @@ _score_values = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(
     repos=st.lists(st.tuples(_score_ids, st.sampled_from(
-        [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])), min_size=1, max_size=5),
+        [1, 2_047, 2_048, 2_049])), min_size=1, max_size=5),
     pool=st.lists(_score_values, min_size=1, max_size=4),
 )
-@example(repos=[("%s", 1), ('a"b', _CHUNK_ROWS - 1), ("a,b", _CHUNK_ROWS),
-                ("a\r\nb", _CHUNK_ROWS + 1), (" é 漢 ", 1)],
+@example(repos=[("%s", 1), ('a"b', 2_047), ("a,b", 2_048),
+                ("a\r\nb", 2_049), (" é 漢 ", 1)],
          pool=[float("nan"), float("inf"), float("-inf"), -0.0, 5e-324])
 def test_score_file_matches_reference_rendering(repos, pool):
     # Each repository starts at its own place in the pool, so that values

@@ -309,6 +309,31 @@ class TestGrowthClassification:
         )
         assert label.pattern is GrowthPattern.SUSTAINED_GROWTH
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("min_activity", True, "min_activity must be an integer"),
+        ("min_activity", 2.5, "min_activity must be an integer"),
+        ("min_activity", "5", "min_activity must be an integer"),
+        ("min_activity", None, "min_activity must be an integer"),
+        ("min_activity", -1, "min_activity must be >= 0"),
+        ("loss_fraction", "0.5", "loss_fraction must be a number"),
+        ("loss_fraction", True, "loss_fraction must be a number"),
+        ("loss_fraction", None, "loss_fraction must be a number"),
+        ("loss_fraction", 1.5, "loss_fraction must be a number"),
+        ("growth_fraction", "0.5", "growth_fraction must be a number"),
+        ("growth_fraction", False, "growth_fraction must be a number"),
+        ("growth_fraction", 1j, "growth_fraction must be a number"),
+        ("growth_fraction", float("nan"), "growth_fraction must be a number"),
+    ])
+    def test_thresholds_refuse_values_of_the_wrong_type(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            GrowthThresholds(**{field: value})
+
+    def test_thresholds_take_any_integer_and_real(self):
+        thresholds = GrowthThresholds(min_activity=np.int64(3), loss_fraction=Fraction(1, 4),
+                                      growth_fraction=np.float64(0.5))
+        assert type(thresholds.min_activity) is int and thresholds.min_activity == 3
+        assert GrowthThresholds(loss_fraction=0, growth_fraction=1).growth_fraction == 1
+
     def test_unknown_repo(self, community_binned):
         with pytest.raises(UnknownRepo):
             classify_growth(community_binned, "nope", Indicator.FORKS)
