@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     RateLimited,
     StepsExceedRepoCount,
+    UnexportableNodeId,
     UnknownRepo,
     WtpsError,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "ParseError",
     "RateLimited",
     "StepsExceedRepoCount",
+    "UnexportableNodeId",
     "UnknownRepo",
     "WtpsError",
     "bin_events",

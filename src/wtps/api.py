@@ -28,7 +28,7 @@ import requests
 
 from .dataset import parse_timestamp
 from .errors import ApiError, AuthFailure, NotFound, RateLimited
-from .model import EventKind, PopularityEvent, RepoRecord
+from .model import EventKind, PopularityEvent, RepoRecord, _check_string, _integer_field
 
 _STAR_MEDIA_TYPE = "application/vnd.github.star+json"
 _DEFAULT_MEDIA_TYPE = "application/vnd.github+json"
@@ -48,12 +48,19 @@ class ApiClientConfig:
     fetch_follower_ids: bool = True
 
     def __post_init__(self) -> None:
-        if self.requests_per_hour_cap <= 0:
+        if _integer_field(self, "requests_per_hour_cap") <= 0:
             raise ValueError("requests_per_hour_cap must be positive")
-        if not 1 <= self.page_size <= 100:
+        if not 1 <= _integer_field(self, "page_size") <= 100:
             raise ValueError("page_size must be within [1, 100]")
-        if self.retry_limit < 0:
+        if _integer_field(self, "retry_limit") < 0:
             raise ValueError("retry_limit must be >= 0")
+        if self.auth_token is not None:
+            _check_string("auth_token", self.auth_token)
+        if not isinstance(self.fetch_follower_ids, bool):
+            raise ValueError(
+                f"fetch_follower_ids must be a bool, got {self.fetch_follower_ids!r}"
+            )
+        _check_string("base_url", self.base_url)
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(

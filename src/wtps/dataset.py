@@ -23,17 +23,19 @@ from __future__ import annotations
 import json
 import re
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ParseError
 from .model import (EVENT_KINDS, FIRST_SECOND, LAST_SECOND, Corpus, EventKind,
-                    PopularityEvent, RepoRecord, _integer_field, format_timestamp,
-                    format_timestamps)
+                    PopularityEvent, RepoRecord, _check_string, _integer_field,
+                    format_timestamp, format_timestamps)
 
 SCHEMA_VERSION = 1
 
@@ -119,70 +121,54 @@ def _epoch_day(date: str) -> int | None:
         return None
 
 
-def _parse_stamp(text, line_no: int) -> int:
+@contextmanager
+def _on_line(line_no: int) -> Iterator[None]:
+    """Re-raise a ValueError of the block as a ParseError of line ``line_no``."""
     try:
-        return parse_timestamp(text)
+        yield
     except ValueError as exc:
         raise ParseError(line_no, str(exc)) from exc
-
-
-def _require_str(obj: dict, key: str, line_no: int) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ParseError(line_no, f"{key} must be a string, got {value!r}")
-    return value
 
 
 def _check_keys(obj: dict, expected: tuple[str, ...], optional: frozenset[str],
-                line_no: int, what: str) -> None:
+                what: str) -> None:
     keys = set(obj)
     missing = set(expected) - optional - keys
     if missing:
-        raise ParseError(line_no, f"{what} line missing keys: {sorted(missing)}")
+        raise ValueError(f"{what} line missing keys: {sorted(missing)}")
     extra = keys - set(expected)
     if extra:
-        raise ParseError(line_no, f"{what} line has unknown keys: {sorted(extra)}")
+        raise ValueError(f"{what} line has unknown keys: {sorted(extra)}")
 
 
-def _record(record_type, line_no: int, **values):
-    """``record_type(**values)``, its ValueError a ParseError of the line."""
-    try:
-        return record_type(**values)
-    except ValueError as exc:
-        raise ParseError(line_no, str(exc)) from exc
+def _parse_repo(obj: dict) -> RepoRecord:
+    _check_keys(obj, _REPO_KEYS, frozenset(), "repository")
+    return RepoRecord(**{**obj, "created_at": parse_timestamp(obj["created_at"])})
 
 
-def _parse_repo(obj: dict, line_no: int) -> RepoRecord:
-    _check_keys(obj, _REPO_KEYS, frozenset(), line_no, "repository")
-    created_at = _parse_stamp(obj["created_at"], line_no)
-    return _record(RepoRecord, line_no, **{**obj, "created_at": created_at})
-
-
-def _parse_event(obj: dict, line_no: int) -> PopularityEvent:
+def _parse_event(obj: dict) -> PopularityEvent:
     if obj.keys() not in _EVENT_KEY_SETS:
-        _check_keys(obj, _EVENT_KEYS, frozenset({"delta"}), line_no, "event")
-    kind = _require_str(obj, "kind", line_no)
+        _check_keys(obj, _EVENT_KEYS, frozenset({"delta"}), "event")
+    kind = obj["kind"]
+    _check_string("kind", kind)
     if kind not in _KIND_CODES:
-        raise ParseError(line_no, f"unknown event kind {kind!r}")
-    occurred_at = _parse_stamp(obj["occurred_at"], line_no)
-    return _record(PopularityEvent, line_no, **{**obj, "kind": EventKind(kind),
-                                                "occurred_at": occurred_at})
+        raise ValueError(f"unknown event kind {kind!r}")
+    return PopularityEvent(**{**obj, "kind": EventKind(kind),
+                              "occurred_at": parse_timestamp(obj["occurred_at"])})
 
 
 def _parse_manifest(obj: dict, line_no: int) -> DatasetManifest:
     if line_no != 1:
-        raise ParseError(line_no, "manifest line allowed only as line 1")
-    _check_keys(obj, _MANIFEST_KEYS, frozenset(), line_no, "manifest")
-    source_text = _require_str(obj, "source", line_no)
-    try:
-        source = DatasetSource(source_text)
-    except ValueError:
-        raise ParseError(line_no, f"unknown source {source_text!r}") from None
-    captured_at = _parse_stamp(obj["captured_at"], line_no)
-    manifest = _record(DatasetManifest, line_no,
-                       **{**obj, "captured_at": captured_at, "source": source})
+        raise ValueError("manifest line allowed only as line 1")
+    _check_keys(obj, _MANIFEST_KEYS, frozenset(), "manifest")
+    source = obj["source"]
+    _check_string("source", source)
+    if source not in {s.value for s in DatasetSource}:
+        raise ValueError(f"unknown source {source!r}")
+    manifest = DatasetManifest(**{**obj, "captured_at": parse_timestamp(obj["captured_at"]),
+                                  "source": DatasetSource(source)})
     if manifest.schema_version != SCHEMA_VERSION:
-        raise ParseError(line_no, f"unsupported schema_version {manifest.schema_version}")
+        raise ValueError(f"unsupported schema_version {manifest.schema_version}")
     return manifest
 
 
@@ -247,19 +233,20 @@ def load_corpus(path: str | Path, interval_days: int = 30) -> Corpus:
                 raise ParseError(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ParseError(line_no, "line is not a JSON object")
-            if "schema_version" in obj:
-                manifest = _parse_manifest(obj, line_no)
-            elif "kind" in obj:
-                event = _parse_event(obj, line_no)
-                lines.append(line_no)
-                repo_ids.append(shared_ids.setdefault(event.repo_id, event.repo_id))
-                kinds.append(_KIND_CODES[event.kind.value])
-                times.append(event.occurred_at)
-                deltas.append(event.delta)
-            elif "full_name" in obj:
-                repos.append(_parse_repo(obj, line_no))
-            else:
-                raise ParseError(line_no, "unrecognized line type")
+            with _on_line(line_no):
+                if "schema_version" in obj:
+                    manifest = _parse_manifest(obj, line_no)
+                elif "kind" in obj:
+                    event = _parse_event(obj)
+                    lines.append(line_no)
+                    repo_ids.append(shared_ids.setdefault(event.repo_id, event.repo_id))
+                    kinds.append(_KIND_CODES[event.kind.value])
+                    times.append(event.occurred_at)
+                    deltas.append(event.delta)
+                elif "full_name" in obj:
+                    repos.append(_parse_repo(obj))
+                else:
+                    raise ValueError("unrecognized line type")
     if line_no == 0:
         raise ParseError(1, "empty dataset file")
     if not repos:

@@ -102,6 +102,10 @@ class StepsExceedRepoCount(WtpsError):
     """A deletion experiment asked for more steps than there are repo nodes."""
 
 
+class UnexportableNodeId(WtpsError):
+    """A node id is empty or holds whitespace, so an edge list cannot carry it."""
+
+
 # --- CLI ------------------------------------------------------------------
 
 class ConfigError(WtpsError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
 
-from .errors import EmptyGraph, StepsExceedRepoCount
+from .errors import EmptyGraph, StepsExceedRepoCount, UnexportableNodeId
 from .model import CoefficientKind, Corpus
 from .scoring import Indicator, WeightTable, indicator_values
 
@@ -381,8 +381,19 @@ def deletion_experiment(
 
 
 def format_edge_list(g: FollowerGraph) -> str:
-    """Plain-text export: one sorted "repo_id follower_id" pair per line."""
-    lines = [f"{repo} {follower}" for repo, follower in sorted(g.edges)]
+    """Plain-text export: one sorted "repo_id follower_id" pair per line.
+
+    Raises:
+        UnexportableNodeId: an id of an edge is empty or holds a character
+            ``str.split`` splits on, so the line could not be read back.
+    """
+    edges = sorted(g.edges)
+    for node in chain.from_iterable(edges):
+        if node.split() != [node]:
+            raise UnexportableNodeId(
+                f"edge-list id must be non-empty and free of whitespace, got {node!r}"
+            )
+    lines = [f"{repo} {follower}" for repo, follower in edges]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -69,6 +69,12 @@ def _integer_field(record, name: str) -> int:
     return value
 
 
+def _set(record, **values) -> None:
+    """Store ``values`` in the fields of the frozen ``record``."""
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+
+
 def _check_string(name: str, value) -> None:
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {value!r}")
@@ -123,7 +129,7 @@ class RepoRecord:
         if not (isinstance(followers, (list, tuple))
                 and all(isinstance(follower, str) for follower in followers)):
             raise ValueError("follower_ids must be a list of strings")
-        object.__setattr__(self, "follower_ids", tuple(followers))
+        _set(self, follower_ids=tuple(followers))
         if not self.repo_id:
             raise ValueError("repo_id must be non-empty")
         _check_time("created_at", _integer_field(self, "created_at"))
@@ -314,7 +320,7 @@ def _column_view(name: str, dtype: str, doc: str) -> property:
     return property(view, doc=doc)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Corpus:
     """An immutable collection of repositories, events, and their grid.
 
@@ -342,8 +348,10 @@ class Corpus:
     _kind: array = field(repr=False)
     _time: array = field(repr=False)
     _delta: array = field(repr=False)
-    _rows: tuple[PopularityEvent, ...] | None = field(repr=False)
-    _views: dict = field(repr=False)
+    _rows: tuple[PopularityEvent, ...] | None = field(repr=False, compare=False)
+    _views: dict = field(repr=False, compare=False)
+
+    __hash__ = None  # the generated hash would fail on the array columns
 
     event_repo = _column_view("_repo", "intp", "Row into ``repos`` of each event.")
     event_kind = _column_view("_kind", "int8", "Kind code of each event: 0 fork, 1 star.")
@@ -357,12 +365,8 @@ class Corpus:
         grid: TimeGrid,
         captured_at: int | None = None,
     ) -> None:
-        self._set(repos=tuple(repos), grid=grid, captured_at=captured_at)
+        _set(self, repos=tuple(repos), grid=grid, captured_at=captured_at)
         self.__post_init__(*_columns(events))
-
-    def _set(self, **values) -> None:
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
 
     def __post_init__(
         self,
@@ -434,11 +438,11 @@ class Corpus:
         self._store(repos, *map(array, "qbqq", columns))
         if self.captured_at is None:
             latest = (*self._time[-1:], *(r.created_at for r in repos))
-            self._set(captured_at=max(latest, default=grid.epoch))
+            _set(self, captured_at=max(latest, default=grid.epoch))
 
     def _store(self, repos, rows: array, kind: array, time: array, delta: array) -> None:
-        self._set(repos=repos, _repo=rows, _kind=kind, _time=time, _delta=delta,
-                  _rows=None, _views={})
+        _set(self, repos=repos, _repo=rows, _kind=kind, _time=time, _delta=delta,
+             _rows=None, _views={})
 
     @classmethod
     def _from_columns(
@@ -455,7 +459,7 @@ class Corpus:
         """A corpus of event columns in input order, on the grid ``build`` derives."""
         corpus = object.__new__(cls)
         grid = _grid_rule(repos, times, interval_days)
-        corpus._set(repos=repos, grid=grid, captured_at=captured_at)
+        _set(corpus, repos=repos, grid=grid, captured_at=captured_at)
         corpus.__post_init__(repo_ids, kinds, times, deltas, lines)
         return corpus
 
@@ -481,8 +485,8 @@ class Corpus:
         """
         corpus = object.__new__(Corpus)
         # ``time`` is sorted, so its ends bound it.
-        corpus._set(grid=_grid_rule(repos, time[:1] + time[-1:], interval_days),
-                    captured_at=self.captured_at)
+        _set(corpus, grid=_grid_rule(repos, time[:1] + time[-1:], interval_days),
+             captured_at=self.captured_at)
         corpus._store(repos, rows, kind, time, delta)
         return corpus
 
@@ -511,7 +515,7 @@ class Corpus:
         """
         if self._rows is None:
             ids = [r.repo_id for r in self.repos]
-            self._set(_rows=tuple(
+            _set(self, _rows=tuple(
                 PopularityEvent(ids[row], EVENT_KINDS[kind], time, delta)
                 for row, kind, time, delta in self.event_rows()
             ))
@@ -532,19 +536,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.repos)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return (
-            self.repos == other.repos
-            and self.grid == other.grid
-            and self.captured_at == other.captured_at
-            and self._repo == other._repo
-            and self._kind == other._kind
-            and self._time == other._time
-            and self._delta == other._delta
-        )
 
 
 def _columns(
@@ -630,15 +621,9 @@ class BinnedCounts:
 
     def _assign(self, repo_ids: Sequence[str], interval_count: int, rows: dict,
                 matrices: dict) -> None:
-        for name, value in (
-            ("repo_ids", tuple(repo_ids)),
-            ("interval_count", interval_count),
-            ("vectorized", bool(matrices)),
-            ("_rows", rows),
-            ("_index", {rid: i for i, rid in enumerate(repo_ids)}),
-            ("_views", matrices),
-        ):
-            object.__setattr__(self, name, value)
+        _set(self, repo_ids=tuple(repo_ids), interval_count=interval_count,
+             vectorized=bool(matrices), _rows=rows,
+             _index={rid: i for i, rid in enumerate(repo_ids)}, _views=matrices)
 
     @property
     def forks(self) -> np.ndarray:

@@ -4,6 +4,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+import numpy as np
 import pytest
 import requests
 
@@ -473,3 +474,19 @@ class TestRateCap:
             with pytest.raises(ValueError):
                 ApiClientConfig(base_url=url)
         ApiClientConfig(base_url="http://127.0.0.1:9/api")
+
+    @pytest.mark.parametrize("name,value", [
+        ("page_size", True), ("page_size", 2.5), ("page_size", "5"),
+        ("retry_limit", 1.5), ("requests_per_hour_cap", "5"),
+        ("fetch_follower_ids", "no"), ("fetch_follower_ids", 1),
+        ("auth_token", 5), ("base_url", 5), ("base_url", None),
+    ])
+    def test_config_fields_refuse_wrong_types(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            ApiClientConfig(**{name: value})
+
+    def test_config_stores_numpy_integers_as_int(self):
+        config = ApiClientConfig(requests_per_hour_cap=np.int64(10), page_size=np.int32(50),
+                                 retry_limit=np.uint8(1))
+        values = (config.requests_per_hour_cap, config.page_size, config.retry_limit)
+        assert values == (10, 50, 1) and {type(v) for v in values} == {int}

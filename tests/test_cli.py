@@ -679,7 +679,7 @@ class TestImportSurface:
     def test_package_exports_quick_start_names_and_error_types(self):
         errors = {n for n in wtps.__all__ if isinstance(getattr(wtps, n), type)
                   and issubclass(getattr(wtps, n), wtps.WtpsError)}
-        assert len(errors) == 19
+        assert len(errors) == 20
         assert set(wtps.__all__) - errors == {
             "load_corpus", "bin_events", "compute_weights", "score_all", "rank", "Indicator",
         }
@@ -817,6 +817,42 @@ class TestGraphCommands:
         assert lines == sorted(lines)
         sidecar = _sidecar(out)
         assert sidecar["graph"] == {"repo_nodes": 3, "follower_nodes": 4, "edges": 8}
+
+    @pytest.mark.parametrize("repo_id,followers,bad", [
+        ("a b", ["c", "d e"], "a b"),
+        ("a", ["c", "d e"], "d e"),
+        ("a", [""], ""),
+        ("a\tb", ["c"], "a\tb"),
+        ("a", ["c\nd"], "c\nd"),
+        ("a", ["\x1c"], "\x1c"),
+        ("é", ["c"], None),
+        ("a,b", ["é"], None),
+    ], ids=["space-in-repo", "space-in-follower", "empty-follower", "tab", "newline",
+            "file-separator", "accented", "comma"])
+    def test_graph_build_refuses_ids_an_edge_list_cannot_carry(
+        self, tmp_path, capsys, repo_id, followers, bad
+    ):
+        lines = [json.dumps({"repo_id": rid, "full_name": f"o/{rid}",
+                             "created_at": "2018-01-01T00:00:00Z", "primary_language": None,
+                             "size_kb": 1, "owner_followers": 1, "forks_total": 0,
+                             "stars_total": 0, "watchers_total": 0, "follower_ids": ids})
+                 for rid, ids in ((repo_id, followers), ("x", ["c"]))]
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "edges.txt"
+        code = main(["graph-build", "--input", str(dataset), "--output", str(out)])
+        if bad is None:
+            assert code == EXIT_OK
+            edges = sorted([(repo_id, f) for f in followers] + [("x", "c")])
+            assert out.read_text(encoding="utf-8") == "".join(f"{r} {f}\n" for r, f in edges)
+            return
+        assert code == EXIT_DOMAIN
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "UnexportableNodeId"
+        assert error["message"] == (
+            f"edge-list id must be non-empty and free of whitespace, got {bad!r}"
+        )
+        assert list(tmp_path.iterdir()) == [dataset]
 
     def test_graph_deletion_series(self, tmp_path):
         out = tmp_path / "deletion.csv"

@@ -37,6 +37,13 @@ def _event_line(rid="R1", kind="fork", at="2018-01-02T00:00:00Z", **overrides):
     return json.dumps(obj)
 
 
+def _manifest_line(**overrides):
+    obj = {"schema_version": 1, "captured_at": "2018-05-01T00:00:00Z", "repo_count": 1,
+           "source": "file"}
+    obj.update(overrides)
+    return json.dumps(obj)
+
+
 def _write(tmp_path, *lines):
     path = tmp_path / "dataset.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -213,14 +220,28 @@ class TestLoadCorpus:
     @pytest.mark.parametrize("line,message", [
         ("[1, 2]", "line 1: line is not a JSON object"),
         ('{"repo_id": "R1"}', "line 1: unrecognized line type"),
-        ('{"schema_version": 1, "captured_at": "2018-05-01T00:00:00Z", "repo_count": 1,'
-         ' "source": "ftp"}', "line 1: unknown source 'ftp'"),
-    ], ids=["not-an-object", "no-type-key", "unknown-source"])
+        (_manifest_line(source="ftp"), "line 1: unknown source 'ftp'"),
+        (_event_line(kind=5), "line 1: kind must be a string, got 5"),
+        (_event_line(kind="clone"), "line 1: unknown event kind 'clone'"),
+        (_manifest_line(source=5), "line 1: source must be a string, got 5"),
+        (_manifest_line(schema_version=2), "line 1: unsupported schema_version 2"),
+        ('{"repo_id": "R1", "kind": "fork"}', "line 1: event line missing keys: ['occurred_at']"),
+        (_repo_line(x=1), "line 1: repository line has unknown keys: ['x']"),
+        (_repo_line(created="yesterday"), "line 1: Invalid isoformat string: 'yesterday'"),
+    ], ids=["not-an-object", "no-type-key", "unknown-source", "numeric-kind", "unknown-kind",
+            "numeric-source", "schema-version-2", "missing-key", "extra-key",
+            "bad-creation-time"])
     def test_line_of_unknown_shape_rejected(self, tmp_path, line, message):
         path = _write(tmp_path, line, _repo_line())
         with pytest.raises(ParseError) as caught:
             load_corpus(path)
         assert str(caught.value) == message
+
+    def test_manifest_after_line_1_rejected(self, tmp_path):
+        path = _write(tmp_path, _repo_line(), _manifest_line())
+        with pytest.raises(ParseError) as caught:
+            load_corpus(path)
+        assert str(caught.value) == "line 2: manifest line allowed only as line 1"
 
     def test_zero_delta_rejected(self, tmp_path):
         path = _write(tmp_path, _repo_line(), _event_line(delta=0))

@@ -217,6 +217,23 @@ class TestCorpusValidation:
         assert regridded.events == community_corpus.events
         assert regridded.captured_at == community_corpus.captured_at
 
+    def test_equality_is_by_value(self):
+        def build(captured_at=BASE_TS + DAY):
+            return Corpus.build([_repo()], [_event()], interval_days=30, captured_at=captured_at)
+
+        assert build() == build()
+        assert build() != build(BASE_TS + 2 * DAY)
+        assert build().__eq__(object()) is NotImplemented
+
+    def test_cached_views_do_not_affect_equality(self, community_corpus):
+        other = community_corpus.regrid(community_corpus.grid.interval_days)
+        assert community_corpus.events and community_corpus.event_time.size
+        assert community_corpus == other and other == community_corpus
+
+    def test_corpus_is_unhashable(self, community_corpus):
+        with pytest.raises(TypeError):
+            hash(community_corpus)
+
     def test_zero_delta_rejected(self):
         with pytest.raises(ValueError):
             PopularityEvent("R1", EventKind.FORK, BASE_TS, 0)
