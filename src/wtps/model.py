@@ -208,19 +208,6 @@ class TimeGrid:
         """First timestamp not covered by the grid."""
         return self.epoch + self.interval_count * self.interval_seconds
 
-    def index_of(self, timestamp: int) -> int:
-        """Map a timestamp to its interval index.
-
-        Raises:
-            EventOutsideGrid: if the timestamp is before ``epoch`` or at/after
-                ``end`` -- the signature of a mis-built grid.
-        """
-        if timestamp < self.epoch or timestamp >= self.end:
-            raise EventOutsideGrid(
-                f"timestamp {timestamp} outside grid [{self.epoch}, {self.end})"
-            )
-        return (timestamp - self.epoch) // self.interval_seconds
-
 
 def grid_for_times(times: Iterable[int], interval_days: int) -> TimeGrid:
     """Build the minimal grid covering every timestamp in ``times``.
@@ -533,9 +520,6 @@ class Corpus:
     @property
     def repo_ids(self) -> tuple[str, ...]:
         return tuple(r.repo_id for r in self.repos)
-
-    def __len__(self) -> int:
-        return len(self.repos)
 
 
 def _columns(

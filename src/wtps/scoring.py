@@ -99,29 +99,40 @@ class ScoreCard:
     overall: float
 
 
+def _float_weights(binned: BinnedCounts, weights: WeightTable) -> tuple[list[float], list[float]]:
+    """The fork and star weights as float lists, checked to cover ``binned``."""
+    if weights.interval_count != binned.interval_count:
+        raise ValueError(
+            f"weight table covers {weights.interval_count} intervals, "
+            f"binned counts cover {binned.interval_count}"
+        )
+    return list(map(float, weights.fork_weights)), list(map(float, weights.star_weights))
+
+
+def _score_row(forks: Sequence[int], stars: Sequence[int], wf: list[float],
+               ws: list[float]) -> list[float]:
+    """One repository's score per interval: ``forks * wf + stars * ws`` in each
+    cell, the int count converted to float first, as numpy computes it."""
+    return list(map(add, map(mul, forks, wf), map(mul, stars, ws)))
+
+
 def _score_rows(
     binned: BinnedCounts, weights: WeightTable, per_interval: bool = True
 ) -> tuple[list[list[float]], list[float]]:
     """Each repository's weighted score per interval, and overall, in
     ``repo_ids`` order; without ``per_interval`` only the overall scores.
 
-    Each cell is ``forks * wf + stars * ws`` with the int count converted to
-    float first, and each overall score is the ``_row_sum`` of its row, as
-    numpy computes them; ``vectorized`` counts are scored by numpy itself.
+    Each row is the ``_score_row`` of its counts and each overall score the
+    ``_row_sum`` of its row, as numpy computes them; ``vectorized`` counts
+    are scored by numpy itself.
     """
-    if weights.interval_count != binned.interval_count:
-        raise ValueError(
-            f"weight table covers {weights.interval_count} intervals, "
-            f"binned counts cover {binned.interval_count}"
-        )
+    wf, ws = _float_weights(binned, weights)
     if binned.vectorized:
         import numpy as np
 
-        scores = (binned.forks * np.asarray(weights.fork_weights, dtype=np.float64)
-                  + binned.stars * np.asarray(weights.star_weights, dtype=np.float64))
+        scores = binned.forks * np.asarray(wf) + binned.stars * np.asarray(ws)
         return scores.tolist() if per_interval else [], scores.sum(axis=1).tolist()
-    wf, ws = list(map(float, weights.fork_weights)), list(map(float, weights.star_weights))
-    rows = [list(map(add, map(mul, forks, wf), map(mul, stars, ws)))
+    rows = [_score_row(forks, stars, wf, ws)
             for forks, stars in zip(binned.rows(EventKind.FORK), binned.rows(EventKind.STAR))]
     return rows, list(map(_row_sum, rows))
 
@@ -159,19 +170,21 @@ def wtps_interval(
     binned: BinnedCounts, weights: WeightTable, repo_id: str, t: int
 ) -> float:
     """Weighted score of one repository in one interval."""
-    scores = _score_rows(binned, weights)[0][binned.row_index(repo_id)]
+    card = wtps_overall(binned, weights, repo_id)
     if not 0 <= t < binned.interval_count:
         raise IntervalOutOfRange(f"interval {t} outside [0, {binned.interval_count})")
-    return scores[t]
+    return card.interval_scores[t]
 
 
 def wtps_overall(
     binned: BinnedCounts, weights: WeightTable, repo_id: str
 ) -> ScoreCard:
-    """Overall weighted score: the sum of all interval scores."""
-    scores, overall = _score_rows(binned, weights)
+    """Overall weighted score: the sum of all interval scores. Only this
+    repository's row is scored, bit for bit as :func:`score_all` scores it."""
+    wf, ws = _float_weights(binned, weights)
     row = binned.row_index(repo_id)
-    return ScoreCard(repo_id=repo_id, interval_scores=tuple(scores[row]), overall=overall[row])
+    scores = _score_row(binned.rows(EventKind.FORK)[row], binned.rows(EventKind.STAR)[row], wf, ws)
+    return ScoreCard(repo_id=repo_id, interval_scores=tuple(scores), overall=_row_sum(scores))
 
 
 def score_all(binned: BinnedCounts, weights: WeightTable) -> list[ScoreCard]:

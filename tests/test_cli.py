@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib
 import io
@@ -7,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -750,6 +752,31 @@ class TestImportSurface:
             if owner_name:
                 owner = getattr(owner, owner_name)
             assert callable(getattr(owner, attr, None)), (module_name, owner_name, attr)
+
+    def test_every_function_and_method_is_named_elsewhere(self, monkeypatch):
+        # Code that nothing calls gets deleted. Each module-level function
+        # and method in src/wtps, dunders aside, is named as a word beyond
+        # its own definitions in src/wtps, or in the README, or is one that
+        # perfbench/spans.py wraps. Names alone are matched, so a namesake
+        # or a docstring passes too: this is a guard, not a proof.
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        spans = importlib.import_module("spans")
+        known = set(re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")))
+        known |= {attr for _, _, attr, _, _ in spans.LAYERS}
+        sources = [path.read_text(encoding="utf-8")
+                   for path in sorted(Path(wtps.__file__).resolve().parent.glob("*.py"))]
+        words = Counter(word for text in sources for word in re.findall(r"\w+", text))
+        defined = Counter()
+        for text in sources:
+            body = ast.parse(text).body
+            for node in [*body, *(n for c in body if isinstance(c, ast.ClassDef) for n in c.body)]:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (node.name.startswith("__") and node.name.endswith("__"))):
+                    defined[node.name] += 1
+        assert len(defined) > 100
+        assert sorted(name for name, count in defined.items()
+                      if words[name] <= count and name not in known) == []
 
     def test_tracer_wraps_every_layer_and_restores_it(self, tmp_path, monkeypatch):
         # A traced benchmark run installs every span of perfbench/spans.py,

@@ -130,8 +130,10 @@ class TestBinning:
             raw[key] = raw.get(key, 0) + event.delta
         for (rid, kind), total in raw.items():
             assert binned.deltas(rid, kind).sum() == total
+        grid = corpus.grid
         for event in corpus.events:
-            assert 0 <= corpus.grid.index_of(event.occurred_at) < corpus.grid.interval_count
+            t = (event.occurred_at - grid.epoch) // grid.interval_seconds
+            assert 0 <= t < grid.interval_count
 
     def test_negative_deltas_pass_through(self):
         events = [

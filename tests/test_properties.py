@@ -387,8 +387,11 @@ def _reference_counts(corpus):
     shape = (len(corpus.repos), corpus.grid.interval_count)
     counts = {kind: np.zeros(shape, dtype=np.int64) for kind in EventKind}
     rows = {rid: i for i, rid in enumerate(corpus.repo_ids)}
+    grid = corpus.grid
     for event in corpus.events:
-        counts[event.kind][rows[event.repo_id], corpus.grid.index_of(event.occurred_at)] += event.delta
+        t = (event.occurred_at - grid.epoch) // grid.interval_seconds
+        assert 0 <= t < grid.interval_count
+        counts[event.kind][rows[event.repo_id], t] += event.delta
     return counts[EventKind.FORK], counts[EventKind.STAR]
 
 

@@ -13,6 +13,7 @@ from wtps import (
     rank,
     score_all,
 )
+from wtps import model, scoring
 from wtps.model import BinnedCounts, EventKind
 from wtps.scoring import (
     GrowthPattern,
@@ -51,6 +52,12 @@ def exact_scorecard(binned, repo_id):
         for t in range(binned.interval_count)
     ]
     return per_interval, sum(per_interval)
+
+
+def _bits(card):
+    """A card's id, interval scores and overall score, each float as its hex
+    form, so that -0.0 and 0.0 differ."""
+    return card.repo_id, [v.hex() for v in card.interval_scores], card.overall.hex()
 
 
 def _binned(forks_rows, stars_rows):
@@ -171,11 +178,59 @@ class TestOverallScores:
         table = compute_weights(binned)
         assert wtps_overall(binned, table, "B").overall == 0.0
 
-    def test_score_all_matches_single_repo_path(self, community_binned):
+    @pytest.mark.parametrize("numpy_from", [None, 0])
+    @pytest.mark.parametrize("n_intervals", [5, 130, 300])
+    @pytest.mark.parametrize("weigh", [compute_weights, lambda b: unit_weights(b.interval_count)])
+    def test_score_all_matches_single_repo_path(self, community_corpus, monkeypatch,
+                                                numpy_from, n_intervals, weigh):
+        # Bit for bit, on either kernel's counts and on rows past the 8- and
+        # 128-cell blocks of the pairwise sum, with signed weights too.
+        corpus = community_corpus if n_intervals == 5 else make_corpus(
+            random.Random(n_intervals), n_repos=6, n_intervals=n_intervals, interval_days=7,
+            allow_negative=True)
+        if numpy_from is not None:
+            monkeypatch.setattr(model, "_NUMPY_FROM", numpy_from)
+        binned = bin_events(corpus)
+        assert binned.vectorized is (numpy_from == 0)
+        assert binned.interval_count > (128 if n_intervals > 5 else 4)
+        table = weigh(binned)
+        cards = score_all(binned, table)
+        assert [c.repo_id for c in cards] == list(binned.repo_ids)
+        for card in cards:
+            assert _bits(wtps_overall(binned, table, card.repo_id)) == _bits(card)
+            assert [wtps_interval(binned, table, card.repo_id, t).hex()
+                    for t in range(binned.interval_count)] == _bits(card)[1]
+
+    def test_ndarray_counts_score_as_score_all_does(self):
+        # Counts given as ndarrays are ``vectorized``: score_all scores them
+        # with numpy, and the one-row path from their int lists.
+        rng = random.Random(5)
+        rows = {rid: [rng.randint(-9, 40) for _ in range(720)] for rid in "ABC"}
+        binned = _binned(rows, {rid: row[::-1] for rid, row in rows.items()})
+        assert binned.vectorized
+        for table in (compute_weights(binned), unit_weights(720)):
+            for card in score_all(binned, table):
+                assert _bits(wtps_overall(binned, table, card.repo_id)) == _bits(card)
+
+    def test_single_repo_path_sums_only_its_own_row(self, community_binned, monkeypatch):
+        calls = []
+        row_sum = scoring._row_sum
+        monkeypatch.setattr(scoring, "_row_sum", lambda row: calls.append(row) or row_sum(row))
         table = compute_weights(community_binned)
-        cards = {c.repo_id: c for c in score_all(community_binned, table)}
-        for rid in community_binned.repo_ids:
-            assert cards[rid] == wtps_overall(community_binned, table, rid)
+        card = wtps_overall(community_binned, table, "R3")
+        assert calls == [list(card.interval_scores)]
+        assert wtps_interval(community_binned, table, "R3", 2) == card.interval_scores[2]
+        assert len(calls) == 2
+
+    def test_single_repo_errors_in_order(self, community_binned):
+        # Width first, then the repository, then the interval.
+        table = compute_weights(community_binned)
+        with pytest.raises(ValueError, match="weight table covers 3 intervals"):
+            wtps_interval(community_binned, unit_weights(3), "nope", 9)
+        with pytest.raises(UnknownRepo):
+            wtps_interval(community_binned, table, "nope", 9)
+        with pytest.raises(ValueError, match="weight table covers 3 intervals"):
+            wtps_overall(community_binned, unit_weights(3), "nope")
 
 
 class TestRanking:
@@ -301,6 +356,20 @@ class TestGrowthClassification:
         label = classify_growth(binned, "A", Indicator.FORKS)
         assert label.pattern is GrowthPattern.STAGNANT
         assert label.positive_fraction == 0.5
+
+    @pytest.mark.parametrize("forks,pattern,peak,final", [
+        # Activity is the sum of |delta|, 11, though the deltas net 1.
+        ([6, -5], GrowthPattern.GAINED_THEN_LOST, 6, 1),
+        # 3 positive of 5 active intervals is at least the 0.6 bar.
+        ([5, -1, 5, -1, 5, 0], GrowthPattern.SUSTAINED_GROWTH, 13, 13),
+        # A drop from peak 5 to 4 is 0.2 of the peak, not more than 0.2.
+        ([5, -3, 1, 1, 1, -1], GrowthPattern.SUSTAINED_GROWTH, 5, 4),
+    ])
+    def test_rules_at_their_bars(self, forks, pattern, peak, final):
+        binned = _binned({"A": forks}, {"A": [0] * len(forks)})
+        label = classify_growth(binned, "A", Indicator.FORKS)
+        assert (label.pattern, label.peak_cumulative, label.final_cumulative) == (
+            pattern, peak, final)
 
     def test_thresholds_are_configurable(self):
         binned = _binned({"A": [0, 0, 0, 0, 0]}, {"A": [0, 0, 1, 0, 1]})

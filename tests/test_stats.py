@@ -1,4 +1,6 @@
 import random
+import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,6 +136,21 @@ class TestOlsLine:
             assert result.pearson_r == pytest.approx(line.rvalue, abs=1e-12)
             assert pearson(x, y) == pytest.approx(scipy_stats.pearsonr(x, y)[0], abs=1e-12)
 
+    def test_intercept_of_a_cancelling_series_matches_scipy(self):
+        # y is 3x plus noise at 1e8, so the intercept is the difference of
+        # two values near 3e8; its exact value is 0. Forming it as
+        # ``fsum(y)/n - slope*fsum(x)/n`` is 6e-8 off.
+        scipy_stats = pytest.importorskip("scipy.stats")
+        x = [100_000_007.0, 100_000_007.0, 100_000_000.0]
+        y = [300_000_018.0, 300_000_024.0, 300_000_000.0]
+        mean_x, mean_y = Fraction(sum(map(int, x)), 3), Fraction(sum(map(int, y)), 3)
+        sxy = sum((Fraction(a) - mean_x) * (Fraction(b) - mean_y) for a, b in zip(x, y))
+        sxx = sum((Fraction(a) - mean_x) ** 2 for a in x)
+        assert mean_y - sxy / sxx * mean_x == 0
+        intercept = ols_line(x, y).intercept
+        assert intercept == pytest.approx(scipy_stats.linregress(x, y).intercept, abs=1e-9)
+        assert intercept == pytest.approx(0.0, abs=1e-9)
+
 
 class TestSummarize:
     def test_odd_count_quartiles(self):
@@ -177,6 +194,11 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             summarize([])
+
+    def test_mean_of_cancelling_values_is_exact(self):
+        # A running float sum loses the 1.0 between the two large values.
+        values = [1e16, 1.0, -1e16]
+        assert summarize(values).mean == statistics.fmean(values) == 1 / 3
 
 
 def _single_burst_corpus(n_repos=6):
