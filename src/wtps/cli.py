@@ -32,6 +32,7 @@ from . import __version__
 from .dataset import (
     DatasetSource,
     format_timestamp,
+    load_cached,
     load_corpus,
     save_corpus,
 )
@@ -272,7 +273,7 @@ def _load(args) -> Corpus:
         if target.exists() and target.samefile(path):
             raise ConfigError(f"output {target} would overwrite the input {path}")
     _check_flags(args)
-    return load_corpus(path, interval_days=args.interval_days)
+    return load_cached(path, args.interval_days, load_corpus)
 
 
 def _sidecar_path(output: Path) -> Path:

@@ -21,9 +21,11 @@ save -> load is the identity.
 from __future__ import annotations
 
 import json
+import os
 import re
+import sys
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -32,8 +34,13 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
+try:  # hashlib's own blake2b, without the OpenSSL bindings hashlib loads
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
+
 from .errors import ParseError
-from .model import (EVENT_KINDS, FIRST_SECOND, LAST_SECOND, Corpus, EventKind,
+from .model import (_COLUMN_TYPES, EVENT_KINDS, FIRST_SECOND, LAST_SECOND, Corpus, EventKind,
                     PopularityEvent, RepoRecord, _check_string, _integer_field,
                     format_timestamp, format_timestamps)
 
@@ -60,6 +67,15 @@ _CANONICAL_EVENT = re.compile(
 )
 # Bytes that are not UTF-8, as the "surrogateescape" error handler reads them.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+# ``load_cached``'s entries: their format, with the event columns' layout,
+# which keys and heads every entry; the bytes of one event in the columns;
+# the bytes of an entry's digest; and the number of entries kept.
+_CACHE_FORMAT = "wtps corpus cache 1 {} {}".format(
+    sys.byteorder, " ".join(f"{code}{array(code).itemsize}" for code in _COLUMN_TYPES))
+_CACHE_EVENT_BYTES = sum(array(code).itemsize for code in _COLUMN_TYPES)
+_CACHE_DIGEST_BYTES = 32
+_CACHE_ENTRIES = 16
 
 
 class DatasetSource(Enum):
@@ -265,6 +281,99 @@ def load_corpus(path: str | Path, interval_days: int = 30) -> Corpus:
         captured_at=manifest.captured_at if manifest else None,
         lines=lines,
     )
+
+
+def load_cached(path: Path, interval_days: int, parse) -> Corpus:
+    """``parse(path, interval_days=interval_days)``, read from a cache of the
+    corpora earlier calls parsed without error, for the command line.
+
+    An entry's key is the BLAKE2b-256 digest of the entry format, the
+    sources of this package and the bytes of the file. It holds the
+    repositories, the resolved capture time and the four sorted event
+    columns, so a hit rebuilds the corpus on the asked-for width without
+    parsing or sorting. Entries live in ``$XDG_CACHE_HOME/wtps``, else
+    ``~/.cache/wtps``, and only the newest ``_CACHE_ENTRIES`` are kept. An
+    entry that cannot be found, read, verified or written is passed over:
+    the file is parsed as without the cache. ``load_corpus`` itself never
+    reads or writes the cache.
+    """
+    def key() -> str:
+        """The entry's name: ``prefix``, which holds the format and the
+        sources, followed by the file's bytes."""
+        digest = prefix.copy()
+        with path.open("rb") as handle:
+            for block in iter(lambda: handle.read(1 << 16), b""):
+                digest.update(block)
+        return digest.hexdigest()
+
+    try:
+        home = os.environ.get("XDG_CACHE_HOME", "")
+        folder = (Path(home) if os.path.isabs(home) else Path.home() / ".cache") / "wtps"
+        package = Path(__file__).parent
+        sources = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+        prefix = blake2b(f"{_CACHE_FORMAT}\n{len(sources)}\n".encode(),
+                         digest_size=_CACHE_DIGEST_BYTES)
+        for name in sources:
+            source = (package / name).read_bytes()
+            prefix.update(f"{name} {len(source)}\n".encode())
+            prefix.update(source)
+        entry = folder / key()
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        return parse(path, interval_days=interval_days)
+
+    # An entry: the BLAKE2b digest of the rest, a JSON head line [format,
+    # captured_at, event count, repository fields], then the columns. The
+    # size is checked before a column is read.
+    try:
+        with entry.open("rb") as handle:
+            stored = handle.read(_CACHE_DIGEST_BYTES)
+            head = handle.readline()
+            payload = blake2b(head, digest_size=_CACHE_DIGEST_BYTES)
+            layout, captured_at, count, records = json.loads(head)
+            if (layout != _CACHE_FORMAT or type(count) is not int
+                    or os.fstat(handle.fileno()).st_size
+                    != _CACHE_DIGEST_BYTES + len(head) + count * _CACHE_EVENT_BYTES):
+                raise ValueError("not an entry of this format")
+            columns = []
+            for code in _COLUMN_TYPES:
+                column = array(code)
+                column.fromfile(handle, count)
+                payload.update(column)
+                columns.append(column)
+        if payload.digest() != stored:
+            raise ValueError("entry digest mismatch")
+        repos = tuple(RepoRecord(*values) for values in records)
+    except (OSError, ValueError, LookupError, TypeError, EOFError):
+        pass
+    else:
+        return Corpus._derive(repos, captured_at, interval_days, *columns)
+
+    corpus = parse(path, interval_days=interval_days)
+    temp = entry.with_name(f".{entry.name}.{os.getpid()}.tmp")
+    try:
+        if key() != entry.name:  # the file changed while it was parsed
+            return corpus
+        records = [[getattr(r, name) for name in _REPO_KEYS] for r in corpus.repos]
+        head = (json.dumps([_CACHE_FORMAT, corpus.captured_at, corpus.event_count, records])
+                + "\n").encode()
+        columns = (corpus._repo, corpus._kind, corpus._time, corpus._delta)
+        payload = blake2b(head, digest_size=_CACHE_DIGEST_BYTES)
+        for column in columns:
+            payload.update(column)
+        folder.mkdir(mode=0o700, parents=True, exist_ok=True)
+        with temp.open("xb") as handle:
+            handle.write(payload.digest())
+            handle.write(head)
+            for column in columns:
+                column.tofile(handle)
+        os.replace(temp, entry)
+        kept = sorted(os.scandir(folder), key=lambda e: e.stat().st_mtime_ns, reverse=True)
+        for stale in kept[_CACHE_ENTRIES:]:
+            os.unlink(stale.path)
+    except OSError:
+        with suppress(OSError):
+            temp.unlink(missing_ok=True)
+    return corpus
 
 
 def _dump(obj: dict) -> str:

@@ -227,6 +227,8 @@ def grid_for_times(times: Iterable[int], interval_days: int) -> TimeGrid:
 
 # Kinds by the code stored in ``Corpus.event_kind``.
 EVENT_KINDS = (EventKind.FORK, EventKind.STAR)
+# The ``array`` type codes of a corpus's row, kind, time and delta columns.
+_COLUMN_TYPES = "qbqq"
 _UNIX_ORDINAL = date(1970, 1, 1).toordinal()
 
 
@@ -418,11 +420,11 @@ class Corpus:
                 row, kind, time, delta = columns
                 order = np.lexsort((delta, kind, row, time))
                 columns = [column[order].astype(code).tobytes()
-                           for code, column in zip("qbqq", columns)]
+                           for code, column in zip(_COLUMN_TYPES, columns)]
             else:
                 time, row, kind, delta = zip(*sorted(zip(times, rows, kinds, deltas)))
                 columns = row, kind, time, delta
-        self._store(repos, *map(array, "qbqq", columns))
+        self._store(repos, *map(array, _COLUMN_TYPES, columns))
         if self.captured_at is None:
             latest = (*self._time[-1:], *(r.created_at for r in repos))
             _set(self, captured_at=max(latest, default=grid.epoch))
@@ -465,22 +467,23 @@ class Corpus:
         """
         return cls._from_columns(tuple(repos), *_columns(events), interval_days, captured_at)
 
-    def _derive(self, repos, interval_days, rows, kind, time, delta) -> "Corpus":
+    @classmethod
+    def _derive(cls, repos, captured_at, interval_days, rows, kind, time, delta) -> "Corpus":
         """A corpus of already sorted and validated columns, on a rebuilt grid.
 
         The grid is built to cover ``time``, so no event needs checking again.
         """
-        corpus = object.__new__(Corpus)
+        corpus = object.__new__(cls)
         # ``time`` is sorted, so its ends bound it.
         _set(corpus, grid=_grid_rule(repos, time[:1] + time[-1:], interval_days),
-             captured_at=self.captured_at)
+             captured_at=captured_at)
         corpus._store(repos, rows, kind, time, delta)
         return corpus
 
     def regrid(self, interval_days: int) -> "Corpus":
         """Return a copy of this corpus re-binned onto a new interval width."""
-        return self._derive(self.repos, interval_days, self._repo, self._kind,
-                            self._time, self._delta)
+        return self._derive(self.repos, self.captured_at, interval_days, self._repo,
+                            self._kind, self._time, self._delta)
 
     def subset(self, repo_ids: Iterable[str]) -> "Corpus":
         """The given repositories and their events, on a grid rebuilt by the
@@ -491,8 +494,9 @@ class Corpus:
         keep = [row in new_row for row in self._repo]
         rows, kind, time, delta = (array(column.typecode, compress(column, keep))
                                    for column in (self._repo, self._kind, self._time, self._delta))
-        return self._derive(tuple(self.repos[row] for row in kept_rows), self.grid.interval_days,
-                            array("q", map(new_row.__getitem__, rows)), kind, time, delta)
+        return self._derive(tuple(self.repos[row] for row in kept_rows), self.captured_at,
+                            self.grid.interval_days, array("q", map(new_row.__getitem__, rows)),
+                            kind, time, delta)
 
     @property
     def events(self) -> tuple[PopularityEvent, ...]:

@@ -10,6 +10,15 @@ COMMUNITY_SAMPLE = DATA_DIR / "community_sample.jsonl"
 FOLLOWER_SAMPLE = DATA_DIR / "follower_sample.jsonl"
 
 
+@pytest.fixture(autouse=True)
+def empty_cache_home(tmp_path_factory, monkeypatch):
+    """An empty ``XDG_CACHE_HOME`` for every test: no test writes the corpus
+    cache under the real home directory, and each starts with a cold cache."""
+    home = tmp_path_factory.mktemp("cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
 @pytest.fixture(scope="session")
 def community_corpus():
     """The shipped 4-repo sample with full fork/star event streams."""
