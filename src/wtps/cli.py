@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .dataset import (
     DatasetSource,
+    _OverlapMemo,
     format_timestamp,
     load_cached,
     load_corpus,
@@ -435,7 +436,7 @@ def _cmd_graph_build(args, corpus: Corpus):
 
 
 def _cmd_graph_deletion(args, corpus: Corpus):
-    from .graph import build_graph, deletion_experiment, scores_for_measure
+    from .graph import _remember, build_graph, deletion_experiment, scores_for_measure
     from .serialize import deletion_table
 
     measure = Indicator(args.measure)
@@ -447,7 +448,9 @@ def _cmd_graph_deletion(args, corpus: Corpus):
             f"--steps {steps} exceeds repository count {len(corpus.repos)}"
         )
     scores = scores_for_measure(corpus, measure, weights=weights)
-    graph = build_graph(corpus)
+    # The intact graph's measurement comes from the cache when an earlier
+    # run on the same graph stored it.
+    graph = _remember(build_graph(corpus), _OverlapMemo(corpus.repos))
     series = deletion_experiment(graph, scores, steps, kind=kind, measure=measure)
     return deletion_table(series), {
         "series": series.to_json_dict(),

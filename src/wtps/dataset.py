@@ -29,10 +29,11 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from functools import cache
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 try:  # hashlib's own blake2b, without the OpenSSL bindings hashlib loads
     from _blake2 import blake2b
@@ -68,14 +69,17 @@ _CANONICAL_EVENT = re.compile(
 # Bytes that are not UTF-8, as the "surrogateescape" error handler reads them.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
-# ``load_cached``'s entries: their format, with the event columns' layout,
-# which keys and heads every entry; the bytes of one event in the columns;
-# the bytes of an entry's digest; and the number of entries kept.
+# The cache's entries: the format of ``load_cached``'s, with the event
+# columns' layout, which keys and heads each of them; the bytes of one event
+# in the columns; the format of ``_OverlapMemo``'s; the bytes of an entry's
+# digest; the number of entries kept; and an entry's name, its key's digest.
 _CACHE_FORMAT = "wtps corpus cache 1 {} {}".format(
     sys.byteorder, " ".join(f"{code}{array(code).itemsize}" for code in _COLUMN_TYPES))
 _CACHE_EVENT_BYTES = sum(array(code).itemsize for code in _COLUMN_TYPES)
+_STATE_FORMAT = "wtps overlap state 1"
 _CACHE_DIGEST_BYTES = 32
 _CACHE_ENTRIES = 16
+_CACHE_NAME = re.compile(f"[0-9a-f]{{{2 * _CACHE_DIGEST_BYTES}}}")
 
 
 class DatasetSource(Enum):
@@ -287,61 +291,39 @@ def load_cached(path: Path, interval_days: int, parse) -> Corpus:
     """``parse(path, interval_days=interval_days)``, read from a cache of the
     corpora earlier calls parsed without error, for the command line.
 
-    An entry's key is the BLAKE2b-256 digest of the entry format, the
-    sources of this package and the bytes of the file. It holds the
-    repositories, the resolved capture time and the four sorted event
+    An entry (a ``_CacheEntry``) is keyed by the bytes of the file. It holds
+    the repositories, the resolved capture time and the four sorted event
     columns, so a hit rebuilds the corpus on the asked-for width without
-    parsing or sorting. Entries live in ``$XDG_CACHE_HOME/wtps``, else
-    ``~/.cache/wtps``, and only the newest ``_CACHE_ENTRIES`` are kept. An
-    entry that cannot be found, read, verified or written is passed over:
-    the file is parsed as without the cache. ``load_corpus`` itself never
-    reads or writes the cache.
+    parsing or sorting. An entry that cannot be found, read, verified or
+    written is passed over: the file is parsed as without the cache.
+    ``load_corpus`` itself never reads or writes the cache.
     """
-    def key() -> str:
-        """The entry's name: ``prefix``, which holds the format and the
-        sources, followed by the file's bytes."""
-        digest = prefix.copy()
-        with path.open("rb") as handle:
-            for block in iter(lambda: handle.read(1 << 16), b""):
-                digest.update(block)
-        return digest.hexdigest()
-
     try:
-        home = os.environ.get("XDG_CACHE_HOME", "")
-        folder = (Path(home) if os.path.isabs(home) else Path.home() / ".cache") / "wtps"
-        package = Path(__file__).parent
-        sources = sorted(name for name in os.listdir(package) if name.endswith(".py"))
-        prefix = blake2b(f"{_CACHE_FORMAT}\n{len(sources)}\n".encode(),
-                         digest_size=_CACHE_DIGEST_BYTES)
-        for name in sources:
-            source = (package / name).read_bytes()
-            prefix.update(f"{name} {len(source)}\n".encode())
-            prefix.update(source)
-        entry = folder / key()
+        entry = _CacheEntry(_CACHE_FORMAT, _blocks(path))
     except (OSError, RuntimeError):  # RuntimeError: no home directory
         return parse(path, interval_days=interval_days)
 
-    # An entry: the BLAKE2b digest of the rest, a JSON head line [format,
-    # captured_at, event count, repository fields], then the columns. The
-    # size is checked before a column is read.
+    # The entry's payload: a JSON head line [format, captured_at, event
+    # count, repository fields], then the columns. The size is checked
+    # before a column is read.
+    def decode(handle, payload):
+        head = handle.readline()
+        payload.update(head)
+        layout, captured_at, count, records = json.loads(head)
+        if (layout != _CACHE_FORMAT or type(count) is not int
+                or os.fstat(handle.fileno()).st_size
+                != _CACHE_DIGEST_BYTES + len(head) + count * _CACHE_EVENT_BYTES):
+            raise ValueError("not an entry of this format")
+        columns = []
+        for code in _COLUMN_TYPES:
+            column = array(code)
+            column.fromfile(handle, count)
+            payload.update(column)
+            columns.append(column)
+        return captured_at, records, columns
+
     try:
-        with entry.open("rb") as handle:
-            stored = handle.read(_CACHE_DIGEST_BYTES)
-            head = handle.readline()
-            payload = blake2b(head, digest_size=_CACHE_DIGEST_BYTES)
-            layout, captured_at, count, records = json.loads(head)
-            if (layout != _CACHE_FORMAT or type(count) is not int
-                    or os.fstat(handle.fileno()).st_size
-                    != _CACHE_DIGEST_BYTES + len(head) + count * _CACHE_EVENT_BYTES):
-                raise ValueError("not an entry of this format")
-            columns = []
-            for code in _COLUMN_TYPES:
-                column = array(code)
-                column.fromfile(handle, count)
-                payload.update(column)
-                columns.append(column)
-        if payload.digest() != stored:
-            raise ValueError("entry digest mismatch")
+        captured_at, records, columns = entry.read(decode)
         repos = tuple(RepoRecord(*values) for values in records)
     except (OSError, ValueError, LookupError, TypeError, EOFError):
         pass
@@ -349,31 +331,141 @@ def load_cached(path: Path, interval_days: int, parse) -> Corpus:
         return Corpus._derive(repos, captured_at, interval_days, *columns)
 
     corpus = parse(path, interval_days=interval_days)
-    temp = entry.with_name(f".{entry.name}.{os.getpid()}.tmp")
     try:
-        if key() != entry.name:  # the file changed while it was parsed
-            return corpus
-        records = [[getattr(r, name) for name in _REPO_KEYS] for r in corpus.repos]
-        head = (json.dumps([_CACHE_FORMAT, corpus.captured_at, corpus.event_count, records])
-                + "\n").encode()
-        columns = (corpus._repo, corpus._kind, corpus._time, corpus._delta)
-        payload = blake2b(head, digest_size=_CACHE_DIGEST_BYTES)
-        for column in columns:
-            payload.update(column)
-        folder.mkdir(mode=0o700, parents=True, exist_ok=True)
-        with temp.open("xb") as handle:
-            handle.write(payload.digest())
-            handle.write(head)
-            for column in columns:
-                column.tofile(handle)
-        os.replace(temp, entry)
-        kept = sorted(os.scandir(folder), key=lambda e: e.stat().st_mtime_ns, reverse=True)
-        for stale in kept[_CACHE_ENTRIES:]:
-            os.unlink(stale.path)
+        if _CacheEntry(_CACHE_FORMAT, _blocks(path)).path != entry.path:
+            return corpus  # the file changed while it was parsed
     except OSError:
-        with suppress(OSError):
-            temp.unlink(missing_ok=True)
+        return corpus
+    records = [[getattr(r, name) for name in _REPO_KEYS] for r in corpus.repos]
+    head = (json.dumps([_CACHE_FORMAT, corpus.captured_at, corpus.event_count, records])
+            + "\n").encode()
+    entry.write([head, corpus._repo, corpus._kind, corpus._time, corpus._delta])
     return corpus
+
+
+def _blocks(path: Path) -> Iterator[bytes]:
+    """The bytes of the file at ``path``, in 64 KiB blocks."""
+    with path.open("rb") as handle:
+        yield from iter(lambda: handle.read(1 << 16), b"")
+
+
+@cache
+def _sources() -> bytes:
+    """The BLAKE2b-256 digest of this package's sources: each name, length
+    and bytes."""
+    package = Path(__file__).parent
+    names = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    digest = blake2b(f"{len(names)}\n".encode(), digest_size=_CACHE_DIGEST_BYTES)
+    for name in names:
+        source = (package / name).read_bytes()
+        digest.update(f"{name} {len(source)}\n".encode())
+        digest.update(source)
+    return digest.digest()
+
+
+class _CacheEntry:
+    """One entry of the command line's cache, the home of its rules.
+
+    Its name is the BLAKE2b-256 digest of its format, the sources of this
+    package and the ``content`` blocks it is kept for. Entries live in
+    ``$XDG_CACHE_HOME/wtps``, else ``~/.cache/wtps``; a file holds the
+    BLAKE2b-256 digest of its payload, then the payload. Both kinds of
+    entry, parsed corpora and ``graph-deletion``'s intact-graph state, share
+    the folder and its limit of the newest ``_CACHE_ENTRIES``.
+
+    Raises:
+        OSError: a source or a content block cannot be read.
+        RuntimeError: there is no home directory.
+    """
+
+    def __init__(self, layout: str, content: Iterable[bytes]) -> None:
+        home = os.environ.get("XDG_CACHE_HOME", "")
+        folder = (Path(home) if os.path.isabs(home) else Path.home() / ".cache") / "wtps"
+        digest = blake2b(f"{layout}\n".encode(), digest_size=_CACHE_DIGEST_BYTES)
+        digest.update(_sources())
+        for block in content:
+            digest.update(block)
+        self.path = folder / digest.hexdigest()
+
+    def read(self, decode):
+        """``decode(handle, payload)``, which reads the payload from
+        ``handle`` and feeds every byte it reads to the digest ``payload``;
+        its value once that digest is the stored one.
+
+        Raises:
+            OSError, ValueError, LookupError, TypeError, EOFError: the entry
+                is missing, damaged or of another format.
+        """
+        with self.path.open("rb") as handle:
+            stored = handle.read(_CACHE_DIGEST_BYTES)
+            payload = blake2b(digest_size=_CACHE_DIGEST_BYTES)
+            value = decode(handle, payload)
+        if payload.digest() != stored:
+            raise ValueError("entry digest mismatch")
+        return value
+
+    def write(self, payload: list) -> None:
+        """Store the concatenated buffers of ``payload`` through a temp file
+        and ``os.replace``, then delete all but the newest entries. Other
+        files in the folder, such as other writers' temp files, are left
+        alone. An entry that cannot be written is passed over."""
+        digest = blake2b(digest_size=_CACHE_DIGEST_BYTES)
+        for part in payload:
+            digest.update(part)
+        temp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+        try:
+            self.path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+            with temp.open("xb") as handle:
+                handle.write(digest.digest())
+                for part in payload:
+                    handle.write(part)
+            os.replace(temp, self.path)
+            kept = sorted((e for e in os.scandir(self.path.parent)
+                           if _CACHE_NAME.fullmatch(e.name)),
+                          key=lambda e: e.stat().st_mtime_ns, reverse=True)
+            for stale in kept[_CACHE_ENTRIES:]:
+                os.unlink(stale.path)
+        except OSError:
+            with suppress(OSError):
+                temp.unlink(missing_ok=True)
+
+
+class _OverlapMemo:
+    """The intact-graph state of ``graph._Overlap`` for the graph of
+    ``repos``, kept in the command line's cache for ``graph-deletion``.
+
+    The entry is keyed by each repository's id and follower ids and holds
+    the state as one JSON line. ``load`` computes the key and reads the
+    entry, and ``store`` writes the entry that ``load`` did not find.
+    """
+
+    def __init__(self, repos: tuple[RepoRecord, ...]) -> None:
+        self.repos = repos
+        self.entry: _CacheEntry | None = None
+
+    def load(self) -> list | None:
+        """The stored state, or None if no entry reads and verifies."""
+        try:
+            graph = json.dumps([[r.repo_id, r.follower_ids] for r in self.repos])
+            self.entry = _CacheEntry(_STATE_FORMAT, [graph.encode()])
+            layout, *state = json.loads(self.entry.read(_rest))
+            if layout != _STATE_FORMAT:
+                raise ValueError("not an entry of this format")
+            return state
+        except (OSError, RuntimeError, ValueError, TypeError):
+            return None
+
+    def store(self, state: list) -> None:
+        if self.entry is not None:
+            line = json.dumps([_STATE_FORMAT, *state], separators=(",", ":")) + "\n"
+            self.entry.write([line.encode()])
+
+
+def _rest(handle, payload) -> bytes:
+    """The rest of ``handle``, fed to the digest ``payload``."""
+    data = handle.read()
+    payload.update(data)
+    return data
 
 
 def _dump(obj: dict) -> str:

@@ -142,14 +142,33 @@ class _Overlap:
     negative and raise rather than round. A class value can be far smaller
     than a term, so the node mean keeps one exact int total of m * value,
     scaled by 2**1074, over the classes.
+
+    The twin classes with each class's total and peer count are the intact
+    graph's state. A graph given a memo by ``_remember`` restores it from
+    the memo, or builds it and hands it to the memo before any removal.
     """
 
     def __init__(self, g: FollowerGraph) -> None:
-        self.class_of, self.mult, self.adj, self.deg = _twin_classes(g)
+        memo = vars(g).get("_overlap_memo")
+        state = memo.load() if memo is not None else None
+        if state is None or not _fits(state, g):
+            state = [*_twin_classes(g), None, None]
+        self.class_of, self.mult, self.adj, self.deg, self.total, self.peers = state
         self.shift = 53 + (2 * max(self.deg, default=0)).bit_length()
-        self.one = one = 1 << self.shift
+        self.one = 1 << self.shift
         self.terms: dict[tuple[int, int], int] = {}
-        mult, deg, terms, term = self.mult, self.deg, self.terms, self._term
+        if self.total is None:
+            self._measure()
+            if memo is not None:
+                memo.store([self.class_of, self.mult, self.adj, self.deg, self.total,
+                            self.peers])
+        self.val = [self._class_value(c) for c in range(len(self.mult))]
+        self.node_total = sum(m * _exact(v) for m, v in zip(self.mult, self.val))
+        self.node_count = g.node_count
+
+    def _measure(self) -> None:
+        """Each class's total and peer count, from the class pairs."""
+        mult, deg, terms, term, one = self.mult, self.deg, self.terms, self._term, self.one
         self.total = total = [0] * len(mult)
         self.peers = peers = [0] * len(mult)
         for c, (mc, dc) in enumerate(zip(mult, deg)):
@@ -170,9 +189,6 @@ class _Overlap:
                 peers[d] += mc
             total[c] += tc
             peers[c] += pc
-        self.val = [self._class_value(c) for c in range(len(mult))]
-        self.node_total = sum(m * _exact(v) for m, v in zip(mult, self.val))
-        self.node_count = g.node_count
 
     def value(self) -> float:
         if not self.node_count:
@@ -305,6 +321,25 @@ def _group(nbrs: dict[str, list[str]]) -> tuple[dict[str, int], list[tuple[str, 
     classes: dict[tuple[str, ...], int] = {}
     of = {node: classes.setdefault(tuple(sorted(n)), len(classes)) for node, n in nbrs.items()}
     return of, list(classes)
+
+
+def _fits(state: list, g: FollowerGraph) -> bool:
+    """Whether a restored ``_Overlap`` state has the layout of ``g``'s: a
+    class for each repo and each list one value per class."""
+    return (len(state) == 6 and isinstance(state[0], dict) and state[0].keys() == g.repo_nodes
+            and all(type(column) is list and len(column) == len(state[1])
+                    for column in state[1:]))
+
+
+def _remember(g: FollowerGraph, memo) -> FollowerGraph:
+    """``g``, with ``memo`` for its ``_Overlap`` state: the measurement of
+    the intact graph is taken from ``memo.load()`` when that gives one, and
+    else made and handed to ``memo.store``. Removals change the state in
+    place, so each ``load`` gives a state of its own, and ``store`` is called
+    before the first removal. Only the graph given carries the memo, not
+    those ``remove_repo`` derives from it."""
+    object.__setattr__(g, "_overlap_memo", memo)
+    return g
 
 
 @dataclass(frozen=True)

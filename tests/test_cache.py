@@ -1,4 +1,5 @@
-"""The command line's cache of loaded corpora (``wtps.dataset.load_cached``).
+"""The command line's cache of loaded corpora (``wtps.dataset.load_cached``)
+and of ``graph-deletion``'s intact-graph state (``wtps.dataset._OverlapMemo``).
 
 A hit must give what parsing gives: the same corpus at every width, and the
 same output bytes from every command. An entry that is missing, damaged,
@@ -16,15 +17,18 @@ import shutil
 import subprocess
 import sys
 from array import array
+from collections import Counter
+from dataclasses import replace
 from hashlib import blake2b
 from pathlib import Path
 
 import pytest
 
 import wtps
-from wtps import load_corpus, model
+from wtps import Indicator, dataset, graph, load_corpus, model
 from wtps.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from wtps.dataset import _CACHE_FORMAT, load_cached, save_corpus
+from wtps.dataset import _CACHE_FORMAT, _STATE_FORMAT, load_cached, save_corpus
+from wtps.model import CoefficientKind, Corpus
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE
 from synth import make_corpus
 from test_golden import DIGESTS, run_all
@@ -494,3 +498,251 @@ def test_config_error_reads_neither_input_nor_cache(tmp_path, capsys, monkeypatc
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
     assert entries(empty_cache_home) == [entry]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_pruning_spares_other_writers_temp_files(tmp_path, empty_cache_home):
+    # A concurrent run's temp file, older than every entry, is neither
+    # counted nor deleted, so that run's os.replace still finds it.
+    folder = empty_cache_home / "wtps"
+    folder.mkdir()
+    temp = folder / f".{'0' * 64}.99999.tmp"
+    temp.write_bytes(b"in flight")
+    os.utime(temp, ns=(0, 0))
+    lines = COMMUNITY_SAMPLE.read_text(encoding="utf-8").splitlines()[1:]
+    for i in range(17):
+        path = write_lines(tmp_path / f"{i}.jsonl", lines + [lines[0].replace("R1", f"X{i}")])
+        load_cached(path, 30, Parses())
+    assert temp.read_bytes() == b"in flight"
+    assert len([e for e in entries(empty_cache_home) if e != temp]) == 16
+
+
+# --- graph-deletion's intact-graph state --------------------------------------
+
+DELETION_RUNS = {
+    **{measure.value: ["--measure", measure.value] for measure in Indicator},
+    "wtps-weights-one": ["--measure", "wtps", "--weights-one"],
+}
+STEPS = {"steps-0": ["--steps", "0"], "steps-1": ["--steps", "1"], "default": []}
+
+
+def layouts(cache_home: Path) -> Counter:
+    """The number of entries of each format: each entry's first JSON value."""
+    found = Counter()
+    for entry in entries(cache_home):
+        data = entry.read_bytes()
+        found[json.loads(data[32:data.index(b"\n", 32) + 1])[0]] += 1
+    return found
+
+
+def state_entry(cache_home: Path) -> Path:
+    (entry,) = [e for e in entries(cache_home) if _STATE_FORMAT.encode() in e.read_bytes()]
+    return entry
+
+
+def heavy_tailed(folder: Path) -> Path:
+    """60 repositories whose 240 followers have Pareto(1.5) degrees, as in
+    ``test_graph._pareto_graph``."""
+    rng = random.Random(23)
+    corpus = make_corpus(rng, n_repos=60, n_intervals=4, max_delta=6)
+    ids = sorted(corpus.repo_ids)
+    followers = {rid: [] for rid in ids}
+    for i in range(240):
+        for rid in rng.sample(ids, min(len(ids), int(rng.paretovariate(1.5)))):
+            followers[rid].append(f"f{i}")
+    repos = [replace(r, follower_ids=tuple(followers[r.repo_id])) for r in corpus.repos]
+    return saved(Corpus.build(repos, corpus.events), folder / "heavy.jsonl")
+
+
+class Builds:
+    """``graph._twin_classes``, counting its calls: one per state built."""
+
+    def __init__(self):
+        self.calls = 0
+        self.twin_classes = graph._twin_classes
+
+    def __call__(self, g):
+        self.calls += 1
+        return self.twin_classes(g)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    counter = Builds()
+    monkeypatch.setattr(graph, "_twin_classes", counter)
+    return counter
+
+
+def deletion(folder: Path, path: Path, *flags: str, fmt: str = "csv") -> list[bytes]:
+    """Run graph-deletion in ``folder`` with a relative output, so runs in two
+    folders write the same sidecar bytes; its data file and sidecar."""
+    folder.mkdir(parents=True, exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(folder)
+    try:
+        code = main(["graph-deletion", "--input", str(path), "--output", f"d.{fmt}",
+                     "--format", fmt, *flags])
+    finally:
+        os.chdir(cwd)
+    assert code == EXIT_OK
+    return [(folder / name).read_bytes() for name in (f"d.{fmt}", f"d.{fmt}.meta.json")]
+
+
+class TestOverlapState:
+    @pytest.mark.parametrize("name", ["follower", "heavy-tailed"])
+    def test_hit_equals_miss(self, tmp_path, monkeypatch, empty_cache_home, builds, name):
+        # Every measure, with and without --weights-one, at --steps 0, 1
+        # and the default, in CSV and JSON: a run that builds the state and
+        # one that restores it write the same bytes and the same series.
+        path = FOLLOWER_SAMPLE if name == "follower" else heavy_tailed(tmp_path)
+        deletion(tmp_path / "warm", path, "--measure", "stars")
+        assert layouts(empty_cache_home) == {_CACHE_FORMAT: 1, _STATE_FORMAT: 1}
+        for run, flags in DELETION_RUNS.items():
+            for steps, more in STEPS.items():
+                for fmt in ("csv", "json"):
+                    case = f"{run}-{steps}-{fmt}"
+                    cold = tmp_path / "cold" / case
+                    monkeypatch.setenv("XDG_CACHE_HOME", str(cold))
+                    before = builds.calls
+                    built = deletion(tmp_path / "miss" / case, path, *flags, *more, fmt=fmt)
+                    assert builds.calls == before + 1, case
+                    assert layouts(cold) == {_CACHE_FORMAT: 1, _STATE_FORMAT: 1}
+                    monkeypatch.setenv("XDG_CACHE_HOME", str(empty_cache_home))
+                    restored = deletion(tmp_path / "hit" / case, path, *flags, *more, fmt=fmt)
+                    assert builds.calls == before + 1, case
+                    assert restored == built, case
+                    values = [[v.hex() for v in json.loads(meta)["series"]["values"]]
+                              for _, meta in (built, restored)]
+                    assert values[0] == values[1], case
+        assert layouts(empty_cache_home) == {_CACHE_FORMAT: 1, _STATE_FORMAT: 1}
+
+    def test_second_measure_does_not_build(self, tmp_path, monkeypatch):
+        deletion(tmp_path / "stars", FOLLOWER_SAMPLE, "--measure", "stars")
+        monkeypatch.setattr(graph, "_twin_classes", untouched)
+        deletion(tmp_path / "wtps", FOLLOWER_SAMPLE, "--measure", "wtps")
+
+    def test_two_samples_make_two_state_entries(self, tmp_path, empty_cache_home, builds):
+        path = heavy_tailed(tmp_path)
+        first = [deletion(tmp_path / f"seed-{seed}", path, "--measure", "wtps",
+                          "--sample-repos", "30", "--seed", str(seed)) for seed in (1, 2)]
+        assert builds.calls == 2
+        assert layouts(empty_cache_home) == {_CACHE_FORMAT: 1, _STATE_FORMAT: 2}
+        again = [deletion(tmp_path / f"again-{seed}", path, "--measure", "wtps",
+                          "--sample-repos", "30", "--seed", str(seed)) for seed in (1, 2)]
+        assert builds.calls == 2
+        assert again == first
+
+    @pytest.mark.parametrize("coefficient", ["global_transitivity", "average_local"])
+    def test_triangle_kinds_neither_build_nor_store(self, tmp_path, empty_cache_home, builds,
+                                                    coefficient):
+        deletion(tmp_path, FOLLOWER_SAMPLE, "--measure", "wtps", "--coefficient", coefficient)
+        assert builds.calls == 0
+        assert layouts(empty_cache_home) == {_CACHE_FORMAT: 1}
+
+    def test_refused_steps_store_no_state(self, tmp_path, capsys, empty_cache_home, builds):
+        code = main(["graph-deletion", "--input", str(FOLLOWER_SAMPLE), "--measure", "stars",
+                     "--output", str(tmp_path / "d.csv"), "--steps", "4"])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            "--steps 4 exceeds repository count 3")
+        assert builds.calls == 0
+        assert layouts(empty_cache_home) == {_CACHE_FORMAT: 1}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_library_calls_never_touch_the_cache(self, empty_cache_home, follower_corpus):
+        g = graph.build_graph(follower_corpus)
+        scores = graph.scores_for_measure(follower_corpus, Indicator.STARS)
+        graph.deletion_experiment(g, scores, steps=3)
+        graph.clustering_coefficient(g, CoefficientKind.BIPARTITE_LATAPY)
+        assert list(empty_cache_home.iterdir()) == []
+
+    @pytest.mark.parametrize("blocker", ["home-is-a-file", "folder-is-a-file", "replace-denied"])
+    def test_unwritable_cache_costs_only_speed(self, tmp_path, monkeypatch, builds, blocker):
+        reference = {fmt: deletion(tmp_path / "reference", FOLLOWER_SAMPLE, "--measure", "wtps",
+                                   fmt=fmt) for fmt in ("csv", "json")}
+        cache_home = tmp_path / "cache"
+        if blocker == "home-is-a-file":
+            cache_home.write_bytes(b"")
+        elif blocker == "folder-is-a-file":
+            cache_home.mkdir()
+            (cache_home / "wtps").write_bytes(b"")
+        else:
+            replace_file = os.replace
+
+            def denied(source, target):
+                if Path(target).parent == cache_home / "wtps":
+                    raise PermissionError(13, "Permission denied", str(target))
+                replace_file(source, target)
+
+            monkeypatch.setattr(os, "replace", denied)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+        before = builds.calls
+        for fmt in ("csv", "json"):
+            for run in ("first", "second"):
+                assert deletion(tmp_path / run, FOLLOWER_SAMPLE, "--measure", "wtps",
+                                fmt=fmt) == reference[fmt]
+        assert builds.calls == before + 4
+        if blocker == "replace-denied":
+            assert list((cache_home / "wtps").iterdir()) == []
+
+
+class TestDamagedState:
+    @pytest.fixture
+    def stored(self, tmp_path, empty_cache_home):
+        """The follower sample's state entry, its bytes and the run's output."""
+        output = deletion(tmp_path / "first", FOLLOWER_SAMPLE, "--measure", "stars")
+        entry = state_entry(empty_cache_home)
+        return entry, entry.read_bytes(), output
+
+    def assert_built_and_rewritten(self, tmp_path, builds, stored, damaged: bytes):
+        entry, original, output = stored
+        entry.write_bytes(damaged)
+        before = builds.calls
+        assert deletion(tmp_path / "again", FOLLOWER_SAMPLE, "--measure", "stars") == output
+        assert builds.calls == before + 1
+        assert entry.read_bytes() == original
+
+    @pytest.mark.parametrize("keep", [0, 31, 32, 100, -2, -1])
+    def test_truncated_entry(self, tmp_path, builds, stored, keep):
+        self.assert_built_and_rewritten(tmp_path, builds, stored, stored[1][:keep])
+
+    def test_entry_with_a_trailing_byte(self, tmp_path, builds, stored):
+        self.assert_built_and_rewritten(tmp_path, builds, stored, stored[1] + b"\n")
+
+    def test_one_bit_flipped_anywhere(self, tmp_path, builds, stored):
+        data = stored[1]
+        for at in range(0, len(data), 7):
+            flipped = bytearray(data)
+            flipped[at] ^= 1 << at % 8
+            self.assert_built_and_rewritten(tmp_path, builds, stored, bytes(flipped))
+
+    def test_corpus_entry_in_its_place(self, tmp_path, builds, stored, empty_cache_home):
+        (corpus,) = [e for e in entries(empty_cache_home) if e != stored[0]]
+        self.assert_built_and_rewritten(tmp_path, builds, stored, corpus.read_bytes())
+
+    @pytest.mark.parametrize("change", ["format", "graph"])
+    def test_verified_entry_of_another_format_or_graph(self, tmp_path, builds, stored, change):
+        # A digest that matches does not make a state of another format or
+        # of another graph this graph's.
+        line = json.loads(stored[1][32:])
+        if change == "format":
+            line[0] = _STATE_FORMAT.replace("1", "0")
+        else:
+            line[1] = {"R1": 0, "R2": 0, "R9": 1}
+        payload = (json.dumps(line) + "\n").encode()
+        damaged = blake2b(payload, digest_size=32).digest() + payload
+        self.assert_built_and_rewritten(tmp_path, builds, stored, damaged)
+
+    def test_entry_written_under_other_sources(self, tmp_path, monkeypatch, builds,
+                                               empty_cache_home):
+        # Other sources key their states apart: a run of this package
+        # neither reads nor replaces the other sources' state.
+        with monkeypatch.context() as patched:
+            patched.setattr(dataset, "_sources", lambda: b"other sources")
+            output = deletion(tmp_path / "other", FOLLOWER_SAMPLE, "--measure", "stars")
+        other = state_entry(empty_cache_home)
+        data = other.read_bytes()
+        assert builds.calls == 1
+        assert deletion(tmp_path / "here", FOLLOWER_SAMPLE, "--measure", "stars") == output
+        assert builds.calls == 2
+        assert layouts(empty_cache_home) == {_CACHE_FORMAT: 2, _STATE_FORMAT: 2}
+        assert other.read_bytes() == data

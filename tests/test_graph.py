@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -11,6 +12,7 @@ from wtps.graph import (
     CoefficientKind,
     FollowerGraph,
     _exact,
+    _remember,
     build_graph,
     clustering_coefficient,
     deletion_experiment,
@@ -349,6 +351,102 @@ class TestDeletionExperiment:
         assert payload["coefficient_kind"] == "bipartite_latapy"
         assert len(payload["values"]) == 3
         assert payload["removed"] == ["R3", "R1"]
+
+
+class _Memo:
+    """A memo for ``_remember`` that keeps the stored state as JSON text, as
+    the command line's cache does, and counts its calls."""
+
+    def __init__(self):
+        self.text = None
+        self.loads = self.stores = 0
+
+    def load(self):
+        self.loads += 1
+        return None if self.text is None else json.loads(self.text)
+
+    def store(self, state):
+        self.stores += 1
+        self.text = json.dumps(state)
+
+
+def _fresh(graph: FollowerGraph) -> FollowerGraph:
+    """An equal graph without a memo."""
+    return FollowerGraph(graph.repo_nodes, graph.follower_nodes, graph.edges)
+
+
+REMEMBERED_GRAPHS = {
+    **SCALE_BOUND_GRAPHS,
+    **{f"pareto-{seed}": _pareto_graph(random.Random(seed)) for seed in range(3)},
+}
+
+
+class TestRememberedState:
+    @pytest.mark.parametrize("name", ["sample", *REMEMBERED_GRAPHS])
+    def test_restored_state_gives_the_built_series(self, name, follower_corpus):
+        # The state a memo stores before the first removal, restored,
+        # gives every step of the series bit for bit.
+        graph = build_graph(follower_corpus) if name == "sample" else REMEMBERED_GRAPHS[name]
+        order = sorted(graph.repo_nodes)
+        scores = {repo: (i * 7919) % 13 for i, repo in enumerate(order)}
+        built = deletion_experiment(_fresh(graph), scores, steps=len(order))
+        memo = _Memo()
+        runs = [deletion_experiment(_remember(_fresh(graph), memo), scores, steps=len(order))
+                for _ in range(2)]
+        assert (memo.loads, memo.stores) == (2, 1)
+        for series in runs:
+            assert series.removed == built.removed
+            assert [v.hex() for v in series.values] == [v.hex() for v in built.values]
+
+    def test_state_of_another_graph_is_not_restored(self):
+        memo = _Memo()
+        twins = REMEMBERED_GRAPHS["twins"]
+        deletion_experiment(_remember(_fresh(twins), memo), dict.fromkeys(twins.repo_nodes, 0),
+                            steps=0)
+        graph = REMEMBERED_GRAPHS["isolated"]
+        scores = dict.fromkeys(graph.repo_nodes, 0)
+        built = deletion_experiment(_fresh(graph), scores, steps=3)
+        assert deletion_experiment(_remember(_fresh(graph), memo), scores, steps=3) == built
+        assert (memo.loads, memo.stores) == (2, 2)
+
+    def test_remove_repo_gives_a_graph_without_the_memo(self, follower_corpus):
+        memo = _Memo()
+        graph = _remember(build_graph(follower_corpus), memo)
+        smaller = graph.remove_repo("R1")
+        deletion_experiment(smaller, {"R2": 1, "R3": 2}, steps=1)
+        clustering_coefficient(smaller, CoefficientKind.BIPARTITE_LATAPY)
+        assert (memo.loads, memo.stores) == (0, 0)
+        assert smaller == _fresh(graph).remove_repo("R1")
+
+    @pytest.mark.parametrize("case", ["steps", "missing", "nan", "empty", "transitivity",
+                                      "local"])
+    def test_no_measurement_leaves_the_memo_alone(self, follower_corpus, case):
+        # Every refused run and every triangle-based kind neither restores
+        # nor stores a state.
+        memo = _Memo()
+        graph = _remember(build_graph(follower_corpus), memo)
+        scores = {"R1": 1.0, "R2": 2.0, "R3": 3.0}
+        kind = CoefficientKind.BIPARTITE_LATAPY
+        if case == "steps":
+            call, error = lambda: deletion_experiment(graph, scores, steps=4), StepsExceedRepoCount
+        elif case == "missing":
+            call, error = lambda: deletion_experiment(graph, {"R1": 1.0}, steps=1), ValueError
+        elif case == "nan":
+            call, error = (lambda: deletion_experiment(graph, {**scores, "R2": math.nan}, 1),
+                           ValueError)
+        elif case == "empty":
+            graph = _remember(FollowerGraph(frozenset(), frozenset(), frozenset()), memo)
+            call, error = lambda: deletion_experiment(graph, {}, steps=0), EmptyGraph
+        else:
+            kind = (CoefficientKind.GLOBAL_TRANSITIVITY if case == "transitivity"
+                    else CoefficientKind.AVERAGE_LOCAL)
+            call, error = lambda: deletion_experiment(graph, scores, steps=3, kind=kind), None
+        if error is None:
+            assert call().values == (0.0,) * 4
+        else:
+            with pytest.raises(error):
+                call()
+        assert (memo.loads, memo.stores) == (0, 0)
 
 
 class TestEdgeListExport:
