@@ -33,7 +33,7 @@ from functools import cache
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 try:  # hashlib's own blake2b, without the OpenSSL bindings hashlib loads
     from _blake2 import blake2b
@@ -70,16 +70,17 @@ _CANONICAL_EVENT = re.compile(
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 # The cache's entries: the format of ``load_cached``'s, with the event
-# columns' layout, which keys and heads each of them; the bytes of one event
-# in the columns; the format of ``_OverlapMemo``'s; the bytes of an entry's
-# digest; the number of entries kept; and an entry's name, its key's digest.
-_CACHE_FORMAT = "wtps corpus cache 1 {} {}".format(
+# columns' layout, which keys and heads each of them; the format of
+# ``_OverlapMemo``'s; the bytes of an entry's digest; the number of entries
+# kept; an entry's name, its key's digest; and what keying or reading an
+# entry raises for no home directory or a missing or unfit entry.
+_CACHE_FORMAT = "wtps corpus cache 2 {} {}".format(
     sys.byteorder, " ".join(f"{code}{array(code).itemsize}" for code in _COLUMN_TYPES))
-_CACHE_EVENT_BYTES = sum(array(code).itemsize for code in _COLUMN_TYPES)
-_STATE_FORMAT = "wtps overlap state 1"
+_STATE_FORMAT = "wtps overlap state 2"
 _CACHE_DIGEST_BYTES = 32
 _CACHE_ENTRIES = 16
 _CACHE_NAME = re.compile(f"[0-9a-f]{{{2 * _CACHE_DIGEST_BYTES}}}")
+_CACHE_MISSES = (OSError, RuntimeError, ValueError, TypeError, EOFError)
 
 
 class DatasetSource(Enum):
@@ -291,55 +292,33 @@ def load_cached(path: Path, interval_days: int, parse) -> Corpus:
     """``parse(path, interval_days=interval_days)``, read from a cache of the
     corpora earlier calls parsed without error, for the command line.
 
-    An entry (a ``_CacheEntry``) is keyed by the bytes of the file. It holds
-    the repositories, the resolved capture time and the four sorted event
-    columns, so a hit rebuilds the corpus on the asked-for width without
-    parsing or sorting. An entry that cannot be found, read, verified or
-    written is passed over: the file is parsed as without the cache.
-    ``load_corpus`` itself never reads or writes the cache.
+    An entry (a ``_CacheEntry``) is keyed by the bytes of the file. Its value
+    is the resolved capture time and the repositories' fields, and its
+    columns are the four sorted event columns, so a hit rebuilds the corpus
+    on the asked-for width without parsing or sorting. An entry that cannot
+    be found, read or verified is passed over: the file is parsed as without
+    the cache, and the entry is written again unless the file changed while
+    it was parsed. ``load_corpus`` itself never reads or writes the cache.
     """
+    entry = None
     try:
-        entry = _CacheEntry(_CACHE_FORMAT, _blocks(path))
-    except (OSError, RuntimeError):  # RuntimeError: no home directory
-        return parse(path, interval_days=interval_days)
-
-    # The entry's payload: a JSON head line [format, captured_at, event
-    # count, repository fields], then the columns. The size is checked
-    # before a column is read.
-    def decode(handle, payload):
-        head = handle.readline()
-        payload.update(head)
-        layout, captured_at, count, records = json.loads(head)
-        if (layout != _CACHE_FORMAT or type(count) is not int
-                or os.fstat(handle.fileno()).st_size
-                != _CACHE_DIGEST_BYTES + len(head) + count * _CACHE_EVENT_BYTES):
-            raise ValueError("not an entry of this format")
-        columns = []
-        for code in _COLUMN_TYPES:
-            column = array(code)
-            column.fromfile(handle, count)
-            payload.update(column)
-            columns.append(column)
-        return captured_at, records, columns
-
-    try:
-        captured_at, records, columns = entry.read(decode)
+        entry = _CacheEntry(_CACHE_FORMAT, _blocks(path), _COLUMN_TYPES)
+        (captured_at, records), columns = entry.read()
         repos = tuple(RepoRecord(*values) for values in records)
-    except (OSError, ValueError, LookupError, TypeError, EOFError):
+    except _CACHE_MISSES:
         pass
     else:
         return Corpus._derive(repos, captured_at, interval_days, *columns)
 
     corpus = parse(path, interval_days=interval_days)
     try:
-        if _CacheEntry(_CACHE_FORMAT, _blocks(path)).path != entry.path:
-            return corpus  # the file changed while it was parsed
-    except OSError:
+        if entry is None or _CacheEntry(_CACHE_FORMAT, _blocks(path)).path != entry.path:
+            return corpus  # no cache, or the file changed while it was parsed
+    except _CACHE_MISSES:
         return corpus
     records = [[getattr(r, name) for name in _REPO_KEYS] for r in corpus.repos]
-    head = (json.dumps([_CACHE_FORMAT, corpus.captured_at, corpus.event_count, records])
-            + "\n").encode()
-    entry.write([head, corpus._repo, corpus._kind, corpus._time, corpus._delta])
+    entry.write([corpus.captured_at, records],
+                [corpus._repo, corpus._kind, corpus._time, corpus._delta])
     return corpus
 
 
@@ -368,57 +347,77 @@ class _CacheEntry:
 
     Its name is the BLAKE2b-256 digest of its format, the sources of this
     package and the ``content`` blocks it is kept for. Entries live in
-    ``$XDG_CACHE_HOME/wtps``, else ``~/.cache/wtps``; a file holds the
-    BLAKE2b-256 digest of its payload, then the payload. Both kinds of
-    entry, parsed corpora and ``graph-deletion``'s intact-graph state, share
-    the folder and its limit of the newest ``_CACHE_ENTRIES``.
+    ``$XDG_CACHE_HOME/wtps``, else ``~/.cache/wtps``. Every entry has one
+    layout: the BLAKE2b-256 digest of the rest of the file, a JSON line
+    ``[format, count, value]``, then ``count`` items of each ``array`` type
+    in ``types``, one column after another. A parsed corpus keeps its
+    capture time and repositories in the value and its event columns after
+    it; ``graph-deletion``'s intact-graph state is all value, with no
+    columns. Both kinds share the folder and its limit of the newest
+    ``_CACHE_ENTRIES``.
 
     Raises:
         OSError: a source or a content block cannot be read.
         RuntimeError: there is no home directory.
     """
 
-    def __init__(self, layout: str, content: Iterable[bytes]) -> None:
+    def __init__(self, layout: str, content: Iterable[bytes], types: str = "") -> None:
         home = os.environ.get("XDG_CACHE_HOME", "")
         folder = (Path(home) if os.path.isabs(home) else Path.home() / ".cache") / "wtps"
         digest = blake2b(f"{layout}\n".encode(), digest_size=_CACHE_DIGEST_BYTES)
         digest.update(_sources())
         for block in content:
             digest.update(block)
+        self.layout, self.types = layout, types
         self.path = folder / digest.hexdigest()
 
-    def read(self, decode):
-        """``decode(handle, payload)``, which reads the payload from
-        ``handle`` and feeds every byte it reads to the digest ``payload``;
-        its value once that digest is the stored one.
+    def read(self) -> tuple[object, list[array]]:
+        """The entry's value and columns. Its format and size are checked
+        before a column is read, and its digest before they are returned.
 
         Raises:
-            OSError, ValueError, LookupError, TypeError, EOFError: the entry
-                is missing, damaged or of another format.
+            One of ``_CACHE_MISSES``: the entry is missing, damaged or of
+                another format.
         """
         with self.path.open("rb") as handle:
             stored = handle.read(_CACHE_DIGEST_BYTES)
-            payload = blake2b(digest_size=_CACHE_DIGEST_BYTES)
-            value = decode(handle, payload)
+            head = handle.readline()
+            layout, count, value = json.loads(head)
+            row = sum(array(code).itemsize for code in self.types)
+            if (layout != self.layout or type(count) is not int
+                    or os.fstat(handle.fileno()).st_size
+                    != _CACHE_DIGEST_BYTES + len(head) + count * row):
+                raise ValueError("not an entry of this format")
+            payload = blake2b(head, digest_size=_CACHE_DIGEST_BYTES)
+            columns = []
+            for code in self.types:
+                column = array(code)
+                column.fromfile(handle, count)
+                payload.update(column)
+                columns.append(column)
         if payload.digest() != stored:
             raise ValueError("entry digest mismatch")
-        return value
+        return value, columns
 
-    def write(self, payload: list) -> None:
-        """Store the concatenated buffers of ``payload`` through a temp file
-        and ``os.replace``, then delete all but the newest entries. Other
-        files in the folder, such as other writers' temp files, are left
-        alone. An entry that cannot be written is passed over."""
-        digest = blake2b(digest_size=_CACHE_DIGEST_BYTES)
-        for part in payload:
-            digest.update(part)
+    def write(self, value, columns: Sequence[array] = ()) -> None:
+        """Store ``value`` and ``columns``, of equal length and of the types
+        in ``types``, through a temp file and ``os.replace``, then delete all
+        but the newest entries. Other files in the folder, such as other
+        writers' temp files, are left alone. An entry that cannot be written
+        is passed over."""
+        count = len(columns[0]) if columns else 0
+        head = (json.dumps([self.layout, count, value], separators=(",", ":")) + "\n").encode()
+        digest = blake2b(head, digest_size=_CACHE_DIGEST_BYTES)
+        for column in columns:
+            digest.update(column)
         temp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
         try:
             self.path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
             with temp.open("xb") as handle:
                 handle.write(digest.digest())
-                for part in payload:
-                    handle.write(part)
+                handle.write(head)
+                for column in columns:
+                    handle.write(column)
             os.replace(temp, self.path)
             kept = sorted((e for e in os.scandir(self.path.parent)
                            if _CACHE_NAME.fullmatch(e.name)),
@@ -434,9 +433,9 @@ class _OverlapMemo:
     """The intact-graph state of ``graph._Overlap`` for the graph of
     ``repos``, kept in the command line's cache for ``graph-deletion``.
 
-    The entry is keyed by each repository's id and follower ids and holds
-    the state as one JSON line. ``load`` computes the key and reads the
-    entry, and ``store`` writes the entry that ``load`` did not find.
+    The entry is keyed by each repository's id and follower ids; its value
+    is the state, and it has no columns. ``load`` computes the key and reads
+    the entry, and ``store`` writes the entry that ``load`` did not find.
     """
 
     def __init__(self, repos: tuple[RepoRecord, ...]) -> None:
@@ -448,24 +447,13 @@ class _OverlapMemo:
         try:
             graph = json.dumps([[r.repo_id, r.follower_ids] for r in self.repos])
             self.entry = _CacheEntry(_STATE_FORMAT, [graph.encode()])
-            layout, *state = json.loads(self.entry.read(_rest))
-            if layout != _STATE_FORMAT:
-                raise ValueError("not an entry of this format")
-            return state
-        except (OSError, RuntimeError, ValueError, TypeError):
+            return self.entry.read()[0]
+        except _CACHE_MISSES:
             return None
 
     def store(self, state: list) -> None:
         if self.entry is not None:
-            line = json.dumps([_STATE_FORMAT, *state], separators=(",", ":")) + "\n"
-            self.entry.write([line.encode()])
-
-
-def _rest(handle, payload) -> bytes:
-    """The rest of ``handle``, fed to the digest ``payload``."""
-    data = handle.read()
-    payload.update(data)
-    return data
+            self.entry.write(state)
 
 
 def _dump(obj: dict) -> str:

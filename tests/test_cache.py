@@ -1,13 +1,17 @@
 """The command line's cache of loaded corpora (``wtps.dataset.load_cached``)
 and of ``graph-deletion``'s intact-graph state (``wtps.dataset._OverlapMemo``).
 
-A hit must give what parsing gives: the same corpus at every width, and the
-same output bytes from every command. An entry that is missing, damaged,
-of another layout or written under other sources is passed over, the file is
-parsed, and the entry is written again. Nothing about the cache may change
-an outcome: a failed load writes no entry, a cache that cannot be written
-costs only speed, and a configuration error reads neither the input nor the
-cache.
+Both kinds of entry have one layout, ``wtps.dataset._CacheEntry``'s: a digest,
+a JSON head line ``[format, count, value]``, then the columns, which only a
+corpus has. A hit must give what parsing or measuring gives: the same corpus
+at every width, and the same output bytes from every command. An entry of
+either kind that is missing, damaged, of another format or written under
+other sources is passed over, the file is parsed or the graph measured, and
+the entry is written again. Nothing about the cache may change an outcome: a
+failed load writes no entry, a cache that cannot be written costs only
+speed, and a configuration error reads neither the input nor the cache.
+Only ``test_generated_files`` needs hypothesis, and only it is skipped
+without it.
 """
 
 import json
@@ -21,21 +25,18 @@ from collections import Counter
 from dataclasses import replace
 from hashlib import blake2b
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import wtps
-from wtps import Indicator, dataset, graph, load_corpus, model
+from wtps import Indicator, graph, load_corpus, model
 from wtps.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from wtps.dataset import _CACHE_FORMAT, _STATE_FORMAT, load_cached, save_corpus
 from wtps.model import CoefficientKind, Corpus
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE
 from synth import make_corpus
 from test_golden import DIGESTS, run_all
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 WIDTHS = (1, 7, 30)
 ENTRY = "import sys\nfrom wtps.cli import main\nsys.exit(main(sys.argv[1:]))"
@@ -186,19 +187,26 @@ class TestHitEqualsMiss:
             with pytest.raises(ValueError, match=message):
                 load()
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32), unit=st.booleans(), negative=st.booleans(),
-           manifest=st.booleans(), spelled=st.booleans())
-    def test_generated_files(self, tmp_path_factory, seed, unit, negative, manifest, spelled):
-        folder = tmp_path_factory.mktemp("generated")
-        corpus = make_corpus(random.Random(seed), n_repos=5, n_intervals=3, max_delta=4,
-                             unit_events=unit, allow_negative=negative, follower_pool=4)
-        path = saved(corpus, folder / "corpus.jsonl", manifest=manifest)
-        if spelled:
-            path = respelled(path, folder / "spelled.jsonl", seed)
-        # The first load may hit an entry of an equal file drawn before.
-        assert_same(load_cached(path, 30, Parses()), load_corpus(path, interval_days=30))
-        assert_hits_equal_parses(path)
+    def test_generated_files(self, tmp_path_factory):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=40, deadline=None)
+        @given(seed=st.integers(0, 2**32), unit=st.booleans(), negative=st.booleans(),
+               manifest=st.booleans(), spelled=st.booleans())
+        def check(seed, unit, negative, manifest, spelled):
+            folder = tmp_path_factory.mktemp("generated")
+            corpus = make_corpus(random.Random(seed), n_repos=5, n_intervals=3, max_delta=4,
+                                 unit_events=unit, allow_negative=negative, follower_pool=4)
+            path = saved(corpus, folder / "corpus.jsonl", manifest=manifest)
+            if spelled:
+                path = respelled(path, folder / "spelled.jsonl", seed)
+            # The first load may hit an entry of an equal file drawn before.
+            assert_same(load_cached(path, 30, Parses()), load_corpus(path, interval_days=30))
+            assert_hits_equal_parses(path)
+
+        check()
 
 
 def test_library_load_never_touches_the_cache(empty_cache_home):
@@ -259,101 +267,6 @@ class TestCommandOutputs:
                             for name in ("scores.csv", "scores.csv.meta.json")])
             assert len(entries(empty_cache_home)) == 1
         assert outputs[0] == outputs[1]
-
-
-def relayout(data: bytes, byteorder: str, q_size: int) -> bytes:
-    """The entry ``data`` as a machine whose columns have ``byteorder`` and
-    ``q_size``-byte "q" items would write it."""
-    end = data.index(b"\n", 32) + 1
-    layout, captured_at, count, records = json.loads(data[32:end])
-    assert layout == _CACHE_FORMAT
-    body, columns = data[end:], []
-    for code in model._COLUMN_TYPES:
-        column = array(code)
-        column.frombytes(body[:count * column.itemsize])
-        body = body[count * column.itemsize:]
-        size = q_size if code == "q" else column.itemsize
-        columns.append(b"".join(v.to_bytes(size, byteorder, signed=True) for v in column))
-    fmt = _CACHE_FORMAT.replace(sys.byteorder, byteorder).replace("q8", f"q{q_size}")
-    payload = (json.dumps([fmt, captured_at, count, records]) + "\n").encode() + b"".join(columns)
-    return blake2b(payload, digest_size=32).digest() + payload
-
-
-class TestDamagedEntries:
-    @pytest.fixture
-    def cached(self, empty_cache_home):
-        """The one entry of the community sample, and its bytes."""
-        load_cached(COMMUNITY_SAMPLE, 30, Parses())
-        (entry,) = entries(empty_cache_home)
-        return entry, entry.read_bytes()
-
-    def assert_parsed_and_rewritten(self, entry, damaged: bytes, original: bytes):
-        entry.write_bytes(damaged)
-        parses = Parses()
-        assert_same(load_cached(COMMUNITY_SAMPLE, 7, parses),
-                    load_corpus(COMMUNITY_SAMPLE, interval_days=7))
-        assert parses.calls == 1
-        assert entry.read_bytes() == original
-
-    def test_relayout_of_the_native_layout_is_the_entry(self, cached):
-        # So each layout case below differs from a good entry in its layout only.
-        entry, data = cached
-        assert relayout(data, sys.byteorder, 8) == data
-
-    @pytest.mark.parametrize("keep", [0, 31, 32, 100, -25, -1])
-    def test_truncated_entry(self, cached, keep):
-        entry, data = cached
-        self.assert_parsed_and_rewritten(entry, data[:keep], data)
-
-    def test_entry_with_a_trailing_byte(self, cached):
-        entry, data = cached
-        self.assert_parsed_and_rewritten(entry, data + b"\0", data)
-
-    def test_one_bit_flipped_anywhere(self, cached):
-        entry, data = cached
-        for at in range(0, len(data), 7):
-            flipped = bytearray(data)
-            flipped[at] ^= 1 << at % 8
-            self.assert_parsed_and_rewritten(entry, bytes(flipped), data)
-
-    @pytest.mark.parametrize("byteorder,q_size", [
-        ("big" if sys.byteorder == "little" else "little", 8),
-        (sys.byteorder, 4),
-    ], ids=["byte-order", "item-size"])
-    def test_other_column_layout(self, cached, byteorder, q_size):
-        entry, data = cached
-        self.assert_parsed_and_rewritten(entry, relayout(data, byteorder, q_size), data)
-
-    def test_entry_written_under_other_sources(self, tmp_path, empty_cache_home):
-        # A copy of the package with one letter of one source changed, its
-        # size kept, keys its entries apart.
-        package = tmp_path / "copy" / "wtps"
-        shutil.copytree(Path(wtps.__file__).resolve().parent, package,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        source = (package / "errors.py").read_text(encoding="utf-8")
-        assert source.startswith('"""Exception types')
-        (package / "errors.py").write_text(source.replace("E", "e", 1), encoding="utf-8")
-        env = {**os.environ, "PYTHONPATH": str(package.parent)}
-
-        def run_copy(name):
-            result = subprocess.run(
-                [sys.executable, "-c", ENTRY, "score", "--input", str(COMMUNITY_SAMPLE),
-                 "--output", str(tmp_path / name)], env=env, capture_output=True, text=True)
-            assert result.returncode == 0, result.stderr
-
-        run_copy("copy.csv")
-        (other,) = entries(empty_cache_home)
-        inode = other.stat().st_ino
-        parses = Parses()
-        assert_same(load_cached(COMMUNITY_SAMPLE, 30, parses), load_corpus(COMMUNITY_SAMPLE))
-        assert parses.calls == 1
-        assert len(entries(empty_cache_home)) == 2
-        run_copy("copy-again.csv")  # a hit: the copy's entry is not rewritten
-        assert other.stat().st_ino == inode
-        assert main(["score", "--input", str(COMMUNITY_SAMPLE),
-                     "--output", str(tmp_path / "here.csv")]) == EXIT_OK
-        assert ((tmp_path / "copy.csv").read_bytes() == (tmp_path / "copy-again.csv").read_bytes()
-                == (tmp_path / "here.csv").read_bytes())
 
 
 def test_file_changed_while_parsed_gets_no_entry(tmp_path, empty_cache_home):
@@ -525,18 +438,23 @@ DELETION_RUNS = {
 STEPS = {"steps-0": ["--steps", "0"], "steps-1": ["--steps", "1"], "default": []}
 
 
+def split(data: bytes) -> tuple[list, bytes]:
+    """An entry's head line ``[format, count, value]``, decoded, and the
+    columns after it."""
+    end = data.index(b"\n", 32) + 1
+    return json.loads(data[32:end]), data[end:]
+
+
+def joined(head: list, columns: bytes) -> bytes:
+    """The entry of ``head`` and ``columns`` under their digest, as
+    ``_CacheEntry.write`` writes it."""
+    payload = (json.dumps(head, separators=(",", ":")) + "\n").encode() + columns
+    return blake2b(payload, digest_size=32).digest() + payload
+
+
 def layouts(cache_home: Path) -> Counter:
-    """The number of entries of each format: each entry's first JSON value."""
-    found = Counter()
-    for entry in entries(cache_home):
-        data = entry.read_bytes()
-        found[json.loads(data[32:data.index(b"\n", 32) + 1])[0]] += 1
-    return found
-
-
-def state_entry(cache_home: Path) -> Path:
-    (entry,) = [e for e in entries(cache_home) if _STATE_FORMAT.encode() in e.read_bytes()]
-    return entry
+    """The number of entries of each format."""
+    return Counter(split(entry.read_bytes())[0][0] for entry in entries(cache_home))
 
 
 def heavy_tailed(folder: Path) -> Path:
@@ -685,64 +603,156 @@ class TestOverlapState:
             assert list((cache_home / "wtps").iterdir()) == []
 
 
-class TestDamagedState:
-    @pytest.fixture
-    def stored(self, tmp_path, empty_cache_home):
-        """The follower sample's state entry, its bytes and the run's output."""
-        output = deletion(tmp_path / "first", FOLLOWER_SAMPLE, "--measure", "stars")
-        entry = state_entry(empty_cache_home)
-        return entry, entry.read_bytes(), output
+# --- damaged entries of both kinds --------------------------------------------
 
-    def assert_built_and_rewritten(self, tmp_path, builds, stored, damaged: bytes):
-        entry, original, output = stored
-        entry.write_bytes(damaged)
-        before = builds.calls
-        assert deletion(tmp_path / "again", FOLLOWER_SAMPLE, "--measure", "stars") == output
-        assert builds.calls == before + 1
-        assert entry.read_bytes() == original
+KINDS = {"corpus": _CACHE_FORMAT, "state": _STATE_FORMAT}
 
-    @pytest.mark.parametrize("keep", [0, 31, 32, 100, -2, -1])
-    def test_truncated_entry(self, tmp_path, builds, stored, keep):
-        self.assert_built_and_rewritten(tmp_path, builds, stored, stored[1][:keep])
 
-    def test_entry_with_a_trailing_byte(self, tmp_path, builds, stored):
-        self.assert_built_and_rewritten(tmp_path, builds, stored, stored[1] + b"\n")
+def relayout(data: bytes, byteorder: str, q_size: int) -> bytes:
+    """The corpus entry ``data`` as a machine whose columns have
+    ``byteorder`` and ``q_size``-byte "q" items would write it."""
+    (layout, count, value), body = split(data)
+    assert layout == _CACHE_FORMAT
+    columns = []
+    for code in model._COLUMN_TYPES:
+        column = array(code)
+        column.frombytes(body[:count * column.itemsize])
+        body = body[count * column.itemsize:]
+        size = q_size if code == "q" else column.itemsize
+        columns.append(b"".join(v.to_bytes(size, byteorder, signed=True) for v in column))
+    fmt = _CACHE_FORMAT.replace(sys.byteorder, byteorder).replace("q8", f"q{q_size}")
+    return joined([fmt, count, value], b"".join(columns))
 
-    def test_one_bit_flipped_anywhere(self, tmp_path, builds, stored):
-        data = stored[1]
-        for at in range(0, len(data), 7):
-            flipped = bytearray(data)
-            flipped[at] ^= 1 << at % 8
-            self.assert_built_and_rewritten(tmp_path, builds, stored, bytes(flipped))
 
-    def test_corpus_entry_in_its_place(self, tmp_path, builds, stored, empty_cache_home):
-        (corpus,) = [e for e in entries(empty_cache_home) if e != stored[0]]
-        self.assert_built_and_rewritten(tmp_path, builds, stored, corpus.read_bytes())
+def followed(folder: Path) -> Path:
+    """The community sample, events and all, with the follower sample's
+    followers, so one graph-deletion run writes a corpus entry with columns
+    and a state entry."""
+    followers = {}
+    for line in FOLLOWER_SAMPLE.read_text(encoding="utf-8").splitlines()[1:]:
+        repo = json.loads(line)
+        followers[repo["repo_id"]] = repo["follower_ids"]
+    lines = COMMUNITY_SAMPLE.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        if '"full_name"' in line:
+            repo = json.loads(line)
+            repo["follower_ids"] = followers.get(repo["repo_id"], [])
+            lines[i] = json.dumps(repo, separators=(",", ":"))
+    return write_lines(folder / "followed.jsonl", lines)
 
-    @pytest.mark.parametrize("change", ["format", "graph"])
-    def test_verified_entry_of_another_format_or_graph(self, tmp_path, builds, stored, change):
-        # A digest that matches does not make a state of another format or
-        # of another graph this graph's.
-        line = json.loads(stored[1][32:])
-        if change == "format":
-            line[0] = _STATE_FORMAT.replace("1", "0")
+
+class TestDamagedEntries:
+    """An entry of either kind that is damaged, truncated, of another format
+    or kind, or written under other sources is passed over: the run parses
+    the file or measures the graph once more, reads the other kind's entry,
+    rewrites the entry as it was and writes the same bytes."""
+
+    @pytest.fixture(params=list(KINDS))
+    def stored(self, request, tmp_path, monkeypatch, empty_cache_home, builds):
+        """A graph-deletion run's entry of this kind and its bytes, the
+        other kind's entry, the run's input and output, and the counters of
+        parses and builds, this kind's first."""
+        parses = Parses()
+        monkeypatch.setattr("wtps.cli.load_corpus", parses)
+        path = followed(tmp_path)
+        output = deletion(tmp_path / "first", path, "--measure", "stars")
+        (entry,) = [e for e in entries(empty_cache_home)
+                    if split(e.read_bytes())[0][0] == KINDS[request.param]]
+        (other,) = [e for e in entries(empty_cache_home) if e != entry]
+        counters = [parses, builds] if request.param == "corpus" else [builds, parses]
+        return SimpleNamespace(path=path, output=output, entry=entry, data=entry.read_bytes(),
+                               other=other, counters=counters)
+
+    def assert_rebuilt(self, tmp_path, stored, damaged: bytes | None):
+        """Run again with ``damaged`` in the entry's place, or no entry."""
+        if damaged is None:
+            stored.entry.unlink()
         else:
-            line[1] = {"R1": 0, "R2": 0, "R9": 1}
-        payload = (json.dumps(line) + "\n").encode()
-        damaged = blake2b(payload, digest_size=32).digest() + payload
-        self.assert_built_and_rewritten(tmp_path, builds, stored, damaged)
+            stored.entry.write_bytes(damaged)
+        before = [counter.calls for counter in stored.counters]
+        assert deletion(tmp_path / "again", stored.path, "--measure", "stars") == stored.output
+        assert [counter.calls for counter in stored.counters] == [before[0] + 1, before[1]]
+        assert stored.entry.read_bytes() == stored.data
 
-    def test_entry_written_under_other_sources(self, tmp_path, monkeypatch, builds,
-                                               empty_cache_home):
-        # Other sources key their states apart: a run of this package
-        # neither reads nor replaces the other sources' state.
-        with monkeypatch.context() as patched:
-            patched.setattr(dataset, "_sources", lambda: b"other sources")
-            output = deletion(tmp_path / "other", FOLLOWER_SAMPLE, "--measure", "stars")
-        other = state_entry(empty_cache_home)
-        data = other.read_bytes()
-        assert builds.calls == 1
-        assert deletion(tmp_path / "here", FOLLOWER_SAMPLE, "--measure", "stars") == output
-        assert builds.calls == 2
-        assert layouts(empty_cache_home) == {_CACHE_FORMAT: 2, _STATE_FORMAT: 2}
-        assert other.read_bytes() == data
+    @pytest.mark.parametrize("keep", [0, 31, 32, 100, -25, -2, -1])
+    def test_truncated_entry(self, tmp_path, stored, keep):
+        self.assert_rebuilt(tmp_path, stored, stored.data[:keep])
+
+    @pytest.mark.parametrize("byte", [b"\0", b"\n"], ids=["nul", "newline"])
+    def test_entry_with_a_trailing_byte(self, tmp_path, stored, byte):
+        self.assert_rebuilt(tmp_path, stored, stored.data + byte)
+
+    def test_one_bit_flipped_anywhere(self, tmp_path, stored):
+        for at in range(0, len(stored.data), 7):
+            flipped = bytearray(stored.data)
+            flipped[at] ^= 1 << at % 8
+            self.assert_rebuilt(tmp_path, stored, bytes(flipped))
+
+    def test_head_nested_too_deep(self, tmp_path, stored):
+        # Decoding the head raises RecursionError, before the digest is
+        # checked; the command must still pass the entry over.
+        self.assert_rebuilt(tmp_path, stored, bytes(32) + b"[" * 100_000 + b"\n")
+
+    def test_other_kinds_entry_in_its_place(self, tmp_path, stored):
+        self.assert_rebuilt(tmp_path, stored, stored.other.read_bytes())
+
+    def test_verified_entry_of_another_format(self, tmp_path, stored):
+        # A digest that matches does not make an entry of another format,
+        # here the previous version's number, this one.
+        (layout, count, value), columns = split(stored.data)
+        older = layout.replace(" 2", " 1", 1)
+        assert older != layout
+        self.assert_rebuilt(tmp_path, stored, joined([older, count, value], columns))
+
+    def test_entry_written_under_other_sources(self, tmp_path, stored, empty_cache_home):
+        # A copy of the package with one letter of one source changed, its
+        # size kept, keys its entries apart: each package neither reads nor
+        # replaces the other's entries.
+        package = tmp_path / "copy" / "wtps"
+        shutil.copytree(Path(wtps.__file__).resolve().parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        source = (package / "errors.py").read_text(encoding="utf-8")
+        assert source.startswith('"""Exception types')
+        (package / "errors.py").write_text(source.replace("E", "e", 1), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(package.parent)}
+
+        def run_copy(name):
+            result = subprocess.run(
+                [sys.executable, "-c", ENTRY, "graph-deletion", "--input", str(stored.path),
+                 "--output", str(tmp_path / name), "--measure", "stars"],
+                env=env, capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            return (tmp_path / name).read_bytes()
+
+        copied = run_copy("copy.csv")
+        theirs = {e: e.stat().st_ino for e in entries(empty_cache_home)
+                  if e not in (stored.entry, stored.other)}
+        assert len(theirs) == 2
+        self.assert_rebuilt(tmp_path, stored, None)
+        assert run_copy("copy-again.csv") == copied == stored.output[0]
+        assert {e: e.stat().st_ino for e in theirs} == theirs
+
+    @pytest.mark.parametrize("stored", ["corpus"], indirect=True)
+    def test_relayout_of_the_native_layout_is_the_entry(self, stored):
+        # So each layout case below differs from a good entry in its layout only.
+        assert relayout(stored.data, sys.byteorder, 8) == stored.data
+
+    @pytest.mark.parametrize("stored", ["corpus"], indirect=True)
+    @pytest.mark.parametrize("byteorder,q_size", [
+        ("big" if sys.byteorder == "little" else "little", 8),
+        (sys.byteorder, 4),
+    ], ids=["byte-order", "item-size"])
+    def test_other_column_layout(self, tmp_path, stored, byteorder, q_size):
+        self.assert_rebuilt(tmp_path, stored, relayout(stored.data, byteorder, q_size))
+
+    @pytest.mark.parametrize("stored", ["state"], indirect=True)
+    def test_verified_state_of_another_graph(self, tmp_path, monkeypatch, stored):
+        # A digest and a format that match do not make the state of another
+        # graph this graph's: ``_fits`` refuses it.
+        (layout, count, state), columns = split(stored.data)
+        state[0] = {"R1": 0, "R2": 0, "R9": 1}
+        fits, graph_fits = [], graph._fits
+        monkeypatch.setattr(graph, "_fits", lambda *args: fits.append(graph_fits(*args))
+                            or fits[-1])
+        self.assert_rebuilt(tmp_path, stored, joined([layout, count, state], columns))
+        assert fits == [False]

@@ -1,24 +1,31 @@
-"""Golden outputs: every file-based command on both shipped samples.
+"""Golden outputs: every file-based command on both shipped samples, and the
+main commands on a generated corpus large enough for ties, long rows and a
+heavy-tailed follower graph.
 
 Each run's exit code and the SHA-256 digests of its data file and sidecar are
-compared with ``golden_digests.json``. Sidecar path fields (``config.input``,
-``config.output``, ``provenance.input``) are masked before hashing, so the
-digests do not depend on where the test runs. To re-record the digests after
-an intended output change, run
+compared with ``golden_digests.json`` and ``golden_generated.json``. Sidecar
+path fields (``config.input``, ``config.output``, ``provenance.input``) are
+masked before hashing, so the digests do not depend on where the test runs.
+To re-record the digests after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
+    PYTHONPATH=src python tests/test_golden.py generated > tests/golden_generated.json
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import random
 import sys
 import tempfile
+from datetime import datetime, timezone
 from pathlib import Path
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+GENERATED_DIGESTS = Path(__file__).with_name("golden_generated.json")
 SAMPLES = ("community_sample", "follower_sample")
 
 # Flags appended to ``<command> --input ... --output ... --format ...``.
@@ -70,23 +77,27 @@ def _digest(path: Path) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
-def run_all(workdir: Path) -> dict[str, dict]:
-    """Run every golden command; map run name to exit code and digests."""
+def run_all(workdir: Path, inputs: dict[str, Path] | None = None,
+            formatted: dict = FORMATTED_RUNS, plain: dict = PLAIN_RUNS) -> dict[str, dict]:
+    """Run every golden command on each input (by name; the shipped samples
+    by default); map run name to exit code and digests."""
     from wtps.cli import main
 
+    if inputs is None:
+        inputs = {sample: DATA_DIR / f"{sample}.jsonl" for sample in SAMPLES}
     runs = {}
-    for sample in SAMPLES:
+    for sample in inputs:
         for fmt in ("csv", "json"):
-            for name, argv in FORMATTED_RUNS.items():
+            for name, argv in formatted.items():
                 runs[f"{sample}/{fmt}/{name}"] = argv + ["--format", fmt]
-        for name, argv in PLAIN_RUNS.items():
+        for name, argv in plain.items():
             runs[f"{sample}/{name}"] = argv
     results = {}
     for run_name, argv in runs.items():
         sample = run_name.split("/")[0]
         output = workdir / run_name.replace("/", "-")
         sidecar = output.with_name(output.name + ".meta.json")
-        code = main(argv[:1] + ["--input", str(DATA_DIR / f"{sample}.jsonl"),
+        code = main(argv[:1] + ["--input", str(inputs[sample]),
                                 "--output", str(output)] + argv[1:])
         results[run_name] = {
             "exit": code,
@@ -94,6 +105,116 @@ def run_all(workdir: Path) -> dict[str, dict]:
             "meta": _masked_sidecar_digest(sidecar) if sidecar.exists() else None,
         }
     return results
+
+
+def _stamp(t: int, offset: int = 0, fraction: str = "") -> str:
+    """Epoch second ``t`` in ISO-8601, at a UTC offset of ``offset`` seconds."""
+    local = datetime.fromtimestamp(t + offset, timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+    if offset:
+        return f"{local}{fraction}+{offset // 3600:02d}:{offset // 60 % 60:02d}"
+    return f"{local}{fraction}Z"
+
+
+def generated_lines() -> list[str]:
+    """The lines of the generated corpus.
+
+    300 repositories created in 2016, with about 40,000 fork and star events
+    up to the end of 2019, so a weekly row has more than 200 cells. Every
+    third repository has unit events, the next aggregate positive deltas and
+    the next signed deltas. Half the event times fall on whole hours, so many
+    tie. Events per repository and repositories per follower (of 400) are
+    Pareto(1) draws, capped. The event lines are in random order, and one in
+    five is spelled otherwise than ``save_corpus`` writes it.
+
+    Only ``random.Random.random``, whose stream Python keeps across versions,
+    and correctly rounded float operations draw the values, so the file is
+    the same on every platform; its SHA-256 is pinned beside the digests.
+    """
+    u = random.Random(24).random
+
+    def below(n: int) -> int:
+        return int(u() * n)
+
+    n_repos, n_followers, n_events = 300, 400, 40_000
+    hour, first, hours = 3600, 1_451_606_400, 4 * 365 * 24  # from 2016-01-01T00:00:00Z
+    followers: list[list[str]] = [[] for _ in range(n_repos)]
+    for f in range(n_followers):
+        picked: set[int] = set()
+        while len(picked) < min(n_repos, int(1.0 / (1.0 - u()))):
+            picked.add(below(n_repos))
+        for r in sorted(picked):
+            followers[r].append(f"u{f:04d}")
+    weights = [min(5_000, int(100.0 / (1.0 - u()))) for _ in range(n_repos)]
+    total, repos, events = sum(weights), [], []
+    for r, weight in enumerate(weights):
+        created = below(365 * 24)
+        totals = {"fork": 0, "star": 0}
+        for _ in range(max(1, weight * n_events // total)):
+            kind = "fork" if u() < 0.4 else "star"
+            if r % 3 == 0:
+                delta = 1
+            elif r % 3 == 1:
+                delta = 1 + int(u() * u() * u() * 40)
+            else:
+                delta = (1 + below(30)) * (-1 if u() < 0.3 else 1)
+            t = first + (created + below(hours - created)) * hour
+            if u() < 0.5:
+                t += below(hour)
+            totals[kind] += delta
+            events.append({"repo_id": f"g{r:04d}", "kind": kind, "occurred_at": t,
+                           "delta": delta})
+        repos.append({"repo_id": f"g{r:04d}", "full_name": f"org{r % 17}/project-{r}",
+                      "created_at": _stamp(first + created * hour),
+                      "primary_language": (None, "Python", "Go", "C", "Rust")[below(5)],
+                      "size_kb": below(100_000), "owner_followers": below(5_000),
+                      "forks_total": max(0, totals["fork"]),
+                      "stars_total": max(0, totals["star"]),
+                      "watchers_total": below(200), "follower_ids": followers[r]})
+    manifest = {"schema_version": 1,
+                "captured_at": _stamp(max(e["occurred_at"] for e in events) + 86_400),
+                "repo_count": n_repos, "source": "file"}
+    lines = [json.dumps(obj, separators=(",", ":")) for obj in [manifest, *repos]]
+    keys = [u() for _ in events]
+    for i in sorted(range(len(events)), key=keys.__getitem__):
+        event, style = events[i], below(20)
+        t = event["occurred_at"]
+        event["occurred_at"] = _stamp(t)
+        if style == 0:  # spaces after separators
+            lines.append(json.dumps(event))
+            continue
+        if style == 1:  # a UTC offset
+            event["occurred_at"] = _stamp(t, offset=19_800)
+        elif style == 2:  # a fraction of a second
+            event["occurred_at"] = _stamp(t, fraction=".75")
+        elif style == 3 and event["delta"] == 1:  # the default delta left out
+            del event["delta"]
+        elif style == 4:  # keys in reverse order
+            event = dict(reversed(event.items()))
+        lines.append(json.dumps(event, separators=(",", ":")))
+    return lines
+
+
+def write_generated(path: Path) -> str:
+    """Write the generated corpus to ``path``; its SHA-256."""
+    data = "".join(line + "\n" for line in generated_lines()).encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+# The main commands, on the generated corpus.
+GENERATED_RUNS = {
+    "ingest": ["ingest"],
+    "score": ["score"],
+    "score-7d": ["score", "--interval-days", "7"],
+    "rank-wtps": ["rank", "--indicator", "wtps"],
+    "sweep": ["sweep"],
+    "deletion-wtps": ["graph-deletion", "--measure", "wtps"],
+}
+
+
+def run_generated(workdir: Path, path: Path) -> dict[str, dict]:
+    """``run_all`` of ``GENERATED_RUNS`` on the generated corpus at ``path``."""
+    return run_all(workdir, {"generated": path}, GENERATED_RUNS, {})
 
 
 def test_outputs_match_golden_digests(tmp_path):
@@ -104,7 +225,34 @@ def test_outputs_match_golden_digests(tmp_path):
     assert mismatched == []
 
 
+def test_generated_corpus_matches_golden_digests(tmp_path, monkeypatch):
+    # Pure Python at the default ``_NUMPY_FROM``, numpy's sort, bin and
+    # score kernels at 0. Each pass starts with an empty cache, so its first
+    # command parses the file and every later one reads the corpus entry, as
+    # the second graph-deletion reads the graph's state entry.
+    from wtps import model
+
+    expected = json.loads(GENERATED_DIGESTS.read_text(encoding="utf-8"))
+    path = tmp_path / "generated.jsonl"
+    assert write_generated(path) == expected["corpus"]
+    for numpy_from in (model._NUMPY_FROM, 0):
+        workdir = tmp_path / f"numpy-from-{numpy_from}"
+        workdir.mkdir()
+        monkeypatch.setattr(model, "_NUMPY_FROM", numpy_from)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(workdir / "cache"))
+        got = run_generated(workdir, path)
+        assert sorted(got) == sorted(expected["runs"])
+        mismatched = sorted(name for name in got if got[name] != expected["runs"][name])
+        assert mismatched == [], numpy_from
+
+
 if __name__ == "__main__":
+    # Each recording starts with an empty cache of its own.
     with tempfile.TemporaryDirectory() as workdir:
-        digests = run_all(Path(workdir))
+        os.environ["XDG_CACHE_HOME"] = str(Path(workdir) / "cache")
+        if sys.argv[1:] == ["generated"]:
+            path = Path(workdir) / "generated.jsonl"
+            digests = {"corpus": write_generated(path), "runs": run_generated(Path(workdir), path)}
+        else:
+            digests = run_all(Path(workdir))
     sys.stdout.write(json.dumps(digests, indent=1, sort_keys=True) + "\n")
