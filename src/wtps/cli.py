@@ -23,20 +23,21 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
-from contextlib import contextmanager
+from array import array
+from contextlib import contextmanager, suppress
+from functools import cache
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+try:  # hashlib's own blake2b, without the OpenSSL bindings hashlib loads
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from . import __version__
-from .dataset import (
-    DatasetSource,
-    _OverlapMemo,
-    format_timestamp,
-    load_cached,
-    load_corpus,
-    save_corpus,
-)
+from .dataset import _REPO_KEYS, DatasetSource, format_timestamp, load_corpus, save_corpus
 from .errors import (
     ApiError,
     ConfigError,
@@ -48,7 +49,8 @@ from .errors import (
     ParseError,
     WtpsError,
 )
-from .model import DEFAULT_SWEEP_DAYS, CoefficientKind, Corpus, TimeGrid, bin_events
+from .model import (_COLUMN_TYPES, DEFAULT_SWEEP_DAYS, CoefficientKind, Corpus, RepoRecord,
+                    TimeGrid, bin_events)
 from .scoring import (
     GrowthThresholds,
     Indicator,
@@ -274,7 +276,189 @@ def _load(args) -> Corpus:
         if target.exists() and target.samefile(path):
             raise ConfigError(f"output {target} would overwrite the input {path}")
     _check_flags(args)
-    return load_cached(path, args.interval_days, load_corpus)
+    return load_cached(path, args.interval_days)
+
+
+# The cache's entries: the format of ``load_cached``'s, with the event
+# columns' layout, which keys and heads each of them; the format of
+# ``_OverlapMemo``'s; the bytes of an entry's digest; the number of entries
+# kept; an entry's name, its key's digest; and what keying or reading an
+# entry raises for no home directory or a missing or unfit entry.
+_CACHE_FORMAT = "wtps corpus cache 2 {} {}".format(
+    sys.byteorder, " ".join(f"{code}{array(code).itemsize}" for code in _COLUMN_TYPES))
+_STATE_FORMAT = "wtps overlap state 2"
+_CACHE_DIGEST_BYTES = 32
+_CACHE_ENTRIES = 16
+_CACHE_NAME = re.compile(f"[0-9a-f]{{{2 * _CACHE_DIGEST_BYTES}}}")
+_CACHE_MISSES = (OSError, RuntimeError, ValueError, TypeError, EOFError)
+
+
+def load_cached(path: Path, interval_days: int) -> Corpus:
+    """``load_corpus(path, interval_days=interval_days)``, read from the
+    command line's cache of the corpora earlier calls parsed without error.
+
+    An entry (a ``_CacheEntry``) is keyed by the bytes of the file. Its value
+    is the resolved capture time and the repositories' fields, and its
+    columns are the four sorted event columns, so a hit rebuilds the corpus
+    on the asked-for width without parsing or sorting. An entry that cannot
+    be found, read or verified is passed over: the file is parsed as without
+    the cache, and the entry is written again unless the file changed while
+    it was parsed. ``load_corpus`` itself never reads or writes the cache.
+    """
+    entry = None
+    try:
+        entry = _CacheEntry(_CACHE_FORMAT, _blocks(path), _COLUMN_TYPES)
+        (captured_at, records), columns = entry.read()
+        repos = tuple(RepoRecord(*values) for values in records)
+    except _CACHE_MISSES:
+        pass
+    else:
+        return Corpus._derive(repos, captured_at, interval_days, *columns)
+
+    corpus = load_corpus(path, interval_days=interval_days)
+    try:
+        if entry is None or _CacheEntry(_CACHE_FORMAT, _blocks(path)).path != entry.path:
+            return corpus  # no cache, or the file changed while it was parsed
+    except _CACHE_MISSES:
+        return corpus
+    records = [[getattr(r, name) for name in _REPO_KEYS] for r in corpus.repos]
+    entry.write([corpus.captured_at, records],
+                [corpus._repo, corpus._kind, corpus._time, corpus._delta])
+    return corpus
+
+
+def _blocks(path: Path) -> Iterator[bytes]:
+    """The bytes of the file at ``path``, in 64 KiB blocks."""
+    with path.open("rb") as handle:
+        yield from iter(lambda: handle.read(1 << 16), b"")
+
+
+@cache
+def _sources() -> bytes:
+    """The BLAKE2b-256 digest of this package's sources: each name, length
+    and bytes."""
+    package = Path(__file__).parent
+    names = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    digest = blake2b(f"{len(names)}\n".encode(), digest_size=_CACHE_DIGEST_BYTES)
+    for name in names:
+        source = (package / name).read_bytes()
+        digest.update(f"{name} {len(source)}\n".encode())
+        digest.update(source)
+    return digest.digest()
+
+
+class _CacheEntry:
+    """One entry of the command line's cache, the home of its rules.
+
+    Its name is the BLAKE2b-256 digest of its format, the sources of this
+    package and the ``content`` blocks it is kept for. Entries live in
+    ``$XDG_CACHE_HOME/wtps``, else ``~/.cache/wtps``. Every entry has one
+    layout: the BLAKE2b-256 digest of the rest of the file, a JSON line
+    ``[format, count, value]``, then ``count`` items of each ``array`` type
+    in ``types``, one column after another. A parsed corpus keeps its
+    capture time and repositories in the value and its event columns after
+    it; ``graph-deletion``'s intact-graph state is all value, with no
+    columns. Both kinds share the folder and its limit of the newest
+    ``_CACHE_ENTRIES``.
+
+    Raises:
+        OSError: a source or a content block cannot be read.
+        RuntimeError: there is no home directory.
+    """
+
+    def __init__(self, layout: str, content: Iterable[bytes], types: str = "") -> None:
+        home = os.environ.get("XDG_CACHE_HOME", "")
+        folder = (Path(home) if os.path.isabs(home) else Path.home() / ".cache") / "wtps"
+        digest = blake2b(f"{layout}\n".encode(), digest_size=_CACHE_DIGEST_BYTES)
+        digest.update(_sources())
+        for block in content:
+            digest.update(block)
+        self.layout, self.types = layout, types
+        self.path = folder / digest.hexdigest()
+
+    def read(self) -> tuple[object, list[array]]:
+        """The entry's value and columns. Its format and size are checked
+        before a column is read, and its digest before they are returned.
+
+        Raises:
+            One of ``_CACHE_MISSES``: the entry is missing, damaged or of
+                another format.
+        """
+        with self.path.open("rb") as handle:
+            stored = handle.read(_CACHE_DIGEST_BYTES)
+            head = handle.readline()
+            layout, count, value = json.loads(head)
+            row = sum(array(code).itemsize for code in self.types)
+            if (layout != self.layout or type(count) is not int
+                    or os.fstat(handle.fileno()).st_size
+                    != _CACHE_DIGEST_BYTES + len(head) + count * row):
+                raise ValueError("not an entry of this format")
+            payload = blake2b(head, digest_size=_CACHE_DIGEST_BYTES)
+            columns = []
+            for code in self.types:
+                column = array(code)
+                column.fromfile(handle, count)
+                payload.update(column)
+                columns.append(column)
+        if payload.digest() != stored:
+            raise ValueError("entry digest mismatch")
+        return value, columns
+
+    def write(self, value, columns: Sequence[array] = ()) -> None:
+        """Store ``value`` and ``columns``, of equal length and of the types
+        in ``types``, through a temp file and ``os.replace``, then delete all
+        but the newest entries. Other files in the folder, such as other
+        writers' temp files, are left alone. An entry that cannot be written
+        is passed over."""
+        count = len(columns[0]) if columns else 0
+        head = (json.dumps([self.layout, count, value], separators=(",", ":")) + "\n").encode()
+        digest = blake2b(head, digest_size=_CACHE_DIGEST_BYTES)
+        for column in columns:
+            digest.update(column)
+        temp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+        try:
+            self.path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+            with temp.open("xb") as handle:
+                handle.write(digest.digest())
+                handle.write(head)
+                for column in columns:
+                    handle.write(column)
+            os.replace(temp, self.path)
+            kept = sorted((e for e in os.scandir(self.path.parent)
+                           if _CACHE_NAME.fullmatch(e.name)),
+                          key=lambda e: e.stat().st_mtime_ns, reverse=True)
+            for stale in kept[_CACHE_ENTRIES:]:
+                os.unlink(stale.path)
+        except OSError:
+            with suppress(OSError):
+                temp.unlink(missing_ok=True)
+
+
+class _OverlapMemo:
+    """The intact-graph state of ``graph._Overlap`` for the graph of
+    ``repos``, kept in the command line's cache for ``graph-deletion``.
+
+    The entry is keyed by each repository's id and follower ids; its value
+    is the state, and it has no columns. ``load`` computes the key and reads
+    the entry, and ``store`` writes the entry that ``load`` did not find.
+    """
+
+    def __init__(self, repos: tuple[RepoRecord, ...]) -> None:
+        self.repos = repos
+        self.entry: _CacheEntry | None = None
+
+    def load(self) -> list | None:
+        """The stored state, or None if no entry reads and verifies."""
+        try:
+            graph = json.dumps([[r.repo_id, r.follower_ids] for r in self.repos])
+            self.entry = _CacheEntry(_STATE_FORMAT, [graph.encode()])
+            return self.entry.read()[0]
+        except _CACHE_MISSES:
+            return None
+
+    def store(self, state: list) -> None:
+        if self.entry is not None:
+            self.entry.write(state)
 
 
 def _sidecar_path(output: Path) -> Path:

@@ -1,7 +1,9 @@
-"""The command line's cache of loaded corpora (``wtps.dataset.load_cached``)
-and of ``graph-deletion``'s intact-graph state (``wtps.dataset._OverlapMemo``).
+"""The command line's cache of loaded corpora (``wtps.cli.load_cached``) and
+of ``graph-deletion``'s intact-graph state (``wtps.cli._OverlapMemo``). The
+cache lives in ``wtps.cli`` alone: no library module imports it, and tests
+fake the parser by patching ``wtps.cli.load_corpus``.
 
-Both kinds of entry have one layout, ``wtps.dataset._CacheEntry``'s: a digest,
+Both kinds of entry have one layout, ``wtps.cli._CacheEntry``'s: a digest,
 a JSON head line ``[format, count, value]``, then the columns, which only a
 corpus has. A hit must give what parsing or measuring gives: the same corpus
 at every width, and the same output bytes from every command. An entry of
@@ -31,8 +33,9 @@ import pytest
 
 import wtps
 from wtps import Indicator, graph, load_corpus, model
-from wtps.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from wtps.dataset import _CACHE_FORMAT, _STATE_FORMAT, load_cached, save_corpus
+from wtps.cli import (_CACHE_FORMAT, _STATE_FORMAT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, load_cached,
+                      main)
+from wtps.dataset import save_corpus
 from wtps.model import CoefficientKind, Corpus
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE
 from synth import make_corpus
@@ -51,6 +54,13 @@ class Parses:
     def __call__(self, path, interval_days):
         self.calls += 1
         return load_corpus(path, interval_days=interval_days)
+
+
+def cached(path, days, parse):
+    """``load_cached(path, days)``, with ``parse`` in ``load_corpus``'s place."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("wtps.cli.load_corpus", parse)
+        return load_cached(path, days)
 
 
 def no_parse(path, interval_days):
@@ -78,7 +88,7 @@ def assert_same(got, expected):
 def assert_hits_equal_parses(path):
     """Each width's hit is the corpus ``load_corpus`` gives at that width."""
     for days in WIDTHS:
-        assert_same(load_cached(path, days, no_parse), load_corpus(path, interval_days=days))
+        assert_same(cached(path, days, no_parse), load_corpus(path, interval_days=days))
 
 
 def write_lines(path: Path, lines) -> Path:
@@ -141,23 +151,23 @@ class TestHitEqualsMiss:
     def test_hit_is_the_parsed_corpus_at_every_width(self, tmp_path, empty_cache_home, name):
         path = inputs(tmp_path)[name]
         parses = Parses()
-        assert_same(load_cached(path, 30, parses), load_corpus(path, interval_days=30))
+        assert_same(cached(path, 30, parses), load_corpus(path, interval_days=30))
         assert parses.calls == 1
         assert len(entries(empty_cache_home)) == 1
         assert_hits_equal_parses(path)
 
     def test_grid_of_a_corpus_without_events_comes_from_creation_times(self, tmp_path):
         path = inputs(tmp_path)["no-events"]
-        load_cached(path, 7, Parses())
-        hit = load_cached(path, 7, no_parse)
+        cached(path, 7, Parses())
+        hit = cached(path, 7, no_parse)
         assert hit.event_count == 0
         assert hit.grid.epoch == min(r.created_at for r in hit.repos)
 
     def test_manifest_capture_time_is_kept(self, tmp_path):
         files = inputs(tmp_path)
-        with_manifest, bare = (load_cached(files[name], 30, Parses())
+        with_manifest, bare = (cached(files[name], 30, Parses())
                                for name in ("signed-aggregate", "signed-no-manifest"))
-        hits = [load_cached(files[name], 30, no_parse)
+        hits = [cached(files[name], 30, no_parse)
                 for name in ("signed-aggregate", "signed-no-manifest")]
         assert [hit.captured_at for hit in hits] == [with_manifest.captured_at, bare.captured_at]
 
@@ -165,9 +175,9 @@ class TestHitEqualsMiss:
         # The hit's columns serve numpy's views and kernels as parsed ones do.
         monkeypatch.setattr(model, "_NUMPY_FROM", 0)
         path = inputs(tmp_path)["signed-aggregate"]
-        load_cached(path, 30, Parses())
+        cached(path, 30, Parses())
         for days in WIDTHS:
-            hit, parsed = load_cached(path, days, no_parse), load_corpus(path, interval_days=days)
+            hit, parsed = cached(path, days, no_parse), load_corpus(path, interval_days=days)
             for name in ("event_repo", "event_kind", "event_time", "event_delta"):
                 assert getattr(hit, name).dtype == getattr(parsed, name).dtype
                 assert getattr(hit, name).tolist() == getattr(parsed, name).tolist()
@@ -181,8 +191,8 @@ class TestHitEqualsMiss:
         (10**6000, "interval width of more than"),
     ], ids=["zero", "huge"])
     def test_bad_width_raises_the_grids_error_on_a_hit(self, days, message):
-        load_cached(COMMUNITY_SAMPLE, 30, Parses())
-        for load in (lambda: load_cached(COMMUNITY_SAMPLE, days, no_parse),
+        cached(COMMUNITY_SAMPLE, 30, Parses())
+        for load in (lambda: cached(COMMUNITY_SAMPLE, days, no_parse),
                      lambda: load_corpus(COMMUNITY_SAMPLE, interval_days=days)):
             with pytest.raises(ValueError, match=message):
                 load()
@@ -203,7 +213,7 @@ class TestHitEqualsMiss:
             if spelled:
                 path = respelled(path, folder / "spelled.jsonl", seed)
             # The first load may hit an entry of an equal file drawn before.
-            assert_same(load_cached(path, 30, Parses()), load_corpus(path, interval_days=30))
+            assert_same(cached(path, 30, Parses()), load_corpus(path, interval_days=30))
             assert_hits_equal_parses(path)
 
         check()
@@ -212,6 +222,18 @@ class TestHitEqualsMiss:
 def test_library_load_never_touches_the_cache(empty_cache_home):
     load_corpus(COMMUNITY_SAMPLE)
     assert list(empty_cache_home.iterdir()) == []
+
+
+def test_library_modules_never_load_the_cache():
+    # A fresh interpreter, so modules other tests imported do not count.
+    script = ("import sys, wtps, wtps.model, wtps.dataset, wtps.scoring, wtps.stats, wtps.graph,"
+              " wtps.serialize\n"
+              "print(sorted({'wtps.cli', '_blake2', 'hashlib'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(wtps.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 class TestCommandOutputs:
@@ -223,10 +245,10 @@ class TestCommandOutputs:
         # sample cached and parsing made to fail, so every load hits.
         misses = []
 
-        def cold_load(path, interval_days, parse):
+        def cold_load(path, interval_days):
             shutil.rmtree(empty_cache_home / "wtps", ignore_errors=True)
             parses = Parses()
-            corpus = load_cached(path, interval_days, parses)
+            corpus = cached(path, interval_days, parses)
             misses.append(parses.calls)
             return corpus
 
@@ -238,7 +260,7 @@ class TestCommandOutputs:
 
         monkeypatch.setattr("wtps.cli.load_corpus", no_parse)
         for sample in (COMMUNITY_SAMPLE, FOLLOWER_SAMPLE):
-            load_cached(sample, 30, Parses())
+            cached(sample, 30, Parses())
         (tmp_path / "hit").mkdir()
         hit = run_all(tmp_path / "hit")
         assert hit == missed == json.loads(DIGESTS.read_text(encoding="utf-8"))
@@ -278,17 +300,17 @@ def test_file_changed_while_parsed_gets_no_entry(tmp_path, empty_cache_home):
         path.write_text(text.replace('"delta":', '"delta":-', 1), encoding="utf-8", newline="")
         return corpus
 
-    assert load_cached(path, 30, parse_then_change) != load_corpus(path)
+    assert cached(path, 30, parse_then_change) != load_corpus(path)
     assert entries(empty_cache_home) == []
     parses = Parses()
-    assert_same(load_cached(path, 30, parses), load_corpus(path))
+    assert_same(cached(path, 30, parses), load_corpus(path))
     assert parses.calls == 1
 
 
 def test_changed_digit_with_the_same_size_and_mtime(tmp_path):
     corpus = make_corpus(random.Random(5), n_repos=3, n_intervals=3, max_delta=5)
     path = saved(corpus, tmp_path / "d.jsonl")
-    first = load_cached(path, 30, Parses())
+    first = cached(path, 30, Parses())
     stat = path.stat()
     text = path.read_text(encoding="utf-8")
     at = text.index('"delta":') + len('"delta":')
@@ -299,7 +321,7 @@ def test_changed_digit_with_the_same_size_and_mtime(tmp_path):
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
     parses = Parses()
-    changed = load_cached(path, 30, parses)
+    changed = cached(path, 30, parses)
     assert parses.calls == 1
     assert_same(changed, load_corpus(path))
     assert changed != first
@@ -316,13 +338,13 @@ class TestCacheDirectory:
                 monkeypatch.delenv("XDG_CACHE_HOME")
             else:
                 monkeypatch.setenv("XDG_CACHE_HOME", xdg)
-            load_cached(COMMUNITY_SAMPLE, 30, parses)
+            cached(COMMUNITY_SAMPLE, 30, parses)
         assert parses.calls == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["home"]
         folder = tmp_path / "home" / ".cache" / "wtps"
         assert len(list(folder.iterdir())) == 1
         assert folder.stat().st_mode & 0o777 == 0o700
-        load_cached(COMMUNITY_SAMPLE, 30, no_parse)
+        cached(COMMUNITY_SAMPLE, 30, no_parse)
 
     def test_newest_sixteen_entries_are_kept(self, tmp_path, empty_cache_home):
         lines = COMMUNITY_SAMPLE.read_text(encoding="utf-8").splitlines()[1:]
@@ -330,12 +352,12 @@ class TestCacheDirectory:
         for i in range(18):
             path = write_lines(tmp_path / f"{i}.jsonl", lines + [lines[0].replace("R1", f"X{i}")])
             before = set(entries(empty_cache_home))
-            load_cached(path, 30, Parses())
+            cached(path, 30, Parses())
             (new,) = set(entries(empty_cache_home)) - before
             os.utime(new, ns=(10**9 * i, 10**9 * i))
             written.append(new)
         assert entries(empty_cache_home) == sorted(written[2:])
-        load_cached(tmp_path / "17.jsonl", 30, no_parse)
+        cached(tmp_path / "17.jsonl", 30, no_parse)
 
     @pytest.mark.parametrize("blocker", ["home-is-a-file", "folder-is-a-file", "replace-denied"])
     def test_unwritable_cache_costs_only_speed(self, tmp_path, monkeypatch, empty_cache_home,
@@ -401,7 +423,7 @@ def test_failed_load_writes_no_entry(tmp_path, capsys, empty_cache_home, lines):
         "deletion-steps-negative", "classify-loss-nan"])
 def test_config_error_reads_neither_input_nor_cache(tmp_path, capsys, monkeypatch,
                                                     empty_cache_home, argv):
-    load_cached(COMMUNITY_SAMPLE, 30, Parses())
+    cached(COMMUNITY_SAMPLE, 30, Parses())
     (entry,) = entries(empty_cache_home)
     monkeypatch.setattr("wtps.cli.load_cached", untouched)
     monkeypatch.setattr("wtps.cli.load_corpus", untouched)
@@ -424,7 +446,7 @@ def test_pruning_spares_other_writers_temp_files(tmp_path, empty_cache_home):
     lines = COMMUNITY_SAMPLE.read_text(encoding="utf-8").splitlines()[1:]
     for i in range(17):
         path = write_lines(tmp_path / f"{i}.jsonl", lines + [lines[0].replace("R1", f"X{i}")])
-        load_cached(path, 30, Parses())
+        cached(path, 30, Parses())
     assert temp.read_bytes() == b"in flight"
     assert len([e for e in entries(empty_cache_home) if e != temp]) == 16
 

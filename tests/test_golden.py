@@ -6,7 +6,10 @@ Each run's exit code and the SHA-256 digests of its data file and sidecar are
 compared with ``golden_digests.json`` and ``golden_generated.json``. Sidecar
 path fields (``config.input``, ``config.output``, ``provenance.input``) are
 masked before hashing, so the digests do not depend on where the test runs.
-To re-record the digests after an intended output change, run
+``golden_generated.json`` also holds, under ``errors``, the exit code and
+stderr line of ``ingest`` and ``score`` on each faulty input of
+``ERROR_INPUTS``. To re-record the digests after an intended output change,
+run
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
     PYTHONPATH=src python tests/test_golden.py generated > tests/golden_generated.json
@@ -14,7 +17,9 @@ To re-record the digests after an intended output change, run
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -217,6 +222,142 @@ def run_generated(workdir: Path, path: Path) -> dict[str, dict]:
     return run_all(workdir, {"generated": path}, GENERATED_RUNS, {})
 
 
+# --- error goldens -------------------------------------------------------------
+
+_MANIFEST = {"schema_version": 1, "captured_at": "2018-06-01T00:00:00Z", "repo_count": 1,
+             "source": "file"}
+_REPO = {"repo_id": "r1", "full_name": "o/r1", "created_at": "2018-01-01T00:00:00Z",
+         "primary_language": None, "size_kb": 1, "owner_followers": 2, "forks_total": 0,
+         "stars_total": 1, "watchers_total": 0, "follower_ids": ["u1"]}
+_EVENT = {"repo_id": "r1", "kind": "star", "occurred_at": "2018-02-01T00:00:00Z", "delta": 1}
+_DROP = object()
+
+
+def _line(obj: dict, **changes) -> str:
+    """``obj`` as a dataset line, with ``changes`` made (``_DROP`` deletes a key)."""
+    changed = {**obj, **changes}
+    return json.dumps({k: v for k, v in changed.items() if v is not _DROP},
+                      separators=(",", ":"))
+
+
+def _corpus(manifest: dict | None = None, repo: dict | None = None,
+            event: dict | None = None) -> list[str]:
+    """The valid three-line corpus, with one line's fields changed."""
+    return [_line(_MANIFEST, **(manifest or {})), _line(_REPO, **(repo or {})),
+            _line(_EVENT, **(event or {}))]
+
+
+# Faulty inputs, one fault each, as their lines (or bytes). None of them
+# is a timestamp spelling whose acceptance depends on the Python version.
+ERROR_INPUTS = {
+    "kind-not-string": _corpus(event={"kind": 1}),
+    "kind-unknown": _corpus(event={"kind": "watch"}),
+    "source-not-string": _corpus(manifest={"source": 1}),
+    "source-unknown": _corpus(manifest={"source": "api"}),
+    "schema-version-2": _corpus(manifest={"schema_version": 2}),
+    "schema-version-string": _corpus(manifest={"schema_version": "1"}),
+    "manifest-missing-key": _corpus(manifest={"repo_count": _DROP}),
+    "manifest-extra-key": _corpus(manifest={"note": "x"}),
+    "repo-missing-key": _corpus(repo={"size_kb": _DROP}),
+    "repo-extra-key": _corpus(repo={"license": "MIT"}),
+    "event-missing-key": _corpus(event={"occurred_at": _DROP}),
+    "event-extra-key": _corpus(event={"actor": "u1"}),
+    "event-missing-repo-id": _corpus(event={"repo_id": _DROP}),
+    "timestamp-not-string": _corpus(repo={"created_at": 1514764800}),
+    "timestamp-words": _corpus(event={"occurred_at": "yesterday"}),
+    "timestamp-empty": _corpus(event={"occurred_at": ""}),
+    "timestamp-slashes": _corpus(event={"occurred_at": "2018/02/01T00:00:00Z"}),
+    "timestamp-two-digit-fields": _corpus(event={"occurred_at": "2018-2-1T00:00:00Z"}),
+    "timestamp-month-13": _corpus(event={"occurred_at": "2018-13-01T00:00:00Z"}),
+    "timestamp-february-30": _corpus(event={"occurred_at": "2018-02-30T00:00:00Z"}),
+    "timestamp-hour-25": _corpus(event={"occurred_at": "2018-02-01T25:00:00Z"}),
+    "timestamp-before-year-1": _corpus(manifest={"captured_at": "0001-01-01T00:00:00+01:00"}),
+    "timestamp-after-year-9999": _corpus(event={"occurred_at": "9999-12-31T23:59:59-01:00"}),
+    "timestamp-offset-24h": _corpus(event={"occurred_at": "2018-02-01T00:00:00+24:00"}),
+    "delta-true": _corpus(event={"delta": True}),
+    "delta-string": _corpus(event={"delta": "1"}),
+    "delta-zero": _corpus(event={"delta": 0}),
+    "delta-float": _corpus(event={"delta": 1.5}),
+    "count-negative": _corpus(repo={"stars_total": -1}),
+    "count-string": _corpus(repo={"size_kb": "1"}),
+    "count-bool": _corpus(repo={"owner_followers": False}),
+    "count-2-63": _corpus(repo={"watchers_total": 2**63}),
+    "repo-count-negative": _corpus(manifest={"repo_count": -1}),
+    "follower-ids-string": _corpus(repo={"follower_ids": "u1"}),
+    "follower-ids-number": _corpus(repo={"follower_ids": ["u1", 2]}),
+    "follower-ids-null": _corpus(repo={"follower_ids": None}),
+    "repo-id-empty": _corpus(repo={"repo_id": ""}),
+    "repo-id-number": _corpus(repo={"repo_id": 1}),
+    "full-name-null": _corpus(repo={"full_name": None}),
+    "language-number": _corpus(repo={"primary_language": 3}),
+    "untyped-line": [*_corpus(), '{"repo":"r1"}'],
+    "manifest-off-line-1": [_line(_REPO), _line(_MANIFEST), _line(_EVENT)],
+    "two-manifests": [_line(_MANIFEST), *_corpus()],
+    "unknown-repo": _corpus(event={"repo_id": "r2"}),
+    "event-before-creation": _corpus(event={"occurred_at": "2017-12-31T23:59:59Z"}),
+    "duplicate-repo-id": [_line(_MANIFEST, repo_count=2), _line(_REPO), _line(_REPO),
+                          _line(_EVENT)],
+    "delta-sum-2-63": [*_corpus(event={"delta": 2**62}), _line(_EVENT, delta=-2**62)],
+    "delta-past-int64": _corpus(event={"delta": 2**63}),
+    "repo-count-mismatch": _corpus(manifest={"repo_count": 2}),
+    "captured-before-creation": _corpus(manifest={"captured_at": "2017-01-01T00:00:00Z"}),
+    "blank-line": [_line(_MANIFEST), "", _line(_REPO), _line(_EVENT)],
+    "whitespace-line": [_line(_MANIFEST), _line(_REPO), " \t", _line(_EVENT)],
+    "undecodable-byte": b"\n".join([_line(_MANIFEST).encode(), _line(_REPO).encode()[:-1]
+                                    + b',"x\xff":1}', _line(_EVENT).encode()]) + b"\n",
+    "not-an-object": [*_corpus(), "[1, 2]"],
+    "json-truncated": [*_corpus(), _line(_EVENT)[:-1]],
+    "json-number-too-long": [*_corpus(), '{"kind":' + "9" * 5000 + "}"],
+    "empty-file": [],
+    "no-repository-lines": [_line(_MANIFEST, repo_count=0)],
+    "events-only": [_line(_EVENT)],
+}
+# Inputs whose message wording differs by Python version: their goldens pin
+# the exit code and the message up to and including its "line N:".
+ERROR_MESSAGE_VARIES = {"json-number-too-long"}
+# The commands each faulty input runs through.
+ERROR_RUNS = {"ingest": ["ingest"], "score": ["score"]}
+
+
+def _pinned(name: str, stderr: str) -> str:
+    """The part of ``stderr`` an error golden pins."""
+    if name not in ERROR_MESSAGE_VARIES:
+        return stderr
+    head, message = stderr.split('"message": "', 1)
+    return head + '"message": "' + message.split(":", 1)[0] + ":"
+
+
+def run_errors(workdir: Path) -> dict[str, dict]:
+    """Run each faulty input through ``ERROR_RUNS``, each run in its own
+    folder with an empty cache; map run name to exit code and pinned stderr.
+
+    Raises:
+        AssertionError: a run left a data file, a sidecar, a temp file or a
+            cache entry behind, or wrote not exactly one stderr line.
+    """
+    from wtps.cli import main
+
+    results = {}
+    for name, data in ERROR_INPUTS.items():
+        if not isinstance(data, bytes):
+            data = "".join(line + "\n" for line in data).encode("utf-8")
+        for run, argv in ERROR_RUNS.items():
+            folder = workdir / f"errors-{name}-{run}"
+            folder.mkdir()
+            path = folder / "input.jsonl"
+            path.write_bytes(data)
+            os.environ["XDG_CACHE_HOME"] = str(folder / "cache")
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv[:1] + ["--input", str(path),
+                                        "--output", str(folder / "out")] + argv[1:])
+            assert sorted(p.name for p in folder.iterdir()) == ["input.jsonl"], name
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1, (name, lines)
+            results[f"{name}/{run}"] = {"exit": code, "stderr": _pinned(name, lines[0])}
+    return results
+
+
 def test_outputs_match_golden_digests(tmp_path):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     got = run_all(tmp_path)
@@ -246,13 +387,23 @@ def test_generated_corpus_matches_golden_digests(tmp_path, monkeypatch):
         assert mismatched == [], numpy_from
 
 
+def test_faulty_inputs_match_error_goldens(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    expected = json.loads(GENERATED_DIGESTS.read_text(encoding="utf-8"))["errors"]
+    got = run_errors(tmp_path)
+    assert sorted(got) == sorted(expected)
+    mismatched = sorted(name for name in got if got[name] != expected[name])
+    assert mismatched == []
+
+
 if __name__ == "__main__":
     # Each recording starts with an empty cache of its own.
     with tempfile.TemporaryDirectory() as workdir:
         os.environ["XDG_CACHE_HOME"] = str(Path(workdir) / "cache")
         if sys.argv[1:] == ["generated"]:
             path = Path(workdir) / "generated.jsonl"
-            digests = {"corpus": write_generated(path), "runs": run_generated(Path(workdir), path)}
+            digests = {"corpus": write_generated(path), "runs": run_generated(Path(workdir), path),
+                       "errors": run_errors(Path(workdir))}
         else:
             digests = run_all(Path(workdir))
     sys.stdout.write(json.dumps(digests, indent=1, sort_keys=True) + "\n")
