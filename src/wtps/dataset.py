@@ -26,7 +26,7 @@ import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from datetime import datetime, timedelta, timezone
+from datetime import date, time, timedelta, timezone
 from enum import Enum
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -36,7 +36,7 @@ from typing import Iterator
 from .errors import ParseError
 from .model import (EVENT_KINDS, FIRST_SECOND, LAST_SECOND, Corpus, EventKind,
                     PopularityEvent, RepoRecord, _check_string, _integer_field,
-                    format_timestamp, format_timestamps)
+                    _UNIX_ORDINAL, format_timestamp, format_timestamps)
 
 SCHEMA_VERSION = 1
 
@@ -46,7 +46,6 @@ _EVENT_KEYS = tuple(f.name for f in fields(PopularityEvent))
 _EVENT_KEY_SETS = (set(_EVENT_KEYS), set(_EVENT_KEYS[:3]))
 _KIND_NAMES = tuple(kind.value for kind in EVENT_KINDS)
 _KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 # An event line as ``save_corpus`` writes it: a repo_id free of escapes, of
 # control characters and of undecodable bytes, an in-range UTC time of day
@@ -59,16 +58,14 @@ _CANONICAL_EVENT = re.compile(
     r'([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])Z"'
     r'(?:,"delta":(-?[1-9][0-9]{0,17}))?\}'
 )
-# The timestamps ``datetime.fromisoformat`` reads on Python 3.10: a date, or a
-# date, any one separator character and a time of day of two-digit hours,
-# minutes and seconds, with an optional fraction of a second and an optional
-# offset of hours and minutes, seconds and microseconds. The fraction may
-# have any number of digits, where 3.10 takes three or six. Python 3.11 and
-# later read more shapes, such as week dates; matching first refuses them.
+# A date, or a date, any one separator character and a time of day of hours,
+# minutes and seconds, each two digits, the last two optional; then an optional
+# fraction of any length and an optional offset of hours and minutes, seconds
+# and six-digit microseconds. Each field is a group; offset fields are lax.
 _TIMESTAMP = re.compile(
-    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
-    r"(?:.[0-9]{2}(?::[0-9]{2}(?::[0-9]{2})?)?(?:\.([0-9]+))?"
-    r"(?:[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?",
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
+    r"(?:.([0-9]{2})(?::([0-9]{2})(?::([0-9]{2}))?)?(?:\.([0-9]+))?"
+    r"(?:([+-])([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.([0-9]{6}))?)?)?)?",
     re.DOTALL,
 )
 # Bytes that are not UTF-8, as the "surrogateescape" error handler reads them.
@@ -111,8 +108,8 @@ def parse_timestamp(text: str) -> int:
 
     Accepts the shapes of ``_TIMESTAMP``, the same on every Python version,
     with a trailing "Z" or an explicit offset; a naive timestamp is read as
-    UTC. Fractions of a second are floored. The instant must fall in UTC
-    years 0001-9999, which ``format_timestamp`` writes back unchanged.
+    UTC. The instant, offset microseconds included, is floored to the second
+    and must fall in UTC years 0001-9999, which ``format_timestamp`` writes back.
     """
     if not isinstance(text, str):
         raise ValueError(f"timestamp must be a string, got {type(text).__name__}")
@@ -122,12 +119,15 @@ def parse_timestamp(text: str) -> int:
     shape = _TIMESTAMP.fullmatch(raw)
     if shape is None:
         raise ValueError(f"Invalid isoformat string: {raw!r}")
-    if shape[1] is not None:  # the fraction, to the six digits every version reads
-        raw = raw[:shape.start(1)] + (shape[1] + "00000")[:6] + raw[shape.end(1):]
-    moment = datetime.fromisoformat(raw)
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    seconds = (moment - _EPOCH) // timedelta(seconds=1)
+    y, mo, d, h, mi, s, zh, zm, zs, zus = (
+        int(field or 0) for field in shape.group(1, 2, 3, 4, 5, 6, 9, 10, 11, 12))
+    offset = (((zh * 60 + zm) * 60 + zs) * 1_000_000 + zus) * (-1 if shape[8] == "-" else 1)
+    # Raise the messages of an offset of a day or more, the date and the time.
+    timezone(timedelta(microseconds=offset))
+    day = date(y, mo, d).toordinal() - _UNIX_ORDINAL
+    time(h, mi, s)
+    micro = int((shape[7] or "0").ljust(6, "0")[:6])  # cut, then floored below
+    seconds = ((day * 24 + h) * 60 + mi) * 60 + s + (micro - offset) // 1_000_000
     if not FIRST_SECOND <= seconds <= LAST_SECOND:
         raise ValueError(f"timestamp {text!r} is outside UTC years 0001-9999")
     return seconds

@@ -1,0 +1,139 @@
+"""A mutant probe: does each named fault in the sources make its tests fail?
+
+Each mutant replaces one exact snippet of one file under ``src`` and names
+the tests that should notice. For each, the probe copies ``src`` to a
+temporary folder, applies the mutant there, and runs the named tests on the
+copy with ``python -m pytest -x -q`` and an empty ``XDG_CACHE_HOME``. A
+mutant is "killed" when the tests fail and "survived" when they pass; one
+whose snippet is no longer in its file is "stale" and is reported, not run.
+A mutant marked equivalent is expected to survive: it changes the code but
+not what the code does.
+
+The module needs only the standard library. pytest does not collect it and
+no test imports it. Run it from the repository root:
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # the named ones
+
+It exits 1 if a mutant expected to be killed survives or an equivalent one
+is killed, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/wtps
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+    equivalent: bool = False
+
+
+_TIMESTAMPS = ("tests/test_timestamps.py",
+               "tests/test_properties.py::test_parse_timestamp_floors_the_instant_its_fields_name")
+_CACHE = ("tests/test_cache.py",)
+
+MUTANTS = (
+    # dataset.parse_timestamp
+    Mutant("offset microseconds dropped", "dataset.py",
+           "* 1_000_000 + zus)", "* 1_000_000)", _TIMESTAMPS),
+    Mutant("offset sign flipped", "dataset.py",
+           '(-1 if shape[8] == "-" else 1)', '(1 if shape[8] == "-" else -1)', _TIMESTAMPS),
+    Mutant("round instead of floor", "dataset.py",
+           "(micro - offset) // 1_000_000", "round((micro - offset) / 1_000_000)", _TIMESTAMPS),
+    Mutant("fraction ignored", "dataset.py",
+           'micro = int((shape[7] or "0").ljust(6, "0")[:6])', "micro = 0", _TIMESTAMPS),
+    Mutant("grammar match skipped", "dataset.py",
+           "shape = _TIMESTAMP.fullmatch(raw)", "shape = _TIMESTAMP.match(raw)", _TIMESTAMPS),
+    Mutant("offset bound dropped", "dataset.py",
+           "    timezone(timedelta(microseconds=offset))\n", "", _TIMESTAMPS),
+    Mutant("fraction cut after padding, not before", "dataset.py",
+           '.ljust(6, "0")[:6]', '[:6].ljust(6, "0")', _TIMESTAMPS, equivalent=True),
+    # the command line's cache, wtps.cli and graph._fits
+    Mutant("no digest check", "cli.py",
+           "if payload.digest() != stored:", "if False:", _CACHE),
+    Mutant("no size check", "cli.py",
+           "\n                    or os.fstat(handle.fileno()).st_size"
+           "\n                    != _CACHE_DIGEST_BYTES + len(head) + count * row):",
+           "):", _CACHE),
+    Mutant("no format check", "cli.py",
+           "if (layout != self.layout or type(count)", "if (type(count)", _CACHE),
+    Mutant("_fits skipped", "graph.py",
+           "if state is None or not _fits(state, g):", "if state is None:", _CACHE),
+    Mutant("no re-hash", "cli.py",
+           "if entry is None or _CacheEntry(_CACHE_FORMAT, _blocks(path)).path != entry.path:",
+           "if entry is None:", _CACHE),
+    Mutant("the state's narrower except", "cli.py",
+           "return self.entry.read()[0]\n        except _CACHE_MISSES:",
+           "return self.entry.read()[0]\n        except (OSError, ValueError):", _CACHE),
+    Mutant("RuntimeError dropped from the tuple", "cli.py",
+           "(OSError, RuntimeError, ValueError, TypeError, EOFError)",
+           "(OSError, ValueError, TypeError, EOFError)", _CACHE),
+    Mutant("sources dropped from the key", "cli.py",
+           "        digest.update(_sources())\n", "", _CACHE),
+    Mutant("no pruning", "cli.py",
+           "for stale in kept[_CACHE_ENTRIES:]:", "for stale in kept[:0]:", _CACHE),
+    Mutant("graph dropped from the state's key", "cli.py",
+           "[[r.repo_id, r.follower_ids] for r in self.repos]", "[]", _CACHE),
+    Mutant("a library module loads the cache's hash", "dataset.py",
+           "import json\n", "import hashlib\nimport json\n",
+           ("tests/test_cache.py::test_library_modules_never_load_the_cache",)),
+)
+
+
+def probe(mutant: Mutant) -> str:
+    """"killed", "survived", "stale" or "error (exit N)" for one mutant."""
+    with tempfile.TemporaryDirectory(prefix="wtps-mutant-") as work:
+        work = Path(work)
+        src = work / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "wtps" / mutant.file
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.snippet) != 1:
+            return "stale"
+        target.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+        (work / "cache").mkdir()
+        env = {**os.environ, "PYTHONPATH": str(src), "XDG_CACHE_HOME": str(work / "cache"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        # Run from the temporary folder, with the repository's settings but
+        # the mutated sources first on the path, so that nothing (pytest's
+        # cache, hypothesis's example database) is written to the checkout.
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                   "-c", str(ROOT / "pyproject.toml"), "-o", f"pythonpath={src}",
+                   *(str(ROOT / test) for test in mutant.tests)]
+        result = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
+    return {0: "survived", 1: "killed"}.get(result.returncode,
+                                            f"error (exit {result.returncode})")
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in chosen}
+    if unknown:
+        print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    unexpected = 0
+    for mutant in chosen:
+        outcome = probe(mutant)
+        expected = "survived" if mutant.equivalent else "killed"
+        flag = "" if outcome in (expected, "stale") else "  <- expected " + expected
+        unexpected += bool(flag)
+        print(f"{outcome:9} {mutant.file:11} {mutant.name}{flag}", flush=True)
+    print(f"{len(chosen)} mutants, {unexpected} not as expected")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

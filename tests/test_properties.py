@@ -1,13 +1,14 @@
 """Hypothesis properties of the columnar event store and its file format.
 
-Each property has a plain reference beside it: ``parse_timestamp`` for the
-event times ``load_corpus`` reads, the same lines spelled with spaces (so
-decoded as JSON) for canonical event lines, ``json.dumps(indent=2)`` for
-``to_json`` and for the table writers (with the whole-table
-``to_csv`` for their CSV), a loop over ``PopularityEvent`` rows for binning,
-``Corpus.build`` for regrid and subset, exact integer shares for the
-weights, the former fsum kernel (``synth.fsum_overlap_reference``) on chained
-``FollowerGraph.remove_repo`` calls for the deletion series, and
+Each property has a plain reference beside it: aware ``datetime`` arithmetic
+on the fields a timestamp is spelled from for ``parse_timestamp``,
+``parse_timestamp`` for the event times ``load_corpus`` reads, the same
+lines spelled with spaces (so decoded as JSON) for canonical event lines,
+``json.dumps(indent=2)`` for ``to_json`` and for the table writers (with the
+whole-table ``to_csv`` for their CSV), a loop over ``PopularityEvent`` rows
+for binning, ``Corpus.build`` for regrid and subset, exact integer shares
+for the weights, the former fsum kernel (``synth.fsum_overlap_reference``)
+on chained ``FollowerGraph.remove_repo`` calls for the deletion series, and
 ``math.fsum`` for the exact integer sums the twin-class kernel keeps. The
 last property mutates the shipped samples and requires every CLI command to
 exit with a typed code and to leave no output when it fails.
@@ -19,6 +20,8 @@ import random
 import struct
 import tempfile
 from dataclasses import replace
+from datetime import date, datetime, time, timedelta, timezone
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -81,6 +84,52 @@ LAST_TS = 253_402_300_799
 
 
 # --- timestamps --------------------------------------------------------------
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# No zone, or "Z", or (sign, hours, minutes, seconds, microseconds, number of
+# fields spelled: HH:MM, HH:MM:SS or HH:MM:SS.ffffff), often microseconds alone.
+_ZONES = st.one_of(
+    st.sampled_from(["", "Z", "z"]),
+    st.tuples(st.sampled_from("+-"), st.integers(0, 23), st.integers(0, 59),
+              st.integers(0, 59), st.integers(0, 999_999), st.integers(2, 4)),
+    st.tuples(st.sampled_from("+-"), st.just(0), st.just(0), st.just(0),
+              st.integers(1, 999_999), st.just(4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dates(date(2, 1, 1), date(9998, 12, 31)),
+       st.tuples(st.integers(0, 23), st.integers(0, 59), st.integers(0, 59)),
+       st.integers(0, 3), st.sampled_from("T t_x"), st.text("0123456789", max_size=9), _ZONES)
+@example(date(2018, 1, 1), (0, 0, 0), 3, "T", "4", ("+", 0, 0, 0, 500_000, 4))
+@example(date(2018, 1, 1), (0, 0, 0), 1, "T", "", ("-", 0, 0, 0, 1, 4))
+def test_parse_timestamp_floors_the_instant_its_fields_name(day, clock, parts, separator,
+                                                            digits, zone):
+    # The spelling: the date, then (with 1-3 time fields) the time of day, the
+    # fraction and the zone. Years 0002-9998 keep every offset in range.
+    clock = [field if i < parts else 0 for i, field in enumerate(clock)]
+    text, offset = day.isoformat(), timedelta(0)
+    if parts:
+        text += separator + ":".join(f"{field:02d}" for field in clock[:parts])
+        text += f".{digits}" if digits else ""
+        if isinstance(zone, tuple):
+            sign, hours, minutes, seconds, micro, spelled = zone
+            seconds, micro = seconds if spelled > 2 else 0, micro if spelled > 3 else 0
+            text += f"{sign}{hours:02d}:{minutes:02d}"
+            text += f":{seconds:02d}" if spelled > 2 else ""
+            text += f".{micro:06d}" if spelled > 3 else ""
+            offset = timedelta(hours=hours, minutes=minutes, seconds=seconds,
+                               microseconds=micro) * (-1 if sign == "-" else 1)
+        else:
+            text += zone
+    else:
+        digits = ""
+    # The instant from the fields alone: no string is parsed.
+    moment = datetime.combine(day, time(*clock), tzinfo=timezone(offset))
+    instant = Fraction((moment - _EPOCH) // timedelta(microseconds=1), 10**6)
+    instant += Fraction(int(digits or 0), 10 ** len(digits))
+    assert parse_timestamp(text) == math.floor(instant)
+
 
 @st.composite
 def stamp_texts(draw):

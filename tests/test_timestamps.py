@@ -1,10 +1,11 @@
 """The timestamp grammar: one table of spellings, each with its epoch second
 or its error message, which every supported Python version must give alike.
 
-The grammar is what ``datetime.fromisoformat`` reads on Python 3.10, with a
-fraction of a second of any length; the shapes only 3.11 and later read are
-refused. The module needs only the standard library, so it also runs where
-pytest is not installed:
+The grammar is ``wtps.dataset._TIMESTAMP``: the shapes ``datetime.fromisoformat``
+reads on Python 3.10, with a fraction of a second of any length; the shapes
+only 3.11 and later read are refused. Offsets are exact to the microsecond.
+The module needs only the standard library, so it also runs where pytest is
+not installed:
 
     PYTHONPATH=src python tests/test_timestamps.py
 """
@@ -78,6 +79,14 @@ SPELLINGS = {
     "2018-01-01T00:00:00+24:00": ("offset must be a timedelta strictly between "
                                   "-timedelta(hours=24) and timedelta(hours=24), "
                                   "not datetime.timedelta(days=1)."),
+    # An offset of microseconds alone moves the instant, as any offset does.
+    "2018-01-01T00:00:00.4+00:00:00.500000": NEW_YEAR - 1,
+    "2018-01-01T00:00:00.6-00:00:00.500000": NEW_YEAR + 1,
+    "2018-01-01T00:00:00+00:00:00.000001": NEW_YEAR - 1,
+    "2018-01-01T05:30:00.4+05:30:00.500000": NEW_YEAR - 1,
+    # Offset fields are lax; only the whole offset is bounded, below a day.
+    "2018-01-01T00:00:00+00:60": NEW_YEAR - 3_600,
+    "2018-01-01T00:00:00+00:00:60": NEW_YEAR - 60,
     "2018-01-01T00:00:00+00:00Z": _invalid("2018-01-01T00:00:00+00:00+00:00"),
     "2018-01-01T00:00:00+5:30": _invalid("2018-01-01T00:00:00+5:30"),
 }
