@@ -241,8 +241,10 @@ def fetch_repo(
     """Fetch one repository's record and fork/star event timelines.
 
     Star events carry the per-star timestamps exposed by the star media
-    type; fork events use each fork's creation time. Watchers have no
-    timeline anywhere, so the watcher count is captured as a snapshot only.
+    type; fork events use each fork's creation time. ``events`` holds the
+    stars, then the forks, each oldest-first as fetched; ``Corpus.build``
+    puts them in canonical order. Watchers have no timeline anywhere, so the
+    watcher count is captured as a snapshot only.
 
     ``truncated_history`` is set when the fetched timeline is shorter than
     the snapshot count, which is what capped pagination looks like. A
@@ -289,9 +291,7 @@ def fetch_repo(
                            media_type=_STAR_MEDIA_TYPE)
     fork_events = timeline(f"{repo_path}/forks", EventKind.FORK, "created_at",
                            params={"sort": "oldest"})
-    events = tuple(
-        sorted(star_events + fork_events, key=PopularityEvent.sort_key)
-    )
     truncated = (len(star_events) < record.stars_total
                  or len(fork_events) < record.forks_total)
-    return FetchResult(repo=record, events=events, truncated_history=truncated)
+    return FetchResult(repo=record, events=(*star_events, *fork_events),
+                       truncated_history=truncated)

@@ -58,15 +58,15 @@ _CANONICAL_EVENT = re.compile(
     r'([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])Z"'
     r'(?:,"delta":(-?[1-9][0-9]{0,17}))?\}'
 )
-# A date, or a date, any one separator character and a time of day of hours,
-# minutes and seconds, each two digits, the last two optional; then an optional
-# fraction of any length and an optional offset of hours and minutes, seconds
-# and six-digit microseconds. Each field is a group; offset fields are lax.
+# A date; optionally any one separator character but a sign, and a time of
+# day of hours, minutes and seconds, each two digits, the last two optional,
+# with an optional fraction of any length; then, after the date or the time,
+# an optional offset of hours and minutes, seconds and six-digit microseconds.
+# Each field is a group; offset fields are lax.
 _TIMESTAMP = re.compile(
     r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
-    r"(?:.([0-9]{2})(?::([0-9]{2})(?::([0-9]{2}))?)?(?:\.([0-9]+))?"
-    r"(?:([+-])([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.([0-9]{6}))?)?)?)?",
-    re.DOTALL,
+    r"(?:[^+-]([0-9]{2})(?::([0-9]{2})(?::([0-9]{2}))?)?(?:\.([0-9]+))?)?"
+    r"(?:([+-])([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.([0-9]{6}))?)?)?"
 )
 # Bytes that are not UTF-8, as the "surrogateescape" error handler reads them.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")

@@ -168,9 +168,6 @@ class PopularityEvent:
         if _integer_field(self, "delta") == 0:
             raise ValueError("delta must be nonzero")
 
-    def sort_key(self) -> tuple[int, str, str, int]:
-        return (self.occurred_at, self.repo_id, self.kind.value, self.delta)
-
 
 @dataclass(frozen=True, slots=True)
 class TimeGrid:

@@ -19,7 +19,6 @@ import io
 import json
 from dataclasses import fields
 from enum import Enum
-from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -145,36 +144,23 @@ def _score_pieces(cards: Iterable[ScoreCard], fmt: str) -> Iterator[str]:
     """The score table's rows in ``fmt``, one piece per repository.
 
     A repository's id is encoded once, as JSON or as the CSV cells
-    ``repo_id,wtps,``, and poured with its values into the row template of
-    ``_score_template``. A JSON piece's values take one ``json.dumps`` pass;
-    a CSV value is its ``repr``, as ``csv`` writes a float.
+    ``repo_id,wtps``, and each of its rows is formatted around it. A JSON
+    piece's values take one ``json.dumps`` pass; a CSV value is its ``repr``,
+    as ``csv`` writes a float.
     """
     for card in cards:
         values = (*card.interval_scores, card.overall)
+        labels = [*range(len(card.interval_scores)), "overall"]
         if fmt == "csv":
-            lead = _csv_line((card.repo_id, "wtps"))[:-1] + ","
-            texts = tuple(map(repr, values))
+            lead = _csv_line((card.repo_id, "wtps"))[:-1]
+            yield "".join([f"{lead},{label},{value!r}\n" for label, value in zip(labels, values)])
         else:
             lead = json.dumps(card.repo_id, ensure_ascii=False)
-            texts = tuple(json.dumps(values, separators=("\n", ":"),
-                                     ensure_ascii=False)[1:-1].split("\n"))
-        template = _score_template(fmt, len(card.interval_scores))
-        yield template.replace("\0", lead.replace("%", "%%")) % texts
-
-
-# Every repository of a table has the same number of intervals.
-@lru_cache(maxsize=2)
-def _score_template(fmt: str, intervals: int) -> str:
-    r"""The rows of a repository with ``intervals`` intervals and its
-    "overall" row, with ``\0`` for the repository's lead and ``%s`` for
-    each value."""
-    labels = [*map(str, range(intervals)), '"overall"' if fmt == "json" else "overall"]
-    if fmt == "csv":
-        return "".join(f"\0{label},%s\n" for label in labels)
-    keys = [json.dumps(name) for name in SCORE_COLUMNS]
-    cells = ("\0", '"wtps"', "%s", "%%s")
-    record = "  {\n" + ",\n".join(f"    {k}: {c}" for k, c in zip(keys, cells)) + "\n  }"
-    return ",\n".join(record % label for label in labels)
+            labels[-1] = '"overall"'
+            texts = json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+            yield ",\n".join([f'  {{\n    "repo_id": {lead},\n    "indicator": "wtps",\n'
+                              f'    "interval_index": {label},\n    "value": {text}\n  }}'
+                              for label, text in zip(labels, texts)])
 
 
 def _csv_line(cells: Sequence) -> str:

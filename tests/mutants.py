@@ -44,6 +44,9 @@ class Mutant(NamedTuple):
 _TIMESTAMPS = ("tests/test_timestamps.py",
                "tests/test_properties.py::test_parse_timestamp_floors_the_instant_its_fields_name")
 _CACHE = ("tests/test_cache.py",)
+_SCORE_FILE = ("tests/test_properties.py::test_score_file_matches_reference_rendering",
+               "tests/test_cli.py::TestChunkedOutput")
+_TIER1 = ("tests",)
 
 MUTANTS = (
     # dataset.parse_timestamp
@@ -61,6 +64,46 @@ MUTANTS = (
            "    timezone(timedelta(microseconds=offset))\n", "", _TIMESTAMPS),
     Mutant("fraction cut after padding, not before", "dataset.py",
            '.ljust(6, "0")[:6]', '[:6].ljust(6, "0")', _TIMESTAMPS, equivalent=True),
+    Mutant("a sign separates the date from the time", "dataset.py",
+           "(?:[^+-]([0-9]{2})", "(?:.([0-9]{2})", _TIMESTAMPS),
+    # serialize._score_pieces, the score file's writer
+    Mutant("JSON overall label unquoted", "serialize.py",
+           "            labels[-1] = '\"overall\"'\n", "", _SCORE_FILE),
+    Mutant("CSV lead keeps its newline", "serialize.py",
+           '_csv_line((card.repo_id, "wtps"))[:-1]', '_csv_line((card.repo_id, "wtps"))',
+           _SCORE_FILE),
+    Mutant("JSON lead escapes non-ASCII", "serialize.py",
+           "json.dumps(card.repo_id, ensure_ascii=False)", "json.dumps(card.repo_id)",
+           _SCORE_FILE),
+    # str and repr of a float agree on Python 3.
+    Mutant("CSV value by str, not repr", "serialize.py",
+           "{value!r}", "{value}", _SCORE_FILE, equivalent=True),
+    # scoring, stats and graph, each against the whole tier-1
+    Mutant("activity floor on the signed sum", "scoring.py",
+           "if sum(map(abs, deltas)) < thresholds.min_activity:",
+           "if sum(deltas) < thresholds.min_activity:", _TIER1),
+    Mutant("growth bar exclusive", "scoring.py",
+           "elif positive_fraction >= thresholds.growth_fraction:",
+           "elif positive_fraction > thresholds.growth_fraction:", _TIER1),
+    Mutant("loss bar inclusive", "scoring.py",
+           "(peak - final) / peak > thresholds.loss_fraction",
+           "(peak - final) / peak >= thresholds.loss_fraction", _TIER1),
+    # From Python 3.12 builtin sum compensates, as fsum does on the pinned input.
+    Mutant("summarize's mean by builtin sum", "stats.py",
+           "mean=math.fsum(ordered) / len(ordered)", "mean=sum(ordered) / len(ordered)",
+           _TIER1, equivalent=sys.version_info >= (3, 12)),
+    Mutant("intercept from the sums", "stats.py",
+           "intercept = mean_y - slope * mean_x",
+           "intercept = math.fsum(y) / n - slope * math.fsum(x) / n", _TIER1),
+    Mutant("wtps_overall by builtin sum", "scoring.py",
+           "overall=_row_sum(scores))", "overall=sum(scores))", _TIER1),
+    # More bits give the same values, slower.
+    Mutant("overlap shift of 60 bits", "graph.py",
+           "self.shift = 53 + ", "self.shift = 60 + ", _TIER1, equivalent=True),
+    # IEEE addition commutes.
+    Mutant("star term added first", "scoring.py",
+           "map(add, map(mul, forks, wf), map(mul, stars, ws))",
+           "map(add, map(mul, stars, ws), map(mul, forks, wf))", _TIER1, equivalent=True),
     # the command line's cache, wtps.cli and graph._fits
     Mutant("no digest check", "cli.py",
            "if payload.digest() != stored:", "if False:", _CACHE),
@@ -130,7 +173,7 @@ def main(names: list[str]) -> int:
         expected = "survived" if mutant.equivalent else "killed"
         flag = "" if outcome in (expected, "stale") else "  <- expected " + expected
         unexpected += bool(flag)
-        print(f"{outcome:9} {mutant.file:11} {mutant.name}{flag}", flush=True)
+        print(f"{outcome:9} {mutant.file:12} {mutant.name}{flag}", flush=True)
     print(f"{len(chosen)} mutants, {unexpected} not as expected")
     return 1 if unexpected else 0
 

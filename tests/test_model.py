@@ -187,7 +187,7 @@ class TestCorpusValidation:
             _event(rid="R1", kind=EventKind.FORK, at=BASE_TS),
         ]
         corpus = Corpus.build([_repo("R1"), _repo("R2")], events, interval_days=30)
-        keys = [e.sort_key() for e in corpus.events]
+        keys = [(e.occurred_at, e.repo_id, e.kind.value, e.delta) for e in corpus.events]
         assert keys == sorted(keys)
         assert corpus.events[0].occurred_at == BASE_TS
 

@@ -103,27 +103,28 @@ _ZONES = st.one_of(
        st.integers(0, 3), st.sampled_from("T t_x"), st.text("0123456789", max_size=9), _ZONES)
 @example(date(2018, 1, 1), (0, 0, 0), 3, "T", "4", ("+", 0, 0, 0, 500_000, 4))
 @example(date(2018, 1, 1), (0, 0, 0), 1, "T", "", ("-", 0, 0, 0, 1, 4))
+@example(date(2018, 1, 1), (0, 0, 0), 0, "T", "", ("+", 5, 30, 0, 0, 2))
 def test_parse_timestamp_floors_the_instant_its_fields_name(day, clock, parts, separator,
                                                             digits, zone):
-    # The spelling: the date, then (with 1-3 time fields) the time of day, the
-    # fraction and the zone. Years 0002-9998 keep every offset in range.
+    # The spelling: the date, then (with 1-3 time fields) the time of day and
+    # the fraction, then the zone. Years 0002-9998 keep every offset in range.
     clock = [field if i < parts else 0 for i, field in enumerate(clock)]
     text, offset = day.isoformat(), timedelta(0)
     if parts:
         text += separator + ":".join(f"{field:02d}" for field in clock[:parts])
         text += f".{digits}" if digits else ""
-        if isinstance(zone, tuple):
-            sign, hours, minutes, seconds, micro, spelled = zone
-            seconds, micro = seconds if spelled > 2 else 0, micro if spelled > 3 else 0
-            text += f"{sign}{hours:02d}:{minutes:02d}"
-            text += f":{seconds:02d}" if spelled > 2 else ""
-            text += f".{micro:06d}" if spelled > 3 else ""
-            offset = timedelta(hours=hours, minutes=minutes, seconds=seconds,
-                               microseconds=micro) * (-1 if sign == "-" else 1)
-        else:
-            text += zone
     else:
         digits = ""
+    if isinstance(zone, tuple):
+        sign, hours, minutes, seconds, micro, spelled = zone
+        seconds, micro = seconds if spelled > 2 else 0, micro if spelled > 3 else 0
+        text += f"{sign}{hours:02d}:{minutes:02d}"
+        text += f":{seconds:02d}" if spelled > 2 else ""
+        text += f".{micro:06d}" if spelled > 3 else ""
+        offset = timedelta(hours=hours, minutes=minutes, seconds=seconds,
+                           microseconds=micro) * (-1 if sign == "-" else 1)
+    else:
+        text += zone
     # The instant from the fields alone: no string is parsed.
     moment = datetime.combine(day, time(*clock), tzinfo=timezone(offset))
     instant = Fraction((moment - _EPOCH) // timedelta(microseconds=1), 10**6)
@@ -366,8 +367,8 @@ def test_chunked_table_file_matches_whole_rendering(header, pool, count):
 # a format string reads.
 _score_ids = st.one_of(
     _file_text,
-    st.sampled_from(["%s", "100%", 'a"b', '"', "a,b", "a\r\nb", "\n", "\r", " lead",
-                     "trail ", " é 漢 ", ""]),
+    st.sampled_from(["%s", "100%", "{", "}", "{0}", "{lead}", 'a"b', '"', "a,b", "a\r\nb",
+                     "\n", "\r", " lead", "trail ", " é 漢 ", ""]),
 )
 _score_values = st.one_of(
     st.floats(),

@@ -3,7 +3,9 @@ or its error message, which every supported Python version must give alike.
 
 The grammar is ``wtps.dataset._TIMESTAMP``: the shapes ``datetime.fromisoformat``
 reads on Python 3.10, with a fraction of a second of any length; the shapes
-only 3.11 and later read are refused. Offsets are exact to the microsecond.
+only 3.11 and later read are refused. A sign never separates the date from a
+time of day: it starts an offset, which may follow a bare date. Offsets are
+exact to the microsecond.
 The module needs only the standard library, so it also runs where pytest is
 not installed:
 
@@ -87,6 +89,17 @@ SPELLINGS = {
     # Offset fields are lax; only the whole offset is bounded, below a day.
     "2018-01-01T00:00:00+00:60": NEW_YEAR - 3_600,
     "2018-01-01T00:00:00+00:00:60": NEW_YEAR - 60,
+    # A sign never separates the date from a time: it starts an offset, which
+    # may follow a bare date.
+    "2018-01-01+05:30": NEW_YEAR - 19_800,
+    "2018-01-01-05:30:00.500000": NEW_YEAR + 19_800,
+    "2018-01-01Z": NEW_YEAR,
+    "2018-01-01+00:00": NEW_YEAR,
+    "2018-01-01-05:00": NEW_YEAR + 18_000,
+    "2018-01-01-05:30:15": NEW_YEAR + 19_815,
+    "2018-01-01+05": _invalid("2018-01-01+05"),
+    "2018-01-01-05:30:15.123": _invalid("2018-01-01-05:30:15.123"),
+    "2018-01-01+12:00:00": NEW_YEAR - 43_200,
     "2018-01-01T00:00:00+00:00Z": _invalid("2018-01-01T00:00:00+00:00+00:00"),
     "2018-01-01T00:00:00+5:30": _invalid("2018-01-01T00:00:00+5:30"),
 }
