@@ -37,7 +37,6 @@ except ImportError:
     from hashlib import blake2b
 
 from . import __version__
-from .dataset import _REPO_KEYS, DatasetSource, format_timestamp, load_corpus, save_corpus
 from .errors import (
     ApiError,
     ConfigError,
@@ -49,23 +48,15 @@ from .errors import (
     ParseError,
     WtpsError,
 )
-from .model import (_COLUMN_TYPES, DEFAULT_SWEEP_DAYS, CoefficientKind, Corpus, RepoRecord,
-                    TimeGrid, bin_events)
-from .scoring import (
-    GrowthThresholds,
-    Indicator,
-    WeightTable,
-    classify_growth,
-    compute_weights,
-    rank,
-    score_all,
-    unit_weights,
-)
+from .model import (_COLUMN_TYPES, DEFAULT_SWEEP_DAYS, CoefficientKind, Corpus, Indicator,
+                    RepoRecord, TimeGrid, bin_events, format_timestamp)
 
-# The handlers import ``graph``, ``stats``, ``serialize`` and ``api`` where
-# they use them, so each command loads only the modules it needs.
+# The handlers import ``dataset``, ``scoring``, ``graph``, ``stats``,
+# ``serialize`` and ``api`` where they use them, so each command loads only
+# the modules it needs: a cached report command never loads ``dataset``.
 if TYPE_CHECKING:
     from .graph import FollowerGraph
+    from .scoring import GrowthThresholds, WeightTable
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -238,6 +229,8 @@ def _sweep_days(args) -> list[int]:
 
 
 def _thresholds(args) -> GrowthThresholds:
+    from .scoring import GrowthThresholds
+
     try:
         return GrowthThresholds(
             min_activity=args.min_activity,
@@ -314,6 +307,8 @@ def load_cached(path: Path, interval_days: int) -> Corpus:
         pass
     else:
         return Corpus._derive(repos, captured_at, interval_days, *columns)
+
+    from .dataset import _REPO_KEYS, load_corpus
 
     corpus = load_corpus(path, interval_days=interval_days)
     try:
@@ -513,6 +508,8 @@ def _write_sidecar(path: Path, args, corpus: Corpus, extra: dict) -> None:
 
 def _unit_weights(args, corpus: Corpus) -> WeightTable | None:
     """Unit weights under ``--weights-one``; None leaves community weights."""
+    from .scoring import unit_weights
+
     return unit_weights(corpus.grid.interval_count) if args.weights_one else None
 
 
@@ -525,6 +522,8 @@ def _graph_block(graph: FollowerGraph) -> dict:
 
 
 def _cmd_ingest(args) -> int:
+    from .dataset import DatasetSource, save_corpus
+
     corpus = _load(args)
     with _staged_outputs(Path(args.output)) as (data_path, sidecar_path):
         manifest = save_corpus(corpus, data_path, source=DatasetSource.FILE)
@@ -534,6 +533,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_fetch(args) -> int:
     from .api import ApiClientConfig, fetch_repo, split_repo_spec
+    from .dataset import DatasetSource, save_corpus
 
     _check_flags(args)
     try:
@@ -564,6 +564,8 @@ def _cmd_fetch(args) -> int:
 
 
 def _cmd_score(args, corpus: Corpus):
+    from .scoring import compute_weights, score_all
+
     binned = bin_events(corpus)
     weights = _unit_weights(args, corpus) or compute_weights(binned)
     return score_all(binned, weights), {
@@ -575,6 +577,7 @@ def _cmd_score(args, corpus: Corpus):
 
 
 def _cmd_rank(args, corpus: Corpus):
+    from .scoring import rank
     from .serialize import rank_table
 
     indicator = Indicator(args.indicator)
@@ -600,6 +603,7 @@ def _cmd_sweep(args, corpus: Corpus):
 
 
 def _cmd_classify(args, corpus: Corpus):
+    from .scoring import classify_growth
     from .serialize import growth_table
 
     thresholds = _thresholds(args)

@@ -29,7 +29,6 @@ from dataclasses import dataclass, fields
 from datetime import date, time, timedelta, timezone
 from enum import Enum
 from json.encoder import encode_basestring
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -58,14 +57,14 @@ _CANONICAL_EVENT = re.compile(
     r'([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])Z"'
     r'(?:,"delta":(-?[1-9][0-9]{0,17}))?\}'
 )
-# A date; optionally any one separator character but a sign, and a time of
-# day of hours, minutes and seconds, each two digits, the last two optional,
-# with an optional fraction of any length; then, after the date or the time,
-# an optional offset of hours and minutes, seconds and six-digit microseconds.
-# Each field is a group; offset fields are lax.
+# A date; optionally any one separator character but a sign or an ASCII
+# digit, and a time of day of hours, minutes and seconds, each two digits, the
+# last two optional, with an optional fraction of any length; then, after the
+# date or the time, an optional offset of hours and minutes, seconds and
+# six-digit microseconds. Each field is a group; offset fields are lax.
 _TIMESTAMP = re.compile(
     r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
-    r"(?:[^+-]([0-9]{2})(?::([0-9]{2})(?::([0-9]{2}))?)?(?:\.([0-9]+))?)?"
+    r"(?:[^+0-9-]([0-9]{2})(?::([0-9]{2})(?::([0-9]{2}))?)?(?:\.([0-9]+))?)?"
     r"(?:([+-])([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.([0-9]{6}))?)?)?"
 )
 # Bytes that are not UTF-8, as the "surrogateescape" error handler reads them.
@@ -321,16 +320,15 @@ def save_corpus(
         source=source,
     )
     header = _dump(manifest.to_json_dict()) + "\n"
-    ids = [encode_basestring(r.repo_id) for r in corpus.repos]
+    # Each event line's head, by kind code and repository row.
+    heads = [[f'{{"repo_id":{encode_basestring(r.repo_id)},"kind":"{name}","occurred_at":"'
+              for r in corpus.repos] for name in _KIND_NAMES]
     with path.open("w", encoding="utf-8", newline="") as handle:
         handle.write(header)
         handle.writelines(_dump(_repo_dict(r)) + "\n" for r in corpus.repos)
         handle.writelines(
-            f'{{"repo_id":{ids[row]},"kind":"{_KIND_NAMES[kind]}",'
-            f'"occurred_at":"{stamp}","delta":{delta}}}\n'
-            for (row, kind, _, delta), stamp in zip(
-                corpus.event_rows(),
-                format_timestamps(map(itemgetter(2), corpus.event_rows())),
-            )
+            f'{heads[kind][row]}{stamp}","delta":{delta}}}\n'
+            for row, kind, stamp, delta in zip(
+                corpus._repo, corpus._kind, format_timestamps(corpus._time), corpus._delta)
         )
     return manifest

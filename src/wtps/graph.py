@@ -19,8 +19,8 @@ from itertools import chain
 from typing import Mapping
 
 from .errors import EmptyGraph, StepsExceedRepoCount, UnexportableNodeId
-from .model import CoefficientKind, Corpus
-from .scoring import Indicator, WeightTable, indicator_values
+from .model import CoefficientKind, Corpus, Indicator
+from .scoring import WeightTable, indicator_values
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,8 @@ def _check_string(name: str, value) -> None:
         raise ValueError(f"{name} must be a string, got {value!r}")
 
 
+# The command line's parser lists these two enums' values, so they live here,
+# where it finds them without loading the modules that use them.
 class CoefficientKind(Enum):
     """Clustering-coefficient definitions supported on the follower graph
     (``wtps.graph``)."""
@@ -87,6 +89,15 @@ class CoefficientKind(Enum):
     GLOBAL_TRANSITIVITY = "global_transitivity"
     AVERAGE_LOCAL = "average_local"
     BIPARTITE_LATAPY = "bipartite_latapy"
+
+
+class Indicator(Enum):
+    """Popularity measures a repository can be ranked under (``wtps.scoring``)."""
+
+    FORKS = "forks"
+    STARS = "stars"
+    WATCHERS = "watchers"
+    WTPS = "wtps"
 
 
 class EventKind(Enum):

@@ -18,16 +18,7 @@ from operator import add, mul
 from typing import Mapping, Sequence
 
 from .errors import IntervalOutOfRange
-from .model import BinnedCounts, Corpus, EventKind, _integer_field, bin_events
-
-
-class Indicator(Enum):
-    """Popularity measures a repository can be ranked under."""
-
-    FORKS = "forks"
-    STARS = "stars"
-    WATCHERS = "watchers"
-    WTPS = "wtps"
+from .model import BinnedCounts, Corpus, EventKind, Indicator, _integer_field, bin_events
 
 
 SNAPSHOT_FIELDS: Mapping[Indicator, str] = {

@@ -13,8 +13,8 @@ from dataclasses import astuple, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateInput, EmptyInput, LengthMismatch
-from .model import COUNT_FIELDS, DEFAULT_SWEEP_DAYS, SECONDS_PER_DAY, Corpus
-from .scoring import Indicator, SNAPSHOT_FIELDS, indicator_values
+from .model import COUNT_FIELDS, DEFAULT_SWEEP_DAYS, SECONDS_PER_DAY, Corpus, Indicator
+from .scoring import SNAPSHOT_FIELDS, indicator_values
 
 # The repository features, ``COUNT_FIELDS`` and "age_days", in the report
 # order of ``repo_features`` (and so of summarize) and of ``correlate``.

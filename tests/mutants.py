@@ -47,6 +47,7 @@ _CACHE = ("tests/test_cache.py",)
 _SCORE_FILE = ("tests/test_properties.py::test_score_file_matches_reference_rendering",
                "tests/test_cli.py::TestChunkedOutput")
 _TIER1 = ("tests",)
+_GOLDENS = ("tests/test_golden.py",)
 
 MUTANTS = (
     # dataset.parse_timestamp
@@ -65,7 +66,12 @@ MUTANTS = (
     Mutant("fraction cut after padding, not before", "dataset.py",
            '.ljust(6, "0")[:6]', '[:6].ljust(6, "0")', _TIMESTAMPS, equivalent=True),
     Mutant("a sign separates the date from the time", "dataset.py",
-           "(?:[^+-]([0-9]{2})", "(?:.([0-9]{2})", _TIMESTAMPS),
+           "(?:[^+0-9-]([0-9]{2})", "(?:.([0-9]{2})", _TIMESTAMPS),
+    Mutant("a digit separates the date from the time", "dataset.py",
+           "[^+0-9-]", "[^+-]", _TIMESTAMPS),
+    # dataset.save_corpus, the event lines' writer
+    Mutant("event line head of the other kind", "dataset.py",
+           "heads[kind][row]", "heads[1 - kind][row]", _GOLDENS),
     # serialize._score_pieces, the score file's writer
     Mutant("JSON overall label unquoted", "serialize.py",
            "            labels[-1] = '\"overall\"'\n", "", _SCORE_FILE),
@@ -133,6 +139,11 @@ MUTANTS = (
     Mutant("a library module loads the cache's hash", "dataset.py",
            "import json\n", "import hashlib\nimport json\n",
            ("tests/test_cache.py::test_library_modules_never_load_the_cache",)),
+    # the command line's imports
+    Mutant("the command line loads the dataset module eagerly", "cli.py",
+           "from . import __version__\n",
+           "from . import __version__\nfrom .dataset import load_corpus\n",
+           ("tests/test_cli.py::TestImportSurface",)),
 )
 
 

@@ -1,7 +1,8 @@
 """The command line's cache of loaded corpora (``wtps.cli.load_cached``) and
 of ``graph-deletion``'s intact-graph state (``wtps.cli._OverlapMemo``). The
 cache lives in ``wtps.cli`` alone: no library module imports it, and tests
-fake the parser by patching ``wtps.cli.load_corpus``.
+fake the parser by patching ``wtps.dataset.load_corpus``, which ``wtps.cli``
+imports on a miss.
 
 Both kinds of entry have one layout, ``wtps.cli._CacheEntry``'s: a digest,
 a JSON head line ``[format, count, value]``, then the columns, which only a
@@ -59,7 +60,7 @@ class Parses:
 def cached(path, days, parse):
     """``load_cached(path, days)``, with ``parse`` in ``load_corpus``'s place."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("wtps.cli.load_corpus", parse)
+        patch.setattr("wtps.dataset.load_corpus", parse)
         return load_cached(path, days)
 
 
@@ -258,7 +259,7 @@ class TestCommandOutputs:
         monkeypatch.setattr("wtps.cli.load_cached", load_cached)
         assert misses and set(misses) == {1}
 
-        monkeypatch.setattr("wtps.cli.load_corpus", no_parse)
+        monkeypatch.setattr("wtps.dataset.load_corpus", no_parse)
         for sample in (COMMUNITY_SAMPLE, FOLLOWER_SAMPLE):
             cached(sample, 30, Parses())
         (tmp_path / "hit").mkdir()
@@ -426,7 +427,7 @@ def test_config_error_reads_neither_input_nor_cache(tmp_path, capsys, monkeypatc
     cached(COMMUNITY_SAMPLE, 30, Parses())
     (entry,) = entries(empty_cache_home)
     monkeypatch.setattr("wtps.cli.load_cached", untouched)
-    monkeypatch.setattr("wtps.cli.load_corpus", untouched)
+    monkeypatch.setattr("wtps.dataset.load_corpus", untouched)
     code = main([argv[0], "--input", str(COMMUNITY_SAMPLE), "--output", str(tmp_path / "out"),
                  *argv[1:]])
     assert code == EXIT_CONFIG
@@ -675,7 +676,7 @@ class TestDamagedEntries:
         other kind's entry, the run's input and output, and the counters of
         parses and builds, this kind's first."""
         parses = Parses()
-        monkeypatch.setattr("wtps.cli.load_corpus", parses)
+        monkeypatch.setattr("wtps.dataset.load_corpus", parses)
         path = followed(tmp_path)
         output = deletion(tmp_path / "first", path, "--measure", "stars")
         (entry,) = [e for e in entries(empty_cache_home)

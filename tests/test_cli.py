@@ -576,7 +576,7 @@ class TestRejectedRuns:
         def no_load(*args, **kwargs):
             raise AssertionError("the input was read")
 
-        monkeypatch.setattr("wtps.cli.load_corpus", no_load)
+        monkeypatch.setattr("wtps.dataset.load_corpus", no_load)
         code = main([argv[0], "--input", str(FOLLOWER_SAMPLE), "--output", str(out), *argv[1:]])
         assert code == EXIT_CONFIG
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
@@ -706,15 +706,39 @@ class TestImportSurface:
         assert result.stdout.strip() == "False"
 
     def test_cli_import_does_not_load_graph_stats_or_serialize(self):
-        # Each handler imports the modules its command uses. numbers, which
-        # only GrowthThresholds reads, would add to every command's memory.
+        # Each handler imports the modules its command uses: a cached report
+        # loads no dataset module, ingest no scoring. numbers, which only
+        # GrowthThresholds reads, would add to every command's memory.
         src = str(Path(wtps.__file__).resolve().parents[1])
         probe = ("import sys; sys.path.insert(0, sys.argv[1]); import wtps.cli; "
                  "print(sorted(m for m in ('wtps.graph', 'wtps.stats', 'wtps.serialize', "
-                 "'numbers') if m in sys.modules))")
+                 "'wtps.dataset', 'wtps.scoring', 'numbers') if m in sys.modules))")
         result = subprocess.run([sys.executable, "-c", probe, src],
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("statement,loaded", [
+        ("import wtps", ["wtps", "wtps.errors"]),
+        ("from wtps import load_corpus", ["wtps", "wtps.dataset", "wtps.errors", "wtps.model"]),
+    ], ids=["package", "load-corpus"])
+    def test_import_loads_only_the_modules_it_names(self, statement, loaded):
+        # A fresh interpreter, so modules other tests imported do not count:
+        # the package loads the error types, each quick-start name its module.
+        src = str(Path(wtps.__file__).resolve().parents[1])
+        probe = (f"import sys; sys.path.insert(0, sys.argv[1]); {statement}; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'wtps'))")
+        result = subprocess.run([sys.executable, "-c", probe, src],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == str(loaded)
+
+    def test_quick_start_names_resolve_on_first_access(self):
+        namespace = {}
+        exec("from wtps import *", namespace)
+        assert set(wtps.__all__) <= set(namespace)
+        assert namespace["load_corpus"] is wtps.dataset.load_corpus
+        assert wtps.Indicator is wtps.scoring.Indicator is wtps.model.Indicator
+        with pytest.raises(AttributeError, match="no_such_name"):
+            wtps.no_such_name
 
     def test_commands_and_library_load_run_without_numpy(self, tmp_path):
         # numpy is made unimportable: every golden run (each command but

@@ -4,8 +4,8 @@ or its error message, which every supported Python version must give alike.
 The grammar is ``wtps.dataset._TIMESTAMP``: the shapes ``datetime.fromisoformat``
 reads on Python 3.10, with a fraction of a second of any length; the shapes
 only 3.11 and later read are refused. A sign never separates the date from a
-time of day: it starts an offset, which may follow a bare date. Offsets are
-exact to the microsecond.
+time of day: it starts an offset, which may follow a bare date. Nor does an
+ASCII digit. Offsets are exact to the microsecond.
 The module needs only the standard library, so it also runs where pytest is
 not installed:
 
@@ -36,6 +36,8 @@ SPELLINGS = {
     "2018-01-01_12:30:15": NEW_YEAR + 45_015,
     " 2018-01-01T12:30:15Z\n": NEW_YEAR + 45_015,
     "2018-01-0112:30:15": _invalid("2018-01-0112:30:15"),
+    "2018-01-01112:30": _invalid("2018-01-01112:30"),
+    "2018-01-01012:30:15Z": _invalid("2018-01-01012:30:15+00:00"),
     "2018-01-01  12:30:15": _invalid("2018-01-01  12:30:15"),
     "2018-01-01T": _invalid("2018-01-01T"),
     "2018-01-01T1:30:15": _invalid("2018-01-01T1:30:15"),
