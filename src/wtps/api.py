@@ -20,7 +20,6 @@ import math
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 from urllib.parse import urlsplit
 
@@ -28,7 +27,8 @@ import requests
 
 from .dataset import parse_timestamp
 from .errors import ApiError, AuthFailure, NotFound, RateLimited
-from .model import EventKind, PopularityEvent, RepoRecord, _check_string, _integer_field
+from .model import (EventKind, PopularityEvent, RepoRecord, _check_string, _integer_field,
+                    record, replace)
 
 _STAR_MEDIA_TYPE = "application/vnd.github.star+json"
 _DEFAULT_MEDIA_TYPE = "application/vnd.github+json"
@@ -36,7 +36,7 @@ _DEFAULT_MEDIA_TYPE = "application/vnd.github+json"
 _WINDOW_S = 3600.0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ApiClientConfig:
     """Connection and throttling settings for the REST client."""
 
@@ -202,7 +202,7 @@ def _retry_after_seconds(response) -> float:
     return max(0.0, seconds) if math.isfinite(seconds) else 60.0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FetchResult:
     """One fetched repository: record, event timeline, truncation flag."""
 

@@ -25,7 +25,6 @@ import json
 import re
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from datetime import date, time, timedelta, timezone
 from enum import Enum
 from json.encoder import encode_basestring
@@ -35,13 +34,13 @@ from typing import Iterator
 from .errors import ParseError
 from .model import (EVENT_KINDS, FIRST_SECOND, LAST_SECOND, Corpus, EventKind,
                     PopularityEvent, RepoRecord, _check_string, _integer_field,
-                    _UNIX_ORDINAL, format_timestamp, format_timestamps)
+                    _UNIX_ORDINAL, fields, format_timestamp, format_timestamps, record)
 
 SCHEMA_VERSION = 1
 
 # Each line type's keys are its record's fields, in order.
-_REPO_KEYS = tuple(f.name for f in fields(RepoRecord))
-_EVENT_KEYS = tuple(f.name for f in fields(PopularityEvent))
+_REPO_KEYS = fields(RepoRecord)
+_EVENT_KEYS = fields(PopularityEvent)
 _EVENT_KEY_SETS = (set(_EVENT_KEYS), set(_EVENT_KEYS[:3]))
 _KIND_NAMES = tuple(kind.value for kind in EVENT_KINDS)
 _KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}
@@ -77,7 +76,7 @@ class DatasetSource(Enum):
     LIVE_API = "live_api"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DatasetManifest:
     """Header describing a saved dataset file."""
 
@@ -99,7 +98,7 @@ class DatasetManifest:
         )
 
 
-_MANIFEST_KEYS = tuple(f.name for f in fields(DatasetManifest))
+_MANIFEST_KEYS = fields(DatasetManifest)
 
 
 def parse_timestamp(text: str) -> int:
@@ -293,8 +292,8 @@ def _dump(obj: dict) -> str:
 def _line_dict(record, **rendered) -> dict:
     """A record as its dataset line: its fields in order, ``rendered`` values first."""
     return {
-        f.name: rendered[f.name] if f.name in rendered else getattr(record, f.name)
-        for f in fields(record)
+        name: rendered[name] if name in rendered else getattr(record, name)
+        for name in fields(record)
     }
 
 

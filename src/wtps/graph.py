@@ -14,16 +14,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
 
 from .errors import EmptyGraph, StepsExceedRepoCount, UnexportableNodeId
-from .model import CoefficientKind, Corpus, Indicator
+from .model import CoefficientKind, Corpus, Indicator, _set, record
 from .scoring import WeightTable, indicator_values
 
 
-@dataclass(frozen=True)
+@record
 class FollowerGraph:
     """Strictly bipartite graph between repositories and owner-followers.
 
@@ -35,11 +34,11 @@ class FollowerGraph:
     repo_nodes: frozenset[str]
     follower_nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
+    __slots__ = ("_overlap_memo",)  # set by ``_remember``
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "repo_nodes", frozenset(self.repo_nodes))
-        object.__setattr__(self, "follower_nodes", frozenset(self.follower_nodes))
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        _set(self, repo_nodes=frozenset(self.repo_nodes),
+             follower_nodes=frozenset(self.follower_nodes), edges=frozenset(self.edges))
         for repo, follower in self.edges:
             if repo not in self.repo_nodes:
                 raise ValueError(f"edge references unknown repo node {repo!r}")
@@ -149,7 +148,7 @@ class _Overlap:
     """
 
     def __init__(self, g: FollowerGraph) -> None:
-        memo = vars(g).get("_overlap_memo")
+        memo = getattr(g, "_overlap_memo", None)
         state = memo.load() if memo is not None else None
         if state is None or not _fits(state, g):
             state = [*_twin_classes(g), None, None]
@@ -342,7 +341,7 @@ def _remember(g: FollowerGraph, memo) -> FollowerGraph:
     return g
 
 
-@dataclass(frozen=True)
+@record
 class DeletionSeries:
     """Coefficient trajectory of a stepwise highest-popularity deletion run.
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
 from functools import cache
 from itertools import compress, islice, repeat
-from operator import index, le
+from operator import attrgetter, index, le
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -80,6 +79,58 @@ def _check_string(name: str, value) -> None:
         raise ValueError(f"{name} must be a string, got {value!r}")
 
 
+def _read_only(self, name: str, *value) -> None:
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _restore(self, state: tuple[None, dict]) -> None:
+    """Set the slots of a copy or an unpickled object from their ``state``."""
+    _set(self, **state[1])
+
+
+def record(cls: type) -> type:
+    """``cls`` as a frozen, slotted record of its annotated fields, in order, and
+    of the slots its own ``__slots__`` names: an ``__init__`` that keeps each
+    field's default and then calls any ``__post_init__``, ``__eq__`` and
+    ``__hash__`` over the field values of one class, and ``Name(field=value, ...)``."""
+    names, extra = tuple(cls.__annotations__), vars(cls).get("__slots__", ())
+    body = {key: value for key, value in vars(cls).items()
+            if key not in (*names, *extra, "__slots__", "__dict__", "__weakref__")}
+    # Generated, so that a call's arguments bind and fail as any function's do.
+    exec("def __init__(self, {}):\n{}".format(
+        ", ".join(f"{n}=_class[{n!r}]" if n in vars(cls) else n for n in names),
+        "".join(f" _store(self, {n!r}, {n})\n" for n in names)
+        + (" self.__post_init__()\n" if "__post_init__" in body else "")),
+        {"_class": vars(cls), "_store": object.__setattr__}, body)
+    body["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    values = attrgetter(*names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({pairs})"
+
+    body.update(__slots__=names + tuple(extra), __match_args__=names, __eq__=__eq__,
+                __hash__=lambda self: hash(values(self)), __repr__=__repr__,
+                __setattr__=_read_only, __delattr__=_read_only, __setstate__=_restore)
+    return type(cls)(cls.__name__, cls.__bases__, body)
+
+
+def fields(record) -> tuple[str, ...]:
+    """The field names of a ``record`` class or instance, in order."""
+    return record.__match_args__
+
+
+def replace(record, **changes):
+    """``record`` with ``changes``, checked by its ``__post_init__`` as when new."""
+    return type(record)(**{name: changes.pop(name, getattr(record, name))
+                           for name in fields(record)}, **changes)
+
+
 # The command line's parser lists these two enums' values, so they live here,
 # where it finds them without loading the modules that use them.
 class CoefficientKind(Enum):
@@ -111,7 +162,7 @@ class EventKind(Enum):
 COUNT_FIELDS = ("size_kb", "owner_followers", "forks_total", "stars_total", "watchers_total")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RepoRecord:
     """Static metadata for one repository.
 
@@ -158,7 +209,7 @@ class RepoRecord:
                 raise ValueError(f"{name} must be in [0, 2**63)")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PopularityEvent:
     """One timestamped fork or star delta attached to a repository.
 
@@ -180,7 +231,7 @@ class PopularityEvent:
             raise ValueError("delta must be nonzero")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TimeGrid:
     """Community-wide sequence of fixed-width, half-open time intervals.
 
@@ -317,7 +368,6 @@ def _column_view(name: str, dtype: str, doc: str) -> property:
     return property(view, doc=doc)
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class Corpus:
     """An immutable collection of repositories, events, and their grid.
 
@@ -338,17 +388,14 @@ class Corpus:
     later of the latest event time and the latest creation time.
     """
 
-    repos: tuple[RepoRecord, ...]
-    grid: TimeGrid
-    captured_at: int
-    _repo: array = field(repr=False)
-    _kind: array = field(repr=False)
-    _time: array = field(repr=False)
-    _delta: array = field(repr=False)
-    _rows: tuple[PopularityEvent, ...] | None = field(repr=False, compare=False)
-    _views: dict = field(repr=False, compare=False)
+    __slots__ = ("repos", "grid", "captured_at", "_repo", "_kind", "_time", "_delta",
+                 "_rows", "_views")
+    __setattr__, __delattr__, __setstate__ = _read_only, _read_only, _restore
 
-    __hash__ = None  # the generated hash would fail on the array columns
+    def __eq__(self, other) -> bool:  # unhashable; the kept rows and views are left out
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__[:7])
 
     event_repo = _column_view("_repo", "intp", "Row into ``repos`` of each event.")
     event_kind = _column_view("_kind", "int8", "Kind code of each event: 0 fork, 1 star.")
@@ -583,7 +630,6 @@ def _int64_view(values: Sequence, shape: tuple[int, ...]) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class BinnedCounts:
     """Signed fork/star delta totals per repository and grid interval.
 
@@ -599,12 +645,8 @@ class BinnedCounts:
     from the lists on first access and kept.
     """
 
-    repo_ids: tuple[str, ...]
-    interval_count: int
-    vectorized: bool
-    _rows: dict = field(repr=False)  # EventKind -> one int list per repository
-    _index: dict = field(repr=False)
-    _views: dict = field(repr=False)
+    __slots__ = ("repo_ids", "interval_count", "vectorized", "_rows", "_index", "_views")
+    __setattr__, __delattr__, __setstate__ = _read_only, _read_only, _restore
 
     def __init__(self, repo_ids: Sequence[str], interval_count: int,
                  forks: np.ndarray, stars: np.ndarray) -> None:

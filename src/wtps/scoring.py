@@ -10,7 +10,6 @@ score is the weight-scaled sum of its own per-interval gains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import accumulate
@@ -18,7 +17,7 @@ from operator import add, mul
 from typing import Mapping, Sequence
 
 from .errors import IntervalOutOfRange
-from .model import BinnedCounts, Corpus, EventKind, Indicator, _integer_field, bin_events
+from .model import BinnedCounts, Corpus, EventKind, Indicator, _integer_field, bin_events, record
 
 
 SNAPSHOT_FIELDS: Mapping[Indicator, str] = {
@@ -28,7 +27,7 @@ SNAPSHOT_FIELDS: Mapping[Indicator, str] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WeightTable:
     """Per-interval fork and star weights for a corpus.
 
@@ -81,7 +80,7 @@ def unit_weights(interval_count: int) -> WeightTable:
     return WeightTable(fork_weights=ones, star_weights=ones)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ScoreCard:
     """Per-interval and overall weighted scores for one repository."""
 
@@ -186,7 +185,7 @@ def score_all(binned: BinnedCounts, weights: WeightTable) -> list[ScoreCard]:
     ]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RankEntry:
     """One row of a ranking: 1-based competition rank (ties share the lower
     rank number; tie order within equal values is ascending repo_id)."""
@@ -252,7 +251,7 @@ def _real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GrowthThresholds:
     """Tunable cutoffs for growth classification.
 
@@ -276,7 +275,7 @@ class GrowthThresholds:
             raise ValueError(f"min_activity must be >= 0, got {self.min_activity!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GrowthLabel:
     """Classification outcome plus the evidence it was decided on."""
 

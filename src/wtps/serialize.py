@@ -17,12 +17,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import fields
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
+from .model import fields
 from .scoring import GrowthLabel, RankEntry, ScoreCard
 
 # The graph and stats record types are imported where they are used, so
@@ -55,10 +55,10 @@ def rank_table(entries: Iterable[RankEntry], indicator: str) -> Table:
 
 
 def _record_table(record_type: type, records: Iterable, key: str | None = None) -> Table:
-    """One row per dataclass record of ``record_type``, whose fields are the
+    """One row per record of ``record_type``, whose fields are the
     columns, enums written by value. With ``key``, ``records`` maps the cells
     of a first column of that name to the records."""
-    names = tuple(f.name for f in fields(record_type))
+    names = fields(record_type)
     cells = attrgetter(*names)
 
     def row(record) -> Row:

@@ -9,11 +9,11 @@ returning a silent zero that would corrupt correlation reports.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateInput, EmptyInput, LengthMismatch
-from .model import COUNT_FIELDS, DEFAULT_SWEEP_DAYS, SECONDS_PER_DAY, Corpus, Indicator
+from .model import (COUNT_FIELDS, DEFAULT_SWEEP_DAYS, SECONDS_PER_DAY, Corpus, Indicator,
+                    fields, record)
 from .scoring import SNAPSHOT_FIELDS, indicator_values
 
 # The repository features, ``COUNT_FIELDS`` and "age_days", in the report
@@ -24,7 +24,7 @@ _PROPERTY_FIELDS = ("forks_total", "stars_total", "watchers_total", "age_days", 
                     "size_kb")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RegressionResult:
     """Simple least-squares line plus the product-moment coefficient."""
 
@@ -109,7 +109,7 @@ def correlate(corpus: Corpus) -> tuple[dict[str, RegressionResult], dict[str, st
     return fitted, skipped
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SweepEntry:
     """Regression of one snapshot indicator on the weighted score for one
     interval width: the indicator and width, then ``RegressionResult``'s
@@ -138,11 +138,12 @@ def interval_sweep(
     entries: list[SweepEntry] = []
     for days in interval_days_list:
         fitted, _ = _fit_on_wtps(corpus.regrid(days), columns)
-        entries.extend(SweepEntry(ind, days, *astuple(result)) for ind, result in fitted.items())
+        entries.extend(SweepEntry(ind, days, *(getattr(result, name) for name in fields(result)))
+                       for ind, result in fitted.items())
     return entries
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DistributionSummary:
     """Five-number summary plus mean and an IQR-rule outlier count."""
 

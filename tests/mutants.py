@@ -48,6 +48,7 @@ _SCORE_FILE = ("tests/test_properties.py::test_score_file_matches_reference_rend
                "tests/test_cli.py::TestChunkedOutput")
 _TIER1 = ("tests",)
 _GOLDENS = ("tests/test_golden.py",)
+_RECORDS = ("tests/test_model.py::TestRecordContract",)
 
 MUTANTS = (
     # dataset.parse_timestamp
@@ -69,6 +70,20 @@ MUTANTS = (
            "(?:[^+0-9-]([0-9]{2})", "(?:.([0-9]{2})", _TIMESTAMPS),
     Mutant("a digit separates the date from the time", "dataset.py",
            "[^+0-9-]", "[^+-]", _TIMESTAMPS),
+    # model.record, the records' class builder, and model.replace
+    Mutant("a field dropped from __eq__", "model.py",
+           "return values(self) == values(other)",
+           "return values(self)[1:] == values(other)[1:]", _RECORDS),
+    Mutant("__setattr__ allowed", "model.py", "__setattr__=_read_only, ", "", _RECORDS),
+    Mutant("replace skips __post_init__", "model.py",
+           "    return type(record)(**{name: changes.pop(name, getattr(record, name))\n"
+           "                           for name in fields(record)}, **changes)",
+           "    copy = object.__new__(type(record))\n"
+           "    _set(copy, **{name: changes.get(name, getattr(record, name))\n"
+           "                  for name in fields(record)})\n"
+           "    return copy", _RECORDS),
+    Mutant("a field missing from the repr", "model.py",
+           "for name in names)\n", "for name in names[1:])\n", _RECORDS),
     # dataset.save_corpus, the event lines' writer
     Mutant("event line head of the other kind", "dataset.py",
            "heads[kind][row]", "heads[1 - kind][row]", _GOLDENS),

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from wtps.graph import CoefficientKind, FollowerGraph
-from wtps.model import Corpus, EventKind, PopularityEvent, RepoRecord
+from wtps.model import Corpus, EventKind, PopularityEvent, RepoRecord, replace
 
 BASE_TS = 1_514_764_800  # 2018-01-01T00:00:00Z
 DAY = 86_400

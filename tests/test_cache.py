@@ -25,7 +25,6 @@ import subprocess
 import sys
 from array import array
 from collections import Counter
-from dataclasses import replace
 from hashlib import blake2b
 from pathlib import Path
 from types import SimpleNamespace
@@ -37,7 +36,7 @@ from wtps import Indicator, graph, load_corpus, model
 from wtps.cli import (_CACHE_FORMAT, _STATE_FORMAT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, load_cached,
                       main)
 from wtps.dataset import save_corpus
-from wtps.model import CoefficientKind, Corpus
+from wtps.model import CoefficientKind, Corpus, replace
 from conftest import COMMUNITY_SAMPLE, FOLLOWER_SAMPLE
 from synth import make_corpus
 from test_golden import DIGESTS, run_all

@@ -731,6 +731,36 @@ class TestImportSurface:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == str(loaded)
 
+    # ``dataclasses`` loads these, about 12 ms in each fresh interpreter; the
+    # records are built by ``wtps.model.record`` without them.
+    INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+    @pytest.mark.parametrize("command", [
+        ["score"], ["sweep"], ["graph-deletion", "--measure", "wtps"],
+    ], ids=["score", "sweep", "graph-deletion"])
+    def test_cached_command_loads_no_introspection_module(self, tmp_path, command):
+        # The first run fills the cache, so the fresh interpreter's run reads
+        # it and loads no dataset module either.
+        argv = [*command, "--input", str(COMMUNITY_SAMPLE), "--output", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        src = str(Path(wtps.__file__).resolve().parents[1])
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); from wtps.cli import main; "
+                 "code = main(sys.argv[2:]); "
+                 f"print(code, sorted(m for m in {(*self.INTROSPECTION, 'wtps.dataset')} "
+                 "if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", probe, src, *argv],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == f"{EXIT_OK} []"
+
+    def test_load_corpus_loads_no_introspection_module(self):
+        src = str(Path(wtps.__file__).resolve().parents[1])
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); from wtps import load_corpus; "
+                 "load_corpus(sys.argv[2]); "
+                 f"print(sorted(m for m in {self.INTROSPECTION} if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", probe, src, str(COMMUNITY_SAMPLE)],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
     def test_quick_start_names_resolve_on_first_access(self):
         namespace = {}
         exec("from wtps import *", namespace)

@@ -2,7 +2,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,7 @@ from wtps.graph import (
     format_edge_list,
     scores_for_measure,
 )
-from wtps.model import Corpus
+from wtps.model import Corpus, replace
 from wtps.scoring import rank
 from synth import fsum_overlap_reference, make_bipartite_graph, overlap_oracle
 
@@ -91,8 +90,6 @@ class TestBuildGraph:
         assert graph.edge_count == 0
 
     def test_shared_owner_means_identical_neighborhoods(self, follower_corpus):
-        from dataclasses import replace
-
         twin_source = follower_corpus.repos[0]
         twin = replace(twin_source, repo_id="R9", full_name="orchard/alpha-mirror")
         corpus = type(follower_corpus)(

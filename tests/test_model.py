@@ -1,6 +1,7 @@
+import copy
+import pickle
 import random
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,15 +17,24 @@ from wtps import (
     load_corpus,
 )
 from wtps import model
-from wtps.dataset import format_timestamp, save_corpus
+from wtps.api import ApiClientConfig, FetchResult
+from wtps.dataset import (_EVENT_KEYS, _MANIFEST_KEYS, _REPO_KEYS, DatasetManifest,
+                          DatasetSource, format_timestamp, save_corpus)
+from wtps.graph import DeletionSeries, FollowerGraph
 from wtps.model import (
+    CoefficientKind,
     Corpus,
     EventKind,
+    Indicator,
     PopularityEvent,
     RepoRecord,
     TimeGrid,
     grid_for_times,
+    replace,
 )
+from wtps.scoring import (GrowthLabel, GrowthPattern, GrowthThresholds, RankEntry, ScoreCard,
+                          WeightTable)
+from wtps.stats import DistributionSummary, RegressionResult, SweepEntry
 from synth import BASE_TS, DAY, make_corpus
 
 
@@ -390,6 +400,161 @@ class TestFieldTypes:
         path = tmp_path / "numpy.jsonl"
         save_corpus(corpus, path)
         assert load_corpus(path, interval_days=7) == corpus
+
+
+# Each record class, with its fields in order and, for each field, another
+# value it takes alone.
+_RECORDS = [
+    (RepoRecord,
+     dict(repo_id="R1", full_name="org/R1", created_at=BASE_TS, primary_language="Go",
+          size_kb=5, owner_followers=6, forks_total=3, stars_total=4, watchers_total=1,
+          follower_ids=("f1", "f2")),
+     dict(repo_id="R2", full_name="org/R2", created_at=BASE_TS + 1, primary_language=None,
+          size_kb=0, owner_followers=0, forks_total=0, stars_total=0, watchers_total=0,
+          follower_ids=())),
+    (PopularityEvent,
+     dict(repo_id="R1", kind=EventKind.STAR, occurred_at=BASE_TS, delta=-2),
+     dict(repo_id="R2", kind=EventKind.FORK, occurred_at=BASE_TS + 1, delta=1)),
+    (TimeGrid,
+     dict(epoch=BASE_TS, interval_days=7, interval_count=3),
+     dict(epoch=0, interval_days=30, interval_count=1)),
+    (DatasetManifest,
+     dict(schema_version=1, captured_at=BASE_TS, repo_count=2, source=DatasetSource.FILE),
+     dict(schema_version=2, captured_at=0, repo_count=0, source=DatasetSource.LIVE_API)),
+    (WeightTable,
+     dict(fork_weights=(0.25, 0.75), star_weights=(1.0, 0.0)),
+     dict(fork_weights=(0.5, 0.5), star_weights=(0.0, 1.0))),
+    (ScoreCard,
+     dict(repo_id="R1", interval_scores=(0.5, 1.5), overall=2.0),
+     dict(repo_id="R2", interval_scores=(), overall=0.0)),
+    (RankEntry,
+     dict(repo_id="R1", value=3, rank=1),
+     dict(repo_id="R2", value=2.5, rank=2)),
+    (GrowthThresholds,
+     dict(min_activity=4, loss_fraction=0.5, growth_fraction=0.25),
+     dict(min_activity=0, loss_fraction=0.0, growth_fraction=1.0)),
+    (GrowthLabel,
+     dict(repo_id="R1", indicator=Indicator.STARS, pattern=GrowthPattern.STAGNANT,
+          peak_cumulative=3, final_cumulative=2, positive_fraction=0.5),
+     dict(repo_id="R2", indicator=Indicator.FORKS, pattern=GrowthPattern.SUSTAINED_GROWTH,
+          peak_cumulative=4, final_cumulative=4, positive_fraction=1.0)),
+    (RegressionResult,
+     dict(slope=1.5, intercept=-0.5, pearson_r=0.9, sample_count=4),
+     dict(slope=2.0, intercept=0.0, pearson_r=-0.1, sample_count=5)),
+    (SweepEntry,
+     dict(indicator=Indicator.FORKS, interval_days=7, slope=1.5, intercept=-0.5,
+          pearson_r=0.9, sample_count=4),
+     dict(indicator=Indicator.STARS, interval_days=14, slope=2.0, intercept=0.0,
+          pearson_r=-0.1, sample_count=5)),
+    (DistributionSummary,
+     dict(minimum=0.0, first_quartile=1.0, median=2.0, third_quartile=3.0, maximum=4.0,
+          mean=2.0, outlier_count=0),
+     dict(minimum=-1.0, first_quartile=0.5, median=2.5, third_quartile=3.5, maximum=9.0,
+          mean=2.5, outlier_count=1)),
+    (FollowerGraph,
+     dict(repo_nodes=frozenset({"R1"}), follower_nodes=frozenset({"f1"}),
+          edges=frozenset({("R1", "f1")})),
+     dict(repo_nodes=frozenset({"R1", "R2"}), follower_nodes=frozenset({"f1", "f2"}),
+          edges=frozenset())),
+    (DeletionSeries,
+     dict(measure=Indicator.WTPS, coefficient_kind=CoefficientKind.BIPARTITE_LATAPY,
+          values=(0.5, 0.0), removed=("R1",)),
+     dict(measure=Indicator.STARS, coefficient_kind=CoefficientKind.AVERAGE_LOCAL,
+          values=(0.0,), removed=())),
+    (ApiClientConfig,
+     dict(base_url="http://localhost:1", auth_token=None, requests_per_hour_cap=10,
+          page_size=5, retry_limit=0, fetch_follower_ids=False),
+     dict(base_url="http://localhost:2", auth_token="t", requests_per_hour_cap=20,
+          page_size=6, retry_limit=1, fetch_follower_ids=True)),
+    (FetchResult,
+     dict(repo=RepoRecord("R1", "org/R1", BASE_TS), events=(), truncated_history=True),
+     dict(repo=RepoRecord("R2", "org/R2", BASE_TS), events=(_event(),),
+          truncated_history=False)),
+]
+_RECORD_IDS = [cls.__name__ for cls, _, _ in _RECORDS]
+_VALUES = {cls: values for cls, values, _ in _RECORDS}
+
+
+class TestRecordContract:
+    # The records are frozen value objects: the library derives new ones only
+    # through their constructors and ``replace``, which check them again.
+    @pytest.mark.parametrize("cls,values,others", _RECORDS, ids=_RECORD_IDS)
+    def test_equal_to_its_twin_only(self, cls, values, others):
+        record, twin = cls(**values), cls(*values.values())
+        assert record == twin and hash(record) == hash(twin)
+        assert copy.copy(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record))
+        for name, other in others.items():
+            assert replace(record, **{name: other}) != record, name
+        for other_cls, other_values, _ in _RECORDS:
+            if other_cls is not cls:
+                other = other_cls(**other_values)
+                assert record.__eq__(other) is NotImplemented
+                assert record != other and other != record
+
+    @pytest.mark.parametrize("cls,values,others", _RECORDS, ids=_RECORD_IDS)
+    def test_fields_are_read_only(self, cls, values, others):
+        record = cls(**values)
+        for name, other in others.items():
+            with pytest.raises(AttributeError):
+                setattr(record, name, other)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == cls(**values)
+
+    @pytest.mark.parametrize("build,text", [
+        (lambda: RepoRecord(**_VALUES[RepoRecord]),
+         "RepoRecord(repo_id='R1', full_name='org/R1', created_at=1514764800, "
+         "primary_language='Go', size_kb=5, owner_followers=6, forks_total=3, stars_total=4, "
+         "watchers_total=1, follower_ids=('f1', 'f2'))"),
+        (lambda: TimeGrid(BASE_TS, 7, 3),
+         "TimeGrid(epoch=1514764800, interval_days=7, interval_count=3)"),
+        (lambda: ScoreCard("R1", (0.5, 1.5), 2.0),
+         "ScoreCard(repo_id='R1', interval_scores=(0.5, 1.5), overall=2.0)"),
+    ], ids=["RepoRecord", "TimeGrid", "ScoreCard"])
+    def test_repr(self, build, text):
+        assert repr(build()) == text
+
+    @pytest.mark.parametrize("cls,change,message", [
+        (RepoRecord, dict(stars_total=-1), r"stars_total must be in \[0, 2\*\*63\)"),
+        (PopularityEvent, dict(delta=0), "delta must be nonzero"),
+        (TimeGrid, dict(interval_days=0), "interval_days must be positive"),
+        (DatasetManifest, dict(source="file"), "source must be a DatasetSource"),
+        (WeightTable, dict(star_weights=(1.0,)), "fork and star weight sequences must align"),
+        (GrowthThresholds, dict(loss_fraction=2.0), "loss_fraction must be a number"),
+        (FollowerGraph, dict(edges={("R9", "f1")}), "unknown repo node 'R9'"),
+        (ApiClientConfig, dict(page_size=0), r"page_size must be within \[1, 100\]"),
+    ], ids=["RepoRecord", "PopularityEvent", "TimeGrid", "DatasetManifest", "WeightTable",
+            "GrowthThresholds", "FollowerGraph", "ApiClientConfig"])
+    def test_construction_and_replace_check_the_fields(self, cls, change, message):
+        values = _VALUES[cls]
+        with pytest.raises(ValueError, match=message):
+            cls(**{**values, **change})
+        with pytest.raises(ValueError, match=message):
+            replace(cls(**values), **change)
+
+    @pytest.mark.parametrize("cls,keys", [
+        (RepoRecord, _REPO_KEYS),
+        (PopularityEvent, _EVENT_KEYS),
+        (DatasetManifest, _MANIFEST_KEYS),
+    ], ids=["repo", "event", "manifest"])
+    def test_line_keys_are_the_fields_in_order(self, cls, keys):
+        values = _VALUES[cls]
+        assert keys == tuple(values)
+        assert [getattr(cls(*values.values()), key) for key in keys] == list(values.values())
+
+    def test_corpus_and_binned_counts_are_frozen_and_copy(self, community_corpus):
+        binned = bin_events(community_corpus)
+        for record, name in ((community_corpus, "captured_at"), (binned, "interval_count")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        # Binned counts are equal only to themselves.
+        assert binned == binned and binned != bin_events(community_corpus)
+        assert hash(binned) == hash(binned)
+        assert pickle.loads(pickle.dumps(community_corpus)) == community_corpus
+        copied = copy.deepcopy(binned)
+        assert copied.repo_ids == binned.repo_ids and copied.stars.tolist() == binned.stars.tolist()
 
 
 class TestNdarrayViews:

@@ -19,7 +19,6 @@ import math
 import random
 import struct
 import tempfile
-from dataclasses import replace
 from datetime import date, datetime, time, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -56,6 +55,7 @@ from wtps.model import (  # noqa: E402
     EventKind,
     PopularityEvent,
     RepoRecord,
+    replace,
 )
 from wtps.scoring import (  # noqa: E402
     Indicator,
