@@ -56,14 +56,14 @@ _CANONICAL_EVENT = re.compile(
     r'([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])Z"'
     r'(?:,"delta":(-?[1-9][0-9]{0,17}))?\}'
 )
-# A date; optionally any one separator character but a sign or an ASCII
-# digit, and a time of day of hours, minutes and seconds, each two digits, the
-# last two optional, with an optional fraction of any length; then, after the
-# date or the time, an optional offset of hours and minutes, seconds and
-# six-digit microseconds. Each field is a group; offset fields are lax.
+# A date; optionally a separator (a space, or one character but a sign, a
+# digit of any script, whitespace, ":" or ".") and a time of day of two-digit
+# hours, minutes and seconds, the last two optional, with a fraction of any
+# length; then, after the date or the time, an optional offset of hours and
+# minutes, seconds and six-digit microseconds. Each field is a group.
 _TIMESTAMP = re.compile(
     r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
-    r"(?:[^+0-9-]([0-9]{2})(?::([0-9]{2})(?::([0-9]{2}))?)?(?:\.([0-9]+))?)?"
+    r"(?:(?:[^\d\s+:.-]| )([0-9]{2})(?::([0-9]{2})(?::([0-9]{2}))?)?(?:\.([0-9]+))?)?"
     r"(?:([+-])([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.([0-9]{6}))?)?)?"
 )
 # Bytes that are not UTF-8, as the "surrogateescape" error handler reads them.
@@ -120,7 +120,8 @@ def parse_timestamp(text: str) -> int:
     y, mo, d, h, mi, s, zh, zm, zs, zus = (
         int(field or 0) for field in shape.group(1, 2, 3, 4, 5, 6, 9, 10, 11, 12))
     offset = (((zh * 60 + zm) * 60 + zs) * 1_000_000 + zus) * (-1 if shape[8] == "-" else 1)
-    # Raise the messages of an offset of a day or more, the date and the time.
+    # Raise the messages of the offset's fields, the offset, the date, the time.
+    time(0, zm, zs)
     timezone(timedelta(microseconds=offset))
     day = date(y, mo, d).toordinal() - _UNIX_ORDINAL
     time(h, mi, s)

@@ -49,6 +49,7 @@ _SCORE_FILE = ("tests/test_properties.py::test_score_file_matches_reference_rend
 _TIER1 = ("tests",)
 _GOLDENS = ("tests/test_golden.py",)
 _RECORDS = ("tests/test_model.py::TestRecordContract",)
+_SORT = ("tests/test_properties.py::test_event_sorts_equal_tuple_sort",)
 
 MUTANTS = (
     # dataset.parse_timestamp
@@ -67,9 +68,15 @@ MUTANTS = (
     Mutant("fraction cut after padding, not before", "dataset.py",
            '.ljust(6, "0")[:6]', '[:6].ljust(6, "0")', _TIMESTAMPS, equivalent=True),
     Mutant("a sign separates the date from the time", "dataset.py",
-           "(?:[^+0-9-]([0-9]{2})", "(?:.([0-9]{2})", _TIMESTAMPS),
+           r"(?:(?:[^\d\s+:.-]| )([0-9]{2})", "(?:.([0-9]{2})", _TIMESTAMPS),
     Mutant("a digit separates the date from the time", "dataset.py",
-           "[^+0-9-]", "[^+-]", _TIMESTAMPS),
+           r"[^\d\s+:.-]", r"[^\s+:.-]", _TIMESTAMPS),
+    Mutant("a line break separates the date from the time", "dataset.py",
+           r"[^\d\s+:.-]", r"[^\d+:.-]", _TIMESTAMPS),
+    Mutant("a colon or a dot separates the date from the time", "dataset.py",
+           r"[^\d\s+:.-]", r"[^\d\s+-]", _TIMESTAMPS),
+    Mutant("offset minutes and seconds unchecked", "dataset.py",
+           "    time(0, zm, zs)\n", "", _TIMESTAMPS),
     # model.record, the records' class builder, and model.replace
     Mutant("a field dropped from __eq__", "model.py",
            "return values(self) == values(other)",
@@ -84,6 +91,14 @@ MUTANTS = (
            "    return copy", _RECORDS),
     Mutant("a field missing from the repr", "model.py",
            "for name in names)\n", "for name in names[1:])\n", _RECORDS),
+    # Corpus.__post_init__'s event sorts
+    Mutant("tuple sort ignores the delta", "model.py",
+           "sorted(zip(times, rows, kinds, deltas))",
+           "sorted(zip(times, rows, kinds, deltas), key=lambda e: e[:3])", _SORT),
+    Mutant("lexsort ignores the delta", "model.py",
+           "np.lexsort((delta, kind, row, time))", "np.lexsort((kind, row, time))", _SORT),
+    Mutant("lexsort orders kind before row", "model.py",
+           "np.lexsort((delta, kind, row, time))", "np.lexsort((delta, row, kind, time))", _SORT),
     # dataset.save_corpus, the event lines' writer
     Mutant("event line head of the other kind", "dataset.py",
            "heads[kind][row]", "heads[1 - kind][row]", _GOLDENS),

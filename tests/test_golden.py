@@ -275,6 +275,7 @@ ERROR_INPUTS = {
     "timestamp-after-year-9999": _corpus(event={"occurred_at": "9999-12-31T23:59:59-01:00"}),
     "timestamp-offset-24h": _corpus(event={"occurred_at": "2018-02-01T00:00:00+24:00"}),
     "timestamp-sign-after-date": _corpus(event={"occurred_at": "2018-02-01+05"}),
+    "timestamp-offset-minute-60": _corpus(event={"occurred_at": "2024-08-05-21:60"}),
     "delta-true": _corpus(event={"delta": True}),
     "delta-string": _corpus(event={"delta": "1"}),
     "delta-zero": _corpus(event={"delta": 0}),

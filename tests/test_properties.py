@@ -5,10 +5,11 @@ on the fields a timestamp is spelled from for ``parse_timestamp``,
 ``parse_timestamp`` for the event times ``load_corpus`` reads, the same
 lines spelled with spaces (so decoded as JSON) for canonical event lines,
 ``json.dumps(indent=2)`` for ``to_json`` and for the table writers (with the
-whole-table ``to_csv`` for their CSV), a loop over ``PopularityEvent`` rows
-for binning, ``Corpus.build`` for regrid and subset, exact integer shares
-for the weights, the former fsum kernel (``synth.fsum_overlap_reference``)
-on chained ``FollowerGraph.remove_repo`` calls for the deletion series, and
+whole-table ``to_csv`` for their CSV), a tuple sort of the input columns for
+both event sorts, a loop over ``PopularityEvent`` rows for binning,
+``Corpus.build`` for regrid and subset, exact integer shares for the
+weights, the former fsum kernel (``synth.fsum_overlap_reference``) on
+chained ``FollowerGraph.remove_repo`` calls for the deletion series, and
 ``math.fsum`` for the exact integer sums the twin-class kernel keeps. The
 last property mutates the shipped samples and requires every CLI command to
 exit with a typed code and to leave no output when it fails.
@@ -516,6 +517,55 @@ def test_regrid_and_subset_equal_build(data, choice):
         corpus.grid.interval_days,
         corpus.captured_at,
     )
+
+
+@st.composite
+def sort_inputs(draw):
+    """1-50 repositories created at one time, which may lie before 1970, and
+    signed events within 3 seconds or 400 days of it, in drawn order; copies
+    of some events with other deltas tie on (time, repo, kind)."""
+    ids = [f"r{i}" for i in range(draw(st.integers(1, 50)))]
+    start = draw(st.integers(FIRST_TS, LAST_TS - 400 * 86_400))
+    span = draw(st.sampled_from([3, 400 * 86_400]))
+    events = draw(st.lists(st.builds(
+        PopularityEvent, st.sampled_from(ids), st.sampled_from(list(EventKind)),
+        st.integers(start, start + span), st.integers(-3, 3).filter(bool),
+    ), max_size=60))
+    if events:
+        copies = draw(st.lists(st.sampled_from(events), max_size=10))
+        events += [replace(e, delta=draw(st.integers(-3, 3).filter(bool))) for e in copies]
+        random.Random(draw(st.integers(0, 2**16))).shuffle(events)
+    return [RepoRecord(rid, f"org/{rid}", start) for rid in ids], events
+
+
+def _sort_case(*events):
+    """Two repositories created a day before 1970 and the given events."""
+    return ([RepoRecord(rid, f"org/{rid}", -86_400) for rid in ("r0", "r1")],
+            [PopularityEvent(rid, EventKind(kind), time, delta)
+             for rid, kind, time, delta in events])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sort_inputs(), st.sampled_from([1, 7, 30]))
+# The delta decides a tie; row comes before kind; time before row.
+@example(_sort_case(("r0", "star", -1, 2), ("r0", "star", -1, -1)), 30)
+@example(_sort_case(("r1", "fork", -1, 1), ("r0", "star", -1, 2)), 30)
+@example(_sort_case(("r0", "fork", 0, 1), ("r1", "fork", -1, 3)), 30)
+def test_event_sorts_equal_tuple_sort(data, days):
+    # The corpus's columns are its input's, sorted by (time, row, kind,
+    # delta) as tuples, whether pure Python or numpy sorts them; a row is
+    # the repository's place in id order.
+    repos, events = data
+    row_of = {rid: row for row, rid in enumerate(sorted(r.repo_id for r in repos))}
+    times = [e.occurred_at for e in events]
+    rows = [row_of[e.repo_id] for e in events]
+    kinds = [{EventKind.FORK: 0, EventKind.STAR: 1}[e.kind] for e in events]
+    deltas = [e.delta for e in events]
+    want = sorted(zip(times, rows, kinds, deltas))
+    for numpy_from in (model._NUMPY_FROM, 0):
+        with mock.patch.object(model, "_NUMPY_FROM", numpy_from):
+            corpus = Corpus.build(repos, events, days)
+        assert [(t, r, k, d) for r, k, t, d in corpus.event_rows()] == want
 
 
 @settings(max_examples=100, deadline=None)

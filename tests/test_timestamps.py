@@ -4,8 +4,9 @@ or its error message, which every supported Python version must give alike.
 The grammar is ``wtps.dataset._TIMESTAMP``: the shapes ``datetime.fromisoformat``
 reads on Python 3.10, with a fraction of a second of any length; the shapes
 only 3.11 and later read are refused. A sign never separates the date from a
-time of day: it starts an offset, which may follow a bare date. Nor does an
-ASCII digit. Offsets are exact to the microsecond.
+time of day: it starts an offset, which may follow a bare date. Nor does a
+digit of any script, whitespace other than the space, ":" or ".". Offsets are
+exact to the microsecond, and their minutes and seconds lie in 0..59.
 The module needs only the standard library, so it also runs where pytest is
 not installed:
 
@@ -39,6 +40,10 @@ SPELLINGS = {
     "2018-01-01112:30": _invalid("2018-01-01112:30"),
     "2018-01-01012:30:15Z": _invalid("2018-01-01012:30:15+00:00"),
     "2018-01-01  12:30:15": _invalid("2018-01-01  12:30:15"),
+    "2018-01-01٥12:30": _invalid("2018-01-01٥12:30"),
+    "2018-01-01\n12:30": _invalid("2018-01-01\n12:30"),
+    "2018-01-01:12:30": _invalid("2018-01-01:12:30"),
+    "2018-01-01.12:30": _invalid("2018-01-01.12:30"),
     "2018-01-01T": _invalid("2018-01-01T"),
     "2018-01-01T1:30:15": _invalid("2018-01-01T1:30:15"),
     "2018-01-01T12:30:": _invalid("2018-01-01T12:30:"),
@@ -88,9 +93,11 @@ SPELLINGS = {
     "2018-01-01T00:00:00.6-00:00:00.500000": NEW_YEAR + 1,
     "2018-01-01T00:00:00+00:00:00.000001": NEW_YEAR - 1,
     "2018-01-01T05:30:00.4+05:30:00.500000": NEW_YEAR - 1,
-    # Offset fields are lax; only the whole offset is bounded, below a day.
-    "2018-01-01T00:00:00+00:60": NEW_YEAR - 3_600,
-    "2018-01-01T00:00:00+00:00:60": NEW_YEAR - 60,
+    # Offset minutes and seconds lie in 0..59, as a time of day's do.
+    "2018-01-01T00:00:00+00:60": "minute must be in 0..59",
+    "2018-01-01T00:00:00+00:00:60": "second must be in 0..59",
+    "2024-08-05-21:60": "minute must be in 0..59",
+    "2024-08-05T00:00+01:21:60": "second must be in 0..59",
     # A sign never separates the date from a time: it starts an offset, which
     # may follow a bare date.
     "2018-01-01+05:30": NEW_YEAR - 19_800,
