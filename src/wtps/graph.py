@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .errors import EmptyGraph, StepsExceedRepoCount, UnexportableNodeId
 from .model import CoefficientKind, Corpus, Indicator, _set, record
-from .scoring import WeightTable, indicator_values
+from .scoring import WeightTable, _scaled, indicator_values
 
 
 @record
@@ -107,8 +107,7 @@ _SCALE = 1 << 1074
 
 def _exact(x: float) -> int:
     """``x * 2**1074`` as an exact int, for a finite double ``x``."""
-    n, d = x.as_integer_ratio()
-    return n << (1075 - d.bit_length())
+    return _scaled(x, 1074)
 
 
 class _Overlap:
@@ -137,7 +136,7 @@ class _Overlap:
     b = (2 * D).bit_length(), so a term fl(s/u) is at least 2**-b, and a
     double that large is a multiple of 2**(-b - 52): scaled by 2**shift it is
     an exact int. Degrees only fall as repos are removed, so the bound holds
-    for every step; were it ever broken, the shift in ``_term`` would turn
+    for every step; were it ever broken, the shift in ``_scaled`` would turn
     negative and raise rather than round. A class value can be far smaller
     than a term, so the node mean keeps one exact int total of m * value,
     scaled by 2**1074, over the classes.
@@ -279,8 +278,7 @@ class _Overlap:
         key = (shared, union)
         term = self.terms.get(key)
         if term is None:
-            n, d = (shared / union).as_integer_ratio()
-            term = self.terms[key] = n << (self.shift + 1 - d.bit_length())
+            term = self.terms[key] = _scaled(shared / union, self.shift)
         return term
 
     def _class_value(self, c: int) -> float:

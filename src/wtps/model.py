@@ -6,9 +6,9 @@ supported interval width (30/21/14/7 days) behaves uniformly; calendar-aware
 binning is deliberately not implemented.
 
 Nothing here imports numpy up front: event columns are ``array`` columns and
-binned counts are int lists, and only a large corpus is sorted, binned and
-scored by numpy (see ``_vectorized``). The documented ndarray attributes
-import numpy when they are first read.
+binned counts are int lists, and only a large corpus is sorted and binned by
+numpy (see ``_vectorized``). The documented ndarray attributes import numpy
+when they are first read.
 """
 
 from __future__ import annotations
@@ -328,18 +328,18 @@ def _grid_rule(repos: Sequence[RepoRecord], times: Sequence[int], interval_days:
     return grid_for_times((r.created_at for r in repos), interval_days)
 
 
-# Sorting, binning and scoring in pure Python cost about 0.15 us per event and
-# per binned cell, 100 times numpy's kernels, and importing numpy about 0.15 s.
+# Sorting and binning in pure Python cost about 0.15 us per event and per
+# binned cell, 100 times numpy's kernels, and importing numpy about 0.15 s.
 # Sized by its events plus the cells of a weekly grid over its span, a corpus
 # from this size on is handed to numpy; below it, even ``sweep``, which bins
-# and scores five times at widths of a week or more, does less work in pure
-# Python than numpy's import costs.
+# five times at widths of a week or more, does less work in pure Python than
+# numpy's import costs.
 _NUMPY_FROM = 200_000
 _WEEK = 7 * SECONDS_PER_DAY
 
 
 def _vectorized(events: int, repos: int, span: int) -> bool:
-    """Whether numpy sorts, bins and scores a corpus of ``events`` events and
+    """Whether numpy sorts and bins a corpus of ``events`` events and
     ``repos`` repositories whose latest event is ``span`` seconds after its
     grid's epoch; regridding keeps the epoch, so the answer holds at every
     width."""

@@ -11,8 +11,8 @@ score is the weight-scaled sum of its own per-interval gains.
 from __future__ import annotations
 
 from enum import Enum
-from functools import reduce
 from itertools import accumulate
+from math import isfinite
 from operator import add, mul
 from typing import Mapping, Sequence
 
@@ -34,7 +34,7 @@ class WeightTable:
     Weights produced by :func:`compute_weights` sum to 1 per indicator when
     the corpus-wide total is positive and are all zero otherwise. Tables from
     :func:`unit_weights` (the isolated-repository mode) are exempt from the
-    sum rule by design.
+    sum rule by design. Every weight must be finite.
     """
 
     fork_weights: tuple[float, ...]
@@ -43,6 +43,10 @@ class WeightTable:
     def __post_init__(self) -> None:
         if len(self.fork_weights) != len(self.star_weights):
             raise ValueError("fork and star weight sequences must align")
+        for name in ("fork_weights", "star_weights"):
+            for t, weight in enumerate(getattr(self, name)):
+                if not isfinite(weight):
+                    raise ValueError(f"{name}[{t}] must be finite, got {weight!r}")
 
     @property
     def interval_count(self) -> int:
@@ -89,71 +93,50 @@ class ScoreCard:
     overall: float
 
 
-def _float_weights(binned: BinnedCounts, weights: WeightTable) -> tuple[list[float], list[float]]:
-    """The fork and star weights as float lists, checked to cover ``binned``."""
+def _scaled(x: float, shift: int) -> int:
+    """``x * 2**shift`` as an exact int, for a finite double ``x`` that is a
+    multiple of ``2**-shift``: every finite double is one of ``2**-1074``."""
+    n, d = x.as_integer_ratio()
+    return n << (shift + 1 - d.bit_length())
+
+
+def _int_weights(binned: BinnedCounts, weights: WeightTable) -> tuple[list[int], list[int], int]:
+    """The fork and star weights as exact ints over one power of two, and
+    that power, checked to cover ``binned``. The power is the table's
+    largest ``as_integer_ratio`` denominator."""
     if weights.interval_count != binned.interval_count:
         raise ValueError(
             f"weight table covers {weights.interval_count} intervals, "
             f"binned counts cover {binned.interval_count}"
         )
-    return list(map(float, weights.fork_weights)), list(map(float, weights.star_weights))
+    wf, ws = list(map(float, weights.fork_weights)), list(map(float, weights.star_weights))
+    shift = max((x.as_integer_ratio()[1] for x in wf + ws), default=1).bit_length() - 1
+    return [_scaled(x, shift) for x in wf], [_scaled(x, shift) for x in ws], 1 << shift
 
 
-def _score_row(forks: Sequence[int], stars: Sequence[int], wf: list[float],
-               ws: list[float]) -> list[float]:
-    """One repository's score per interval: ``forks * wf + stars * ws`` in each
-    cell, the int count converted to float first, as numpy computes it."""
-    return list(map(add, map(mul, forks, wf), map(mul, stars, ws)))
+def _cells(forks: Sequence[int], stars: Sequence[int], wf: list[int], ws: list[int],
+           one: int) -> list[float]:
+    """One repository's score per interval: ``forks * wf + stars * ws`` in
+    each cell, over the scaled weights of :func:`_int_weights`, rounded once
+    (int / int division rounds correctly)."""
+    return [term / one for term in map(add, map(mul, forks, wf), map(mul, stars, ws))]
+
+
+def _overall(forks: Sequence[int], stars: Sequence[int], wf: list[int], ws: list[int],
+             one: int) -> float:
+    """The exact sum of one repository's cells, rounded once."""
+    return (sum(map(mul, forks, wf)) + sum(map(mul, stars, ws))) / one
 
 
 def _score_rows(
     binned: BinnedCounts, weights: WeightTable, per_interval: bool = True
 ) -> tuple[list[list[float]], list[float]]:
     """Each repository's weighted score per interval, and overall, in
-    ``repo_ids`` order; without ``per_interval`` only the overall scores.
-
-    Each row is the ``_score_row`` of its counts and each overall score the
-    ``_row_sum`` of its row, as numpy computes them; ``vectorized`` counts
-    are scored by numpy itself.
-    """
-    wf, ws = _float_weights(binned, weights)
-    if binned.vectorized:
-        import numpy as np
-
-        scores = binned.forks * np.asarray(wf) + binned.stars * np.asarray(ws)
-        return scores.tolist() if per_interval else [], scores.sum(axis=1).tolist()
-    rows = [_score_row(forks, stars, wf, ws)
-            for forks, stars in zip(binned.rows(EventKind.FORK), binned.rows(EventKind.STAR))]
-    return rows, list(map(_row_sum, rows))
-
-
-def _pairwise_sum(row: Sequence[float], start: int, n: int) -> float:
-    """numpy's pairwise sum of ``row[start:start + n]``: a plain loop from
-    0.0 below 8 values; 8 accumulators up to a block of 128; above that, two
-    halves split at a multiple of 8."""
-    if n < 8:
-        total = 0.0
-        for value in row[start:start + n]:
-            total += value
-        return total
-    if n <= 128:
-        stop = start + n - n % 8
-        r = [reduce(add, row[start + j:stop:8]) for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for value in row[stop:start + n]:
-            total += value
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(row, start, half) + _pairwise_sum(row, start + half, n - half)
-
-
-def _row_sum(row: Sequence[float]) -> float:
-    """The sum of a float row as ``np.add.reduce`` gives it, bit for bit: the
-    pairwise sum added to an initial 0.0 (so ``-0.0`` cells sum to 0.0).
-    Builtin ``sum`` starts from the int 0 and, from Python 3.12, compensates,
-    so it is not used."""
-    return 0.0 + _pairwise_sum(row, 0, len(row))
+    ``repo_ids`` order; without ``per_interval`` only the overall scores."""
+    wf, ws, one = _int_weights(binned, weights)
+    rows = list(zip(binned.rows(EventKind.FORK), binned.rows(EventKind.STAR)))
+    cells = [_cells(forks, stars, wf, ws, one) for forks, stars in rows] if per_interval else []
+    return cells, [_overall(forks, stars, wf, ws, one) for forks, stars in rows]
 
 
 def wtps_interval(
@@ -169,16 +152,25 @@ def wtps_interval(
 def wtps_overall(
     binned: BinnedCounts, weights: WeightTable, repo_id: str
 ) -> ScoreCard:
-    """Overall weighted score: the sum of all interval scores. Only this
-    repository's row is scored, bit for bit as :func:`score_all` scores it."""
-    wf, ws = _float_weights(binned, weights)
+    """Overall weighted score: the exact sum over all intervals, rounded
+    once. Only this repository's row is scored, bit for bit as
+    :func:`score_all` scores it."""
+    wf, ws, one = _int_weights(binned, weights)
     row = binned.row_index(repo_id)
-    scores = _score_row(binned.rows(EventKind.FORK)[row], binned.rows(EventKind.STAR)[row], wf, ws)
-    return ScoreCard(repo_id=repo_id, interval_scores=tuple(scores), overall=_row_sum(scores))
+    forks, stars = binned.rows(EventKind.FORK)[row], binned.rows(EventKind.STAR)[row]
+    return ScoreCard(repo_id=repo_id, interval_scores=tuple(_cells(forks, stars, wf, ws, one)),
+                     overall=_overall(forks, stars, wf, ws, one))
 
 
 def score_all(binned: BinnedCounts, weights: WeightTable) -> list[ScoreCard]:
-    """Score every repository; output ordered by repo_id."""
+    """Score every repository; output ordered by repo_id.
+
+    Each interval score and each overall score is the exact value of the
+    weights times the counts, rounded once to the nearest float. A score
+    beyond float range raises ``OverflowError``; only a caller's own table
+    can give one, since community weights are bounded by the corpus's
+    ``Σ|delta| < 2**63``.
+    """
     return [
         ScoreCard(repo_id=rid, interval_scores=tuple(scores), overall=overall)
         for rid, scores, overall in zip(binned.repo_ids, *_score_rows(binned, weights))

@@ -131,15 +131,21 @@ MUTANTS = (
     Mutant("intercept from the sums", "stats.py",
            "intercept = mean_y - slope * mean_x",
            "intercept = math.fsum(y) / n - slope * math.fsum(x) / n", _TIER1),
-    Mutant("wtps_overall by builtin sum", "scoring.py",
-           "overall=_row_sum(scores))", "overall=sum(scores))", _TIER1),
+    # scoring's exact kernel, whose _scaled graph's exact sums also use
+    Mutant("overall as the sum of the rounded cells", "scoring.py",
+           "return (sum(map(mul, forks, wf)) + sum(map(mul, stars, ws))) / one",
+           "return sum(_cells(forks, stars, wf, ws, one))", _TIER1),
+    Mutant("cells from float products", "scoring.py",
+           "term / one for term in map(add, map(mul, forks, wf), map(mul, stars, ws))",
+           "f * (a / one) + s * (b / one) for f, s, a, b in zip(forks, stars, wf, ws)", _TIER1),
+    Mutant("scaled one bit short", "scoring.py",
+           "return n << (shift + 1 - d.bit_length())", "return n << (shift - d.bit_length())",
+           _TIER1),
+    Mutant("non-finite weights accepted", "scoring.py",
+           "if not isfinite(weight):", "if False:", _TIER1),
     # More bits give the same values, slower.
     Mutant("overlap shift of 60 bits", "graph.py",
            "self.shift = 53 + ", "self.shift = 60 + ", _TIER1, equivalent=True),
-    # IEEE addition commutes.
-    Mutant("star term added first", "scoring.py",
-           "map(add, map(mul, forks, wf), map(mul, stars, ws))",
-           "map(add, map(mul, stars, ws), map(mul, forks, wf))", _TIER1, equivalent=True),
     # the command line's cache, wtps.cli and graph._fits
     Mutant("no digest check", "cli.py",
            "if payload.digest() != stored:", "if False:", _CACHE),

@@ -140,8 +140,8 @@ class TestScoreCommand:
 
     def test_nonpositive_totals_sum_negative_zero_cells_to_zero(self, tmp_path):
         # Net totals of -9 forks and -9 stars give all-zero weights, so every
-        # cell is -1 * 0.0 = -0.0. numpy's row sum adds the pairwise sum to
-        # an initial 0.0, so the overall score is 0.0, not -0.0.
+        # cell is exactly zero: -1 * 0 as exact ints, written 0.0, not the
+        # -0.0 of the float product -1 * 0.0.
         repo = RepoRecord("R1", "org/R1", BASE_TS)
         events = [PopularityEvent("R1", kind, BASE_TS + week * 7 * DAY, -1)
                   for week in range(9) for kind in EventKind]
@@ -151,7 +151,7 @@ class TestScoreCommand:
         assert main(["score", "--input", str(data), "--output", str(scores),
                      "--interval-days", "7"]) == EXIT_OK
         rows = _read_csv(scores)[1:]
-        assert [r[3] for r in rows if r[2] != "overall"] == ["-0.0"] * 9
+        assert [r[3] for r in rows if r[2] != "overall"] == ["0.0"] * 9
         assert [r[3] for r in rows if r[2] == "overall"] == ["0.0"]
         assert main(["rank", "--input", str(data), "--output", str(ranks),
                      "--interval-days", "7", "--indicator", "wtps"]) == EXIT_OK

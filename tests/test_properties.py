@@ -8,8 +8,9 @@ lines spelled with spaces (so decoded as JSON) for canonical event lines,
 whole-table ``to_csv`` for their CSV), a tuple sort of the input columns for
 both event sorts, a loop over ``PopularityEvent`` rows for binning,
 ``Corpus.build`` for regrid and subset, exact integer shares for the
-weights, the former fsum kernel (``synth.fsum_overlap_reference``) on
-chained ``FollowerGraph.remove_repo`` calls for the deletion series, and
+weights, ``Fraction`` values rounded once for the scores, the former fsum
+kernel (``synth.fsum_overlap_reference``) on chained
+``FollowerGraph.remove_repo`` calls for the deletion series, and
 ``math.fsum`` for the exact integer sums the twin-class kernel keeps. The
 last property mutates the shipped samples and requires every CLI command to
 exit with a typed code and to leave no output when it fails.
@@ -62,11 +63,12 @@ from wtps.scoring import (  # noqa: E402
     Indicator,
     ScoreCard,
     WeightTable,
-    _row_sum,
     classify_growth,
     indicator_values,
     score_all,
     unit_weights,
+    wtps_interval,
+    wtps_overall,
 )
 from wtps.serialize import (  # noqa: E402
     score_table,
@@ -571,8 +573,8 @@ def test_event_sorts_equal_tuple_sort(data, days):
 @settings(max_examples=100, deadline=None)
 @given(corpora(max_events=30), st.sampled_from([1, 7, 30]), st.data())
 def test_numpy_kernels_equal_pure_python(data, days, choice):
-    # A corpus at least ``_NUMPY_FROM`` in size is sorted, binned and scored
-    # by numpy, a smaller one in pure Python: both must give the same
+    # A corpus at least ``_NUMPY_FROM`` in size is sorted and binned by
+    # numpy, a smaller one in pure Python: both must give the same
     # columns, counts, weights, scores and labels, bit for bit. Copies of
     # some events with other deltas tie on (time, repo, kind), so the
     # delta decides their order.
@@ -635,73 +637,93 @@ def test_weights_are_shares_of_the_net_total(binned):
             assert weights == (0.0,) * binned.interval_count
 
 
-# --- row sums -----------------------------------------------------------------
+# --- exact scores --------------------------------------------------------------
 
 _SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
-                   -1.7976931348623157e308, math.inf, -math.inf, math.nan)
+                   -1.7976931348623157e308)
 
 
 @st.composite
 def float_rows(draw, count: int):
-    """``count`` rows of one length in 1-1000: floats of any magnitude, with
-    a drawn share of zeros of both signs, subnormals, extremes, inf and nan."""
+    """``count`` rows of one length in 1-1000: finite floats of any
+    magnitude, or of at most 1 (so that no score overflows), with a drawn
+    share of zeros of both signs, subnormals and extremes."""
     n = draw(st.integers(1, 1000))
     rng = random.Random(draw(st.integers(0, 2**32)))
     special = draw(st.sampled_from([0.0, 0.01, 0.2]))
+    top = draw(st.sampled_from([0, 308]))
 
     def value() -> float:
         if rng.random() < special:
             return rng.choice(_SPECIAL_FLOATS)
-        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308)
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, top)
 
     return [[value() for _ in range(n)] for _ in range(count)]
 
 
 def _same_float(got: float, want: float) -> bool:
-    """Bit-identical, except that any NaN matches any NaN: which operand's
-    NaN an addition returns is up to the compiler, and every NaN is written
-    as the same text."""
-    if math.isnan(want):
-        return math.isnan(got)
+    """Bit-identical, so ``0.0`` and ``-0.0`` differ."""
     return struct.pack("<d", got) == struct.pack("<d", want)
 
 
-@settings(max_examples=200, deadline=None)
-@given(float_rows(count=3))
-@example([[-0.0] * 9, [-0.0, 5e-324, -0.0, 0.0, -5e-324, -0.0, -0.0, -0.0, -0.0], [-0.0] * 9])
-def test_row_sum_is_numpy_add_reduce(rows):
-    with np.errstate(all="ignore"):
-        want = np.add.reduce(np.array(rows, dtype=np.float64), axis=1).tolist()
-    for row, expected in zip(rows, want):
-        assert _same_float(_row_sum(row), expected)
-        with np.errstate(all="ignore"):
-            alone = float(np.add.reduce(np.array(row)))
-        assert _same_float(_row_sum(row), alone)
+def _rounded(exact: Fraction) -> float | type[OverflowError]:
+    """``exact`` rounded once to a float, or ``OverflowError`` beyond range."""
+    try:
+        return float(exact)
+    except OverflowError:
+        return OverflowError
+
+
+def _scored(score, *args):
+    """What ``score(*args)`` returns, or ``OverflowError`` if it raises it."""
+    try:
+        return score(*args)
+    except OverflowError:
+        return OverflowError
 
 
 @settings(max_examples=60, deadline=None)
 @given(float_rows(count=2), st.integers(0, 2**32))
-def test_scores_are_numpy_row_sums_of_the_score_matrix(weight_rows, seed):
+def test_scores_are_exact_values_rounded_once(weight_rows, seed):
     # One repository with a nonzero fork and star delta in each of n daily
-    # intervals, scored under arbitrary float weights.
+    # intervals, scored under arbitrary finite weights on either binning
+    # kernel: each cell and overall score is the Fraction value rounded
+    # once, and a score that rounds beyond float range raises OverflowError.
     n = len(weight_rows[0])
     rng = random.Random(seed)
     cells = [rng.randint(-(2**40), 2**40) or 1 for _ in range(2 * n)]
-    weights = weight_rows[0] + weight_rows[1]
+    forks, stars = cells[:n], cells[n:]
     events = [PopularityEvent("r", kind, t * 86_400, delta)
-              for kind, row in ((EventKind.FORK, cells[:n]), (EventKind.STAR, cells[n:]))
+              for kind, row in ((EventKind.FORK, forks), (EventKind.STAR, stars))
               for t, delta in enumerate(row)]
-    corpus = Corpus.build([RepoRecord("r", "o/r", 0)], events, interval_days=1)
-    binned = bin_events(corpus)
-    table = WeightTable(tuple(weights[:n]), tuple(weights[n:]))
-    with np.errstate(all="ignore"):
-        matrix = binned.forks * np.array(weights[:n]) + binned.stars * np.array(weights[n:])
-        overall = float(np.add.reduce(matrix, axis=1)[0])
-    card, = score_all(binned, table)
-    assert all(map(_same_float, card.interval_scores, matrix[0].tolist()))
-    assert _same_float(card.overall, overall)
-    value = indicator_values(corpus, Indicator.WTPS, weights=table)["r"]
-    assert _same_float(value, card.overall)
+    table = WeightTable(*map(tuple, weight_rows))
+    exact = [f * Fraction(wf) + s * Fraction(ws)
+             for f, s, wf, ws in zip(forks, stars, *weight_rows)]
+    want_cells = list(map(_rounded, exact))
+    want_overall = _rounded(sum(exact))
+    card_fits = OverflowError not in [*want_cells, want_overall]
+    some_t = sorted({0, n - 1, rng.randrange(n)})
+    for numpy_from in (model._NUMPY_FROM, 0):
+        with mock.patch.object(model, "_NUMPY_FROM", numpy_from):
+            corpus = Corpus.build([RepoRecord("r", "o/r", 0)], events, interval_days=1)
+            binned = bin_events(corpus)
+            value = _scored(lambda: indicator_values(corpus, Indicator.WTPS, weights=table)["r"])
+        assert binned.vectorized is (numpy_from == 0)
+        if want_overall is OverflowError:
+            assert value is OverflowError
+        else:
+            assert _same_float(value, want_overall)
+        cards = _scored(score_all, binned, table)
+        card = _scored(wtps_overall, binned, table, "r")
+        picked = [_scored(wtps_interval, binned, table, "r", t) for t in some_t]
+        if not card_fits:
+            assert cards is card is OverflowError
+            assert picked == [OverflowError] * len(some_t)
+            continue
+        assert cards == [card]
+        assert all(map(_same_float, card.interval_scores, want_cells))
+        assert _same_float(card.overall, want_overall)
+        assert all(_same_float(got, want_cells[t]) for got, t in zip(picked, some_t))
 
 
 # --- deletion experiment -----------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -14,11 +15,13 @@ from wtps import (
     score_all,
 )
 from wtps import model, scoring
-from wtps.model import BinnedCounts, EventKind
+from wtps.model import BinnedCounts, Corpus, EventKind, PopularityEvent, RepoRecord
 from wtps.scoring import (
     GrowthPattern,
     GrowthThresholds,
+    WeightTable,
     classify_growth,
+    indicator_values,
     unit_weights,
     wtps_interval,
     wtps_overall,
@@ -110,10 +113,18 @@ class TestWeights:
                 assert abs(sum(table.star_weights) - 1.0) < 1e-9
 
     def test_mismatched_weight_rows_rejected(self):
-        from wtps.scoring import WeightTable
-
         with pytest.raises(ValueError):
             WeightTable(fork_weights=(1.0,), star_weights=(0.5, 0.5))
+
+    @pytest.mark.parametrize("field, t, weight", [
+        ("fork_weights", 0, float("inf")), ("fork_weights", 2, float("nan")),
+        ("star_weights", 1, float("-inf")), ("star_weights", 0, float("nan")),
+    ])
+    def test_nonfinite_weight_rejected(self, field, t, weight):
+        rows = {"fork_weights": [0.5, 0.25, 0.25], "star_weights": [1.0, 0.0, 0.0]}
+        rows[field][t] = weight
+        with pytest.raises(ValueError, match=rf"^{field}\[{t}\] must be finite, got "):
+            WeightTable(*map(tuple, rows.values()))
 
 
 class TestIntervalScores:
@@ -183,8 +194,8 @@ class TestOverallScores:
     @pytest.mark.parametrize("weigh", [compute_weights, lambda b: unit_weights(b.interval_count)])
     def test_score_all_matches_single_repo_path(self, community_corpus, monkeypatch,
                                                 numpy_from, n_intervals, weigh):
-        # Bit for bit, on either kernel's counts and on rows past the 8- and
-        # 128-cell blocks of the pairwise sum, with signed weights too.
+        # Bit for bit, on either binning kernel's counts and on long rows,
+        # with signed weights too.
         corpus = community_corpus if n_intervals == 5 else make_corpus(
             random.Random(n_intervals), n_repos=6, n_intervals=n_intervals, interval_days=7,
             allow_negative=True)
@@ -202,8 +213,8 @@ class TestOverallScores:
                     for t in range(binned.interval_count)] == _bits(card)[1]
 
     def test_ndarray_counts_score_as_score_all_does(self):
-        # Counts given as ndarrays are ``vectorized``: score_all scores them
-        # with numpy, and the one-row path from their int lists.
+        # Counts given as ndarrays are ``vectorized``: score_all and the
+        # one-row path both score their int lists.
         rng = random.Random(5)
         rows = {rid: [rng.randint(-9, 40) for _ in range(720)] for rid in "ABC"}
         binned = _binned(rows, {rid: row[::-1] for rid, row in rows.items()})
@@ -214,13 +225,30 @@ class TestOverallScores:
 
     def test_single_repo_path_sums_only_its_own_row(self, community_binned, monkeypatch):
         calls = []
-        row_sum = scoring._row_sum
-        monkeypatch.setattr(scoring, "_row_sum", lambda row: calls.append(row) or row_sum(row))
+        overall = scoring._overall
+        monkeypatch.setattr(scoring, "_overall",
+                            lambda forks, *rest: calls.append(forks) or overall(forks, *rest))
         table = compute_weights(community_binned)
         card = wtps_overall(community_binned, table, "R3")
-        assert calls == [list(card.interval_scores)]
+        [forks] = calls
+        assert forks is community_binned.rows(EventKind.FORK)[community_binned.row_index("R3")]
         assert wtps_interval(community_binned, table, "R3", 2) == card.interval_scores[2]
         assert len(calls) == 2
+
+    def test_score_beyond_float_range_overflows(self):
+        # 2 * MAX rounds past the largest float; the overall score, whose
+        # cells cancel, is exact, so only the per-interval scores raise.
+        binned = _binned({"A": [2, -2], "B": [1, 0]}, {"A": [0, 0], "B": [0, 0]})
+        table = WeightTable((sys.float_info.max,) * 2, (0.0, 0.0))
+        with pytest.raises(OverflowError):
+            score_all(binned, table)
+        with pytest.raises(OverflowError):
+            wtps_overall(binned, table, "A")
+        assert wtps_overall(binned, table, "B").overall == sys.float_info.max
+        corpus = Corpus.build([RepoRecord("A", "o/A", 0)],
+                              [PopularityEvent("A", EventKind.FORK, t * 86_400, d)
+                               for t, d in enumerate((2, -2))], interval_days=1)
+        assert indicator_values(corpus, Indicator.WTPS, weights=table) == {"A": 0.0}
 
     def test_single_repo_errors_in_order(self, community_binned):
         # Width first, then the repository, then the interval.
