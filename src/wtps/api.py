@@ -16,14 +16,16 @@ count flags the result as truncated instead of passing silently.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from collections import deque
 from contextlib import contextmanager
+from http.client import HTTPException
 from typing import Callable, Iterator
-from urllib.parse import urlsplit
-
-import requests
+from urllib.error import HTTPError
+from urllib.parse import quote, urlencode, urlsplit
+from urllib.request import HTTPRedirectHandler, Request, build_opener
 
 from .dataset import parse_timestamp
 from .errors import ApiError, AuthFailure, NotFound, RateLimited
@@ -55,12 +57,12 @@ class ApiClientConfig:
         if _integer_field(self, "retry_limit") < 0:
             raise ValueError("retry_limit must be >= 0")
         if self.auth_token is not None:
-            _check_string("auth_token", self.auth_token)
+            _check_visible_ascii("auth_token", self.auth_token)
         if not isinstance(self.fetch_follower_ids, bool):
             raise ValueError(
                 f"fetch_follower_ids must be a bool, got {self.fetch_follower_ids!r}"
             )
-        _check_string("base_url", self.base_url)
+        _check_visible_ascii("base_url", self.base_url)
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(
@@ -68,8 +70,34 @@ class ApiClientConfig:
             )
 
 
+def _check_visible_ascii(name: str, value) -> None:
+    """Refuse a string that a request line or header cannot carry as it is."""
+    _check_string(name, value)
+    if not all("!" <= char <= "~" for char in value):
+        raise ValueError(f"{name} must be visible ASCII, without spaces or control characters")
+
+
+class _SameOriginRedirect(HTTPRedirectHandler):
+    """Follow redirects to http and https only, sending the token on only
+    while the origin stays the same.
+
+    The token is an unredirected header, which ``HTTPRedirectHandler`` never
+    copies; the headers it does copy go to any host. The base class would
+    follow ``ftp`` too.
+    """
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        if urlsplit(newurl).scheme not in ("http", "https"):
+            raise HTTPError(req.full_url, code, f"redirect to {newurl} refused", headers, fp)
+        new = super().redirect_request(req, fp, code, msg, headers, newurl)
+        token = req.unredirected_hdrs.get("Authorization")
+        if token and urlsplit(new.full_url)[:2] == urlsplit(req.full_url)[:2]:
+            new.add_unredirected_header("Authorization", token)
+        return new
+
+
 class RestClient:
-    """Thin requests wrapper with rate-cap accounting and retry.
+    """REST client on ``urllib`` with rate-cap accounting and retry.
 
     ``clock`` and ``sleep`` are injectable so throttling is testable without
     real waiting; the request-timestamp window is shared across all endpoint
@@ -79,12 +107,11 @@ class RestClient:
     def __init__(
         self,
         config: ApiClientConfig,
-        session: requests.Session | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.config = config
-        self._session = session or requests.Session()
+        self._opener = build_opener(_SameOriginRedirect)
         self._clock = clock
         self._sleep = sleep
         self._sent: deque[float] = deque()
@@ -104,11 +131,12 @@ class RestClient:
             self._prune(self._clock())
         self._sent.append(self._clock())
 
-    def _headers(self, media_type: str) -> dict[str, str]:
-        headers = {"Accept": media_type}
+    def _request(self, url: str, media_type: str) -> Request:
+        request = Request(url, headers={"Accept": media_type})
         if self.config.auth_token:
-            headers["Authorization"] = f"Bearer {self.config.auth_token}"
-        return headers
+            request.add_unredirected_header("Authorization",
+                                            f"Bearer {self.config.auth_token}")
+        return request
 
     def get_json(
         self,
@@ -122,30 +150,38 @@ class RestClient:
             NotFound: HTTP 404.
             AuthFailure: HTTP 401, or 403 without rate-limit markers.
             RateLimited: rate limits past retry_limit, or a Retry-After over an hour.
-            ApiError: any other non-2xx status, a body that is not JSON, or a
-                request that fails without a response.
+            ApiError: any other non-2xx status, a body that is not JSON, a
+                request that fails without a response, or a response that
+                breaks off.
         """
         url = self.config.base_url.rstrip("/") + path
+        if params:
+            url += "?" + urlencode(params)
         attempts = self.config.retry_limit + 1
         for attempt in range(attempts):
             self._throttle()
             try:
-                response = self._session.get(
-                    url, params=params, headers=self._headers(media_type)
-                )
-            except requests.RequestException as exc:
+                with self._opener.open(self._request(url, media_type)) as response:
+                    body = response.read()
+            except HTTPError as error:
+                error.close()
+                status, headers = error.code, error.headers
+            except (OSError, HTTPException) as exc:
+                # A failed connection is an OSError and a broken response (a
+                # body cut short, say) an HTTPException; neither may pass as
+                # a filesystem error.
                 raise ApiError(f"request to {path} failed: {exc}") from None
-            if 200 <= response.status_code < 300:
+            else:
                 try:
-                    return response.json()
+                    return json.loads(body)
                 except ValueError:
                     raise ApiError(f"response from {path} is not JSON") from None
-            if response.status_code == 404:
+            if status == 404:
                 raise NotFound(f"{path} not found")
-            if response.status_code == 401:
+            if status == 401:
                 raise AuthFailure(f"authentication rejected for {path}")
-            if _is_rate_limited(response):
-                retry_after = _retry_after_seconds(response)
+            if _is_rate_limited(status, headers):
+                retry_after = _retry_after_seconds(headers)
                 if retry_after > _WINDOW_S:
                     raise RateLimited(f"rate limited on {path}: Retry-After of {retry_after:g}"
                                       f" s exceeds the {_WINDOW_S:g} s window",
@@ -157,9 +193,9 @@ class RestClient:
                     f"rate limited on {path} after {attempts} attempts",
                     retry_after=retry_after,
                 )
-            if response.status_code == 403:
+            if status == 403:
                 raise AuthFailure(f"access forbidden for {path}")
-            raise ApiError(f"unexpected status {response.status_code} for {path}")
+            raise ApiError(f"unexpected status {status} for {path}")
         raise ApiError(f"retry loop exhausted for {path}")  # pragma: no cover
 
     def paginate(
@@ -184,19 +220,16 @@ class RestClient:
             page += 1
 
 
-def _is_rate_limited(response) -> bool:
-    if response.status_code == 429:
+def _is_rate_limited(status: int, headers) -> bool:
+    if status == 429:
         return True
-    return (
-        response.status_code == 403
-        and response.headers.get("X-RateLimit-Remaining") == "0"
-    )
+    return status == 403 and headers.get("X-RateLimit-Remaining") == "0"
 
 
-def _retry_after_seconds(response) -> float:
+def _retry_after_seconds(headers) -> float:
     """Retry-After in seconds; 60 when it is absent, unparsable or not finite."""
     try:
-        seconds = float(response.headers.get("Retry-After", "nan"))
+        seconds = float(headers.get("Retry-After", "nan"))
     except ValueError:
         seconds = math.nan
     return max(0.0, seconds) if math.isfinite(seconds) else 60.0
@@ -224,9 +257,10 @@ def _payload_of(path: str):
 
 
 def split_repo_spec(owner_and_name: str) -> tuple[str, str]:
-    """Split ``OWNER/NAME`` into its two non-empty parts; ValueError otherwise."""
+    """Split ``OWNER/NAME`` into its two parts; ValueError unless each is
+    non-empty and neither is a dot segment (``.`` or ``..``)."""
     owner, _, name = owner_and_name.partition("/")
-    if not owner or not name or "/" in name:
+    if not owner or not name or "/" in name or {owner, name} & {".", ".."}:
         raise ValueError(f"expected 'owner/name', got {owner_and_name!r}")
     return owner, name
 
@@ -234,7 +268,6 @@ def split_repo_spec(owner_and_name: str) -> tuple[str, str]:
 def fetch_repo(
     config: ApiClientConfig,
     owner_and_name: str,
-    session: requests.Session | None = None,
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
 ) -> FetchResult:
@@ -251,8 +284,8 @@ def fetch_repo(
     payload that lacks a field or has one of the wrong type or value raises
     ApiError naming its endpoint.
     """
-    owner, name = split_repo_spec(owner_and_name)
-    client = RestClient(config, session=session, clock=clock, sleep=sleep)
+    owner, name = (quote(part, safe="") for part in split_repo_spec(owner_and_name))
+    client = RestClient(config, clock=clock, sleep=sleep)
 
     repo_path = f"/repos/{owner}/{name}"
     with _payload_of(repo_path):

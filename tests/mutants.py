@@ -50,6 +50,7 @@ _TIER1 = ("tests",)
 _GOLDENS = ("tests/test_golden.py",)
 _RECORDS = ("tests/test_model.py::TestRecordContract",)
 _SORT = ("tests/test_properties.py::test_event_sorts_equal_tuple_sort",)
+_API = ("tests/test_api.py",)
 
 MUTANTS = (
     # dataset.parse_timestamp
@@ -180,6 +181,31 @@ MUTANTS = (
            "from . import __version__\n",
            "from . import __version__\nfrom .dataset import load_corpus\n",
            ("tests/test_cli.py::TestImportSurface",)),
+    Mutant("the command line loads the HTTP client eagerly", "cli.py",
+           "from . import __version__\n",
+           "from . import __version__\nimport urllib.request\n",
+           ("tests/test_cli.py::TestImportSurface",)),
+    # api, the REST client on urllib
+    Mutant("token copied on every redirect", "api.py",
+           'request.add_unredirected_header("Authorization",',
+           'request.add_header("Authorization",', _API),
+    Mutant("token kept on a redirect to another origin", "api.py",
+           " and urlsplit(new.full_url)[:2] == urlsplit(req.full_url)[:2]", "", _API),
+    Mutant("token dropped on a same-origin redirect", "api.py",
+           'new.add_unredirected_header("Authorization", token)', "pass", _API),
+    Mutant("redirects to ftp followed", "api.py",
+           'if urlsplit(newurl).scheme not in ("http", "https"):',
+           'if urlsplit(newurl).scheme not in ("http", "https", "ftp"):', _API),
+    Mutant("a broken response escapes as an HTTPException", "api.py",
+           "except (OSError, HTTPException) as exc:", "except OSError as exc:", _API),
+    Mutant("dot segments accepted", "api.py",
+           ' or {owner, name} & {".", ".."}', "", _API),
+    Mutant("repository path unquoted", "api.py",
+           '(quote(part, safe="") for part in split_repo_spec(owner_and_name))',
+           "split_repo_spec(owner_and_name)", _API),
+    Mutant("any token accepted", "api.py",
+           '_check_visible_ascii("auth_token", self.auth_token)',
+           '_check_string("auth_token", self.auth_token)', _API),
 )
 
 

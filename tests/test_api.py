@@ -1,17 +1,22 @@
 import json
 import math
+import socket
+import subprocess
+import sys
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 import pytest
-import requests
 
+import wtps
 from wtps import ApiError, AuthFailure, NotFound, RateLimited
 from wtps.api import ApiClientConfig, RestClient, fetch_repo
 from wtps import load_corpus
-from wtps.cli import EXIT_API, EXIT_OK, main
+from wtps.cli import EXIT_API, EXIT_CONFIG, EXIT_OK, main
 from wtps.dataset import parse_timestamp
 from wtps.model import EventKind
 
@@ -41,8 +46,11 @@ class _State:
         self.stars = list(STAR_TIMES)
         self.forks = list(FORK_TIMES)
         self.followers = ["ada", "brin", "curie"]
-        self.scripted: list[tuple[str, int, dict]] = []   # (path_suffix, status, headers)
+        # (path_suffix, status, headers[, raw body]); the body defaults to a JSON message.
+        self.scripted: list[tuple] = []
         self.requests: list[tuple[str, dict, dict]] = []  # (path, query, headers)
+        self.clock = lambda: 0.0  # read once for each request received, into ``times``
+        self.times: list[float] = []
 
 
 def _make_handler(state: _State):
@@ -51,11 +59,11 @@ def _make_handler(state: _State):
             pass
 
         def _send(self, payload, status=200, headers=None):
-            body = json.dumps(payload).encode()
+            body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+            headers = {"Content-Length": str(len(body)), **(headers or {})}
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for key, value in (headers or {}).items():
+            for key, value in headers.items():
                 self.send_header(key, value)
             self.end_headers()
             self.wfile.write(body)
@@ -71,11 +79,13 @@ def _make_handler(state: _State):
             parsed = urlparse(self.path)
             query = {k: v[0] for k, v in parse_qs(parsed.query).items()}
             state.requests.append((parsed.path, query, dict(self.headers)))
+            state.times.append(state.clock())
 
-            for i, (suffix, status, headers) in enumerate(state.scripted):
+            for i, (suffix, status, headers, *body) in enumerate(state.scripted):
                 if parsed.path.endswith(suffix):
                     state.scripted.pop(i)
-                    self._send({"message": "scripted"}, status=status, headers=headers)
+                    self._send(body[0] if body else {"message": "scripted"}, status=status,
+                               headers=headers)
                     return
 
             if parsed.path == f"/repos/{OWNER}/{NAME}":
@@ -97,18 +107,35 @@ def _make_handler(state: _State):
     return Handler
 
 
-@pytest.fixture()
-def mock_api():
-    state = _State()
+@contextmanager
+def _serve(state: _State):
+    """Serve ``state`` on a free local port; yield the server's base URL."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(state))
     thread = threading.Thread(
         target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
     )
     thread.start()
-    base_url = f"http://127.0.0.1:{server.server_address[1]}"
-    yield base_url, state
-    server.shutdown()
-    server.server_close()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture()
+def mock_api():
+    state = _State()
+    with _serve(state) as base_url:
+        yield base_url, state
+
+
+@pytest.fixture()
+def refused_url():
+    """A local URL whose port was bound, then closed, so a connection is refused."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
 
 
 def _config(base_url, **overrides):
@@ -210,11 +237,41 @@ class TestFetchRepo:
             for _, _, headers in state.requests
         )
 
-    @pytest.mark.parametrize("bad", ["justowner", "a/b/c", "/name", "owner/"])
+    def test_auth_token_follows_same_origin_redirects_only(self, mock_api):
+        base_url, state = mock_api
+        elsewhere = _State()
+        with _serve(elsewhere) as other_url:
+            state.scripted.append((f"/repos/{OWNER}/{NAME}", 301,
+                                   {"Location": f"{base_url}/repos/{OWNER}/{NAME}"}))
+            state.scripted.append((f"/users/{OWNER}", 301,
+                                   {"Location": f"{other_url}/users/{OWNER}"}))
+            result = fetch_repo(_config(base_url, auth_token="sekrit"), f"{OWNER}/{NAME}")
+        assert result.repo.owner_followers == 11
+        repo_requests = [h for path, _, h in state.requests if path == f"/repos/{OWNER}/{NAME}"]
+        assert [h.get("Authorization") for h in repo_requests] == ["Bearer sekrit"] * 2
+        assert [(path, "Authorization" in h) for path, _, h in elsewhere.requests] == [
+            (f"/users/{OWNER}", False)]
+
+    @pytest.mark.parametrize("bad", ["justowner", "a/b/c", "/name", "owner/", "./widget",
+                                     "../widget", "octo/.", "octo/.."])
     def test_malformed_repo_spec_rejected(self, mock_api, bad):
-        base_url, _ = mock_api
+        base_url, state = mock_api
         with pytest.raises(ValueError):
             fetch_repo(_config(base_url), bad)
+        assert state.requests == []
+
+    @pytest.mark.parametrize("spec,path", [
+        ("octo/widget#x", "/repos/octo/widget%23x"),
+        ("octo/wid get", "/repos/octo/wid%20get"),
+        ("octo/wid\nget", "/repos/octo/wid%0Aget"),
+        ("octo/w?page=2", "/repos/octo/w%3Fpage%3D2"),
+        ("o%74o/widget", "/repos/o%2574o/widget"),
+    ])
+    def test_repo_spec_parts_are_quoted(self, mock_api, spec, path):
+        base_url, state = mock_api
+        with pytest.raises(NotFound, match=f"^{path} not found$"):
+            fetch_repo(_config(base_url), spec)
+        assert [p for p, _, _ in state.requests] == [path]
 
 
 class TestMalformedPayload:
@@ -249,16 +306,11 @@ class TestMalformedPayload:
         assert endpoint in error["message"]
         assert list(tmp_path.iterdir()) == []
 
-    def test_body_that_is_not_json(self):
-        class HtmlSession:
-            def get(self, url, params=None, headers=None):
-                response = requests.Response()
-                response.status_code = 200
-                response._content = b"<html>busy</html>"
-                return response
-
+    def test_body_that_is_not_json(self, mock_api):
+        base_url, state = mock_api
+        state.scripted.append((f"/repos/{OWNER}/{NAME}", 200, {}, b"<html>busy</html>"))
         with pytest.raises(ApiError, match=f"^response from /repos/{OWNER}/{NAME} is not JSON$"):
-            fetch_repo(_config("http://127.0.0.1:9"), f"{OWNER}/{NAME}", session=HtmlSession())
+            fetch_repo(_config(base_url), f"{OWNER}/{NAME}")
 
 
 class TestFetchCommand:
@@ -268,20 +320,51 @@ class TestFetchCommand:
         return main(["fetch", "--repo", f"{OWNER}/{NAME}", "--output", str(out),
                      "--base-url", base_url])
 
-    def test_failed_request_exits_with_api_error(self, tmp_path, capsys, monkeypatch):
-        def refuse(session, url, **kwargs):
-            raise requests.ConnectionError("connection refused")
-
-        monkeypatch.setattr(requests.Session, "get", refuse)
+    def test_failed_request_exits_with_api_error(self, tmp_path, capsys, refused_url):
         out = tmp_path / "fetched.jsonl"
         assert main(["fetch", "--repo", f"{OWNER}/{NAME}", "--output", str(out),
-                     "--base-url", "http://127.0.0.1:9", "--retry-limit", "0"]) == EXIT_API
-        assert json.loads(capsys.readouterr().err.strip()) == {
-            "error": "ApiError",
-            "exit_code": EXIT_API,
-            "message": f"request to /repos/{OWNER}/{NAME} failed: connection refused",
-        }
+                     "--base-url", refused_url, "--retry-limit", "0"]) == EXIT_API
+        error = json.loads(capsys.readouterr().err.strip())
+        assert (error["error"], error["exit_code"]) == ("ApiError", EXIT_API)
+        assert error["message"].startswith(f"request to /repos/{OWNER}/{NAME} failed: ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_body_cut_short_exits_with_api_error(self, mock_api, tmp_path, capsys):
+        base_url, state = mock_api
+        state.scripted.append((f"/users/{OWNER}", 200, {"Content-Length": "100"},
+                               b'{"followers": 11'))
+        out = tmp_path / "fetched.jsonl"
+        assert self._fetch(base_url, out) == EXIT_API
+        error = json.loads(capsys.readouterr().err.strip())
+        assert (error["error"], error["exit_code"]) == ("ApiError", EXIT_API)
+        assert error["message"].startswith(f"request to /users/{OWNER} failed: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("token", ["abc\n", " abc", "ab c", "t\u00f6ken", "abc\x7f"])
+    def test_token_that_is_no_header_value_is_config_error(self, mock_api, tmp_path, capsys,
+                                                           monkeypatch, token):
+        base_url, state = mock_api
+        monkeypatch.setenv("GITHUB_TOKEN", token)
+        assert self._fetch(base_url, tmp_path / "fetched.jsonl") == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error == {"error": "ConfigError", "exit_code": EXIT_CONFIG,
+                         "message": "auth_token must be visible ASCII, "
+                                    "without spaces or control characters"}
+        assert state.requests == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fetch_runs_without_requests_installed(self, mock_api, tmp_path):
+        base_url, _ = mock_api
+        src = str(Path(wtps.__file__).resolve().parents[1])
+        probe = ("import sys; sys.modules['requests'] = None; sys.path.insert(0, sys.argv[1]); "
+                 "from wtps.cli import main; sys.exit(main(sys.argv[2:]))")
+        result = subprocess.run(
+            [sys.executable, "-c", probe, src, "fetch", "--repo", f"{OWNER}/{NAME}",
+             "--output", str(tmp_path / "fetched.jsonl"), "--base-url", base_url],
+            capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fetched.jsonl", "fetched.jsonl.meta.json"]
 
     def test_fetched_repository_is_saved_with_its_sidecar(self, mock_api, tmp_path, capsys):
         base_url, _ = mock_api
@@ -342,22 +425,25 @@ class TestErrorMapping:
             fetch_repo(_config(base_url), f"{OWNER}/{NAME}")
         assert str(caught.value) == f"unexpected status 500 for /repos/{OWNER}/{NAME}"
 
-    def test_failed_request_is_api_error(self):
-        # requests' errors are OSErrors; they must not pass as filesystem errors.
-        class UnreachableSession:
-            def get(self, url, params=None, headers=None):
-                raise requests.ConnectionError("connection refused")
-
+    def test_failed_request_is_api_error(self, refused_url):
+        # urllib's connection errors are OSErrors; they must not pass as filesystem errors.
         with pytest.raises(ApiError) as caught:
-            fetch_repo(_config("http://127.0.0.1:9"), f"{OWNER}/{NAME}",
-                       session=UnreachableSession())
+            fetch_repo(_config(refused_url), f"{OWNER}/{NAME}")
         assert type(caught.value) is ApiError
-        assert str(caught.value) == f"request to /repos/{OWNER}/{NAME} failed: connection refused"
+        assert str(caught.value).startswith(f"request to /repos/{OWNER}/{NAME} failed: ")
+
+    @pytest.mark.parametrize("location", ["ftp://127.0.0.1:9/repo.json", "file:///etc/hostname"])
+    def test_redirect_off_http_is_api_error(self, mock_api, location):
+        base_url, state = mock_api
+        state.scripted.append((f"/repos/{OWNER}/{NAME}", 301, {"Location": location}))
+        with pytest.raises(ApiError) as caught:
+            fetch_repo(_config(base_url), f"{OWNER}/{NAME}")
+        assert str(caught.value) == f"unexpected status 301 for /repos/{OWNER}/{NAME}"
 
     def test_page_that_is_not_an_array_is_api_error(self, mock_api):
         base_url, _ = mock_api
-        with requests.Session() as session, pytest.raises(ApiError) as caught:
-            list(RestClient(_config(base_url), session=session).paginate(f"/users/{OWNER}"))
+        with pytest.raises(ApiError) as caught:
+            list(RestClient(_config(base_url)).paginate(f"/users/{OWNER}"))
         assert str(caught.value) == f"expected a JSON array from /users/{OWNER}"
 
     def test_forbidden_without_rate_markers_is_auth_failure(self, mock_api):
@@ -436,26 +522,18 @@ class FakeClock:
 
 class TestRateCap:
     def test_hourly_cap_never_exceeded(self, mock_api):
-        base_url, _ = mock_api
+        base_url, state = mock_api
         clock = FakeClock()
-        session = requests.Session()
-        send_times = []
-        real_get = session.get
-
-        def logging_get(*args, **kwargs):
-            send_times.append(clock.now)
-            return real_get(*args, **kwargs)
-
-        session.get = logging_get
+        state.clock = clock
         client = RestClient(
             _config(base_url, requests_per_hour_cap=3),
-            session=session,
             clock=clock,
             sleep=clock.sleep,
         )
         for _ in range(7):
             client.get_json(f"/repos/{OWNER}/{NAME}")
 
+        send_times = state.times
         assert len(send_times) == 7
         for i, moment in enumerate(send_times):
             in_window = [t for t in send_times[: i + 1] if moment - t < 3600.0]
@@ -472,6 +550,10 @@ class TestRateCap:
             ApiClientConfig(retry_limit=-1)
         for url in ("notaurl", "ftp://example.com", "http://", "https:///path", "example.com"):
             with pytest.raises(ValueError):
+                ApiClientConfig(base_url=url)
+        # urllib sends the URL as it is, so one it cannot send is refused here.
+        for url in ("http://127.0.0.1:9/a b", "http://127.0.0.1:9/\n", "http://b\u00fccher.example"):
+            with pytest.raises(ValueError, match="^base_url must be visible ASCII"):
                 ApiClientConfig(base_url=url)
         ApiClientConfig(base_url="http://127.0.0.1:9/api")
 
